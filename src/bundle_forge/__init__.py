@@ -9,8 +9,6 @@ from .exact_ring import (
     XPoly,
     ZPoly,
     monomial_integral,
-    reduce_x,
-    reduce_z,
     x_to_z,
     z_to_x,
 )
@@ -18,10 +16,8 @@ from .forms import (
     SphereTwoForm,
     XForm,
     ZForm,
-    exterior_derivative,
     integrate_s2,
     restrict_to_sphere,
-    wedge,
 )
 from .kets import (
     EquivariantKet,

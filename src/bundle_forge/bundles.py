@@ -23,7 +23,9 @@ from .exact_ring import (
     X3,
     XPoly,
     ZPoly,
+    dagger,
     rational_sqrt,
+    weighted_matmul,
     x_to_z,
     z_to_x,
 )
@@ -90,17 +92,11 @@ class WeightedProjector:
 
     def idempotency_defect(self):
         """M W M - M, entrywise; all-zero iff p^2 = p."""
-        n = self.dim
-        out = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = -self.core[j][k]
-                for l in range(n):
-                    acc = acc + self.core[j][l] * self.core[l][k] * self.weights[l]
-                row.append(acc)
-            out.append(tuple(row))
-        return tuple(out)
+        square = weighted_matmul(self.core, self.weights, self.core)
+        return tuple(
+            tuple(e - m for e, m in zip(sq_row, row))
+            for sq_row, row in zip(square, self.core)
+        )
 
     def is_idempotent(self) -> bool:
         return all(e.is_zero() for row in self.idempotency_defect() for e in row)
@@ -114,6 +110,11 @@ class WeightedProjector:
     @staticmethod
     def from_json(data: dict, label: str = "p") -> "WeightedProjector":
         weights = tuple(Fraction(w) for w in data["weights"])
+        if any(w <= 0 for w in weights):
+            raise ValueError("weights must be positive rationals")
+        n = len(weights)
+        if len(data["core"]) != n or any(len(row) != n for row in data["core"]):
+            raise ValueError(f"core must be a square {n}x{n} matrix, one row per weight")
         core = tuple(
             tuple(XPoly.from_json(e) for e in row) for row in data["core"]
         )
@@ -180,16 +181,9 @@ def sum_of_dyads(vectors: Sequence[ScaledXVector], label: str = "dyads") -> Weig
     n = len(vectors[0])
     if any(len(v) != n for v in vectors):
         raise ValueError("vectors must have equal length")
-    core = []
-    for j in range(n):
-        row = []
-        for k in range(n):
-            acc = XPoly.zero()
-            for v in vectors:
-                acc = acc + v.comps[j] * v.comps[k].conj() * v.scale
-            row.append(acc)
-        core.append(tuple(row))
-    return WeightedProjector((Fraction(1),) * n, tuple(core), label)
+    stacked = tuple(zip(*(v.comps for v in vectors)))  # column l is vectors[l]
+    core = weighted_matmul(stacked, [v.scale for v in vectors], dagger(stacked))
+    return WeightedProjector((Fraction(1),) * n, core, label)
 
 
 @dataclass(frozen=True)
@@ -433,33 +427,13 @@ class PartialIsometry:
 
     def times_dagger(self) -> WeightedProjector:
         """v v^dagger as a weighted projector candidate."""
-        n = len(self.left_weights)
-        m = len(self.right_weights)
-        core = []
-        for j in range(n):
-            row = []
-            for k in range(n):
-                acc = XPoly.zero()
-                for l in range(m):
-                    acc = acc + self.core[j][l] * self.core[k][l].conj() * self.right_weights[l]
-                row.append(acc)
-            core.append(tuple(row))
-        return WeightedProjector(self.left_weights, tuple(core), "vv+")
+        core = weighted_matmul(self.core, self.right_weights, dagger(self.core))
+        return WeightedProjector(self.left_weights, core, "vv+")
 
     def dagger_times(self) -> WeightedProjector:
         """v^dagger v as a weighted projector candidate."""
-        n = len(self.left_weights)
-        m = len(self.right_weights)
-        core = []
-        for j in range(m):
-            row = []
-            for k in range(m):
-                acc = XPoly.zero()
-                for l in range(n):
-                    acc = acc + self.core[l][j].conj() * self.core[l][k] * self.left_weights[l]
-                row.append(acc)
-            core.append(tuple(row))
-        return WeightedProjector(self.right_weights, tuple(core), "v+v")
+        core = weighted_matmul(dagger(self.core), self.left_weights, self.core)
+        return WeightedProjector(self.right_weights, core, "v+v")
 
 
 def exact_gauge(p: WeightedProjector, s) -> tuple:
@@ -498,20 +472,12 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
         )
     if not _is_exact_unitary(s):
         raise UnsupportedGaugeError("gauge matrix is not exact-unitary")
-    sM = tuple(
-        tuple(
-            sum((p.core[l][k] * s[j][l] for l in range(n)), XPoly.zero())
-            for k in range(n)
-        )
-        for j in range(n)
-    )
-    core = tuple(
-        tuple(
-            sum((sM[j][l] * s[k][l].conj() for l in range(n)), XPoly.zero())
-            for k in range(n)
-        )
-        for j in range(n)
-    )
+    # s commutes with the uniform D, so p^s = D (s M s+) D; the entries of s
+    # become constant XPolys so that the kernel always multiplies XPolys
+    s_poly = tuple(tuple(XPoly.constant(e) for e in row) for row in s)
+    ones = (1,) * n
+    sM = weighted_matmul(s_poly, ones, p.core)
+    core = weighted_matmul(sM, ones, dagger(s_poly))
     p_s = WeightedProjector(p.weights, core, f"{p.label}^s")
     v = PartialIsometry(p.weights, sM, p.weights)
     return p_s, v

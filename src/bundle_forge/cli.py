@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -190,9 +189,11 @@ def _cmd_integrate(args) -> int:
     except ValueError as exc:
         raise CliInputError(f"bad monomial spec {args.monomial!r}: {exc}") from exc
     exact = monomial_integral(a, b, c)
+    try:
+        est, se = monte_carlo_stderr(XPoly.monomial((a, b, c)), args.mc_samples, args.seed)
+    except ValueError as exc:
+        raise CliInputError(f"bad --mc-samples: {exc}") from exc
     print(f"exact: {exact} = {float(exact):.12g}")
-    mono = XPoly.monomial((a, b, c))
-    est, se = monte_carlo_stderr(mono, args.mc_samples, args.seed)
     print(f"monte-carlo ({args.mc_samples} samples, seed {args.seed}): "
           f"{est:.12g} +/- {se:.3g}")
     return 0
@@ -404,18 +405,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    threads = os.environ.get("BUNDLE_FORGE_THREADS")
-    if threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, threads)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if getattr(args, "max_charge", 0) > MAX_CHARGE or abs(getattr(args, "charge", 0)) > MAX_CHARGE:
+        if abs(getattr(args, "charge", 0)) > MAX_CHARGE:
             raise CliInputError(f"charge out of range (|c| <= {MAX_CHARGE})")
+        if not 0 <= getattr(args, "max_charge", 0) <= MAX_CHARGE:
+            raise CliInputError(f"max charge out of range (0 <= max-charge <= {MAX_CHARGE})")
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

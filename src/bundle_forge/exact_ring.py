@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -402,13 +402,6 @@ class ZPoly(_BasePoly):
         """Per-monomial (holomorphic, antiholomorphic) degrees."""
         return {m: (m[0] + m[1], m[2] + m[3]) for m in self.terms}
 
-    def invariance_defect(self):
-        """First non-invariant monomial (holo degree != antiholo degree), or None."""
-        for m in self.terms:
-            if m[0] + m[1] != m[2] + m[3]:
-                return m
-        return None
-
     def evaluate(self, z0, z1):
         zb0, zb1 = z0.conjugate(), z1.conjugate()
         total = 0
@@ -420,20 +413,6 @@ class ZPoly(_BasePoly):
 # generators, for convenience
 X1, X2, X3 = (XPoly.variable(i) for i in range(3))
 Z0, Z1, ZB0, ZB1 = (ZPoly.variable(i) for i in range(4))
-
-
-def reduce_x(terms: Mapping[tuple, GaussianRational] | XPoly) -> XPoly:
-    """Canonical representative modulo the sphere relation (idempotent)."""
-    if isinstance(terms, XPoly):
-        return XPoly(terms.terms)
-    return XPoly(terms)
-
-
-def reduce_z(terms: Mapping[tuple, GaussianRational] | ZPoly) -> ZPoly:
-    """Canonical representative modulo |z0|^2+|z1|^2 = 1 (idempotent)."""
-    if isinstance(terms, ZPoly):
-        return ZPoly(terms.terms)
-    return ZPoly(terms)
 
 
 # Invariant generators expressed on S^2: the inversion of the Hopf projection.
@@ -456,11 +435,11 @@ def z_to_x(p: ZPoly) -> XPoly:
             raise NonInvariantMonomialError(
                 f"monomial z0^{e0} z1^{e1} zb0^{f0} zb1^{f1} is not U(1)-invariant"
             )
+        # e0 + e1 == f0 + f1 forces b = e0 - a and c = f0 - a: every factor is paired
         a = min(e0, f0)          # z0 zb0 pairs
         b = min(e0 - a, f1)      # z0 zb1 pairs
         c = min(e1, f0 - a)      # z1 zb0 pairs
         d = e1 - c               # z1 zb1 pairs
-        assert e0 - a - b == 0 and f0 - a - c == 0 and f1 - b - d == 0
         factor = XPoly.constant(coeff)
         for base, power in ((_Z0ZB0, a), (_Z0ZB1, b), (_Z1ZB0, c), (_Z1ZB1, d)):
             for _ in range(power):
@@ -488,9 +467,29 @@ def x_to_z(p: XPoly) -> ZPoly:
     return result
 
 
-def partial_derivative(p, var: int):
-    """Formal partial derivative; thin alias for Poly.diff."""
-    return p.diff(var)
+def dagger(a) -> tuple:
+    """Conjugate transpose of a matrix of ring elements given as a tuple of rows."""
+    return tuple(tuple(e.conj() for e in column) for column in zip(*a))
+
+
+def weighted_matmul(a, weights, b) -> tuple:
+    """The product a . diag(weights) . b of XPoly matrices given as tuples of rows.
+
+    A projector stored as p = D M D with D = diag(sqrt(w)) multiplies as
+    (D M D)(D N D) = D (M W N) D, so every exact product of factored
+    matrices is this one kernel and the radicals never appear.
+    """
+    if len(b) != len(weights) or any(len(row) != len(weights) for row in a):
+        raise ValueError("inner dimensions of the weighted product do not match")
+    columns = range(len(b[0]) if b else 0)
+    out = []
+    for row in a:
+        scaled = [e * w for e, w in zip(row, weights)]
+        out.append(tuple(
+            sum((s * b_row[k] for s, b_row in zip(scaled, b)), XPoly.zero())
+            for k in columns
+        ))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

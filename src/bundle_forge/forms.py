@@ -249,14 +249,6 @@ class SphereTwoForm:
         return f"({self.coeff}) * dvol(S2)"
 
 
-def wedge(a, b):
-    return a.wedge(b)
-
-
-def exterior_derivative(a):
-    return a.d()
-
-
 def restrict_to_sphere(omega: XForm) -> SphereTwoForm:
     """Restrict an ambient 2-form to S^2.
 

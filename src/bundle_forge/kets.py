@@ -24,7 +24,9 @@ from .exact_ring import (
     X3,
     XPoly,
     ZPoly,
+    dagger,
     rational_sqrt,
+    weighted_matmul,
 )
 from .forms import ZForm
 
@@ -200,31 +202,11 @@ class ScaledXMatrix:
 
     def gram(self):
         """u^dagger u with the radical scale squared away; XPoly entries."""
-        nrow, ncol = self.shape
-        out = []
-        for j in range(ncol):
-            row = []
-            for k in range(ncol):
-                acc = XPoly.zero()
-                for r in range(nrow):
-                    acc = acc + self.rows[r][j].conj() * self.rows[r][k]
-                row.append(acc * self.scale)
-            out.append(tuple(row))
-        return tuple(out)
+        return weighted_matmul(dagger(self.rows), (self.scale,) * len(self.rows), self.rows)
 
     def cogram(self):
         """u u^dagger with the radical scale squared away; XPoly entries."""
-        nrow, ncol = self.shape
-        out = []
-        for j in range(nrow):
-            row = []
-            for k in range(nrow):
-                acc = XPoly.zero()
-                for c in range(ncol):
-                    acc = acc + self.rows[j][c] * self.rows[k][c].conj()
-                row.append(acc * self.scale)
-            out.append(tuple(row))
-        return tuple(out)
+        return weighted_matmul(self.rows, (self.scale,) * len(self.rows[0]), dagger(self.rows))
 
 
 def x_vector_pairing(a: ScaledXVector, b: ScaledXVector) -> XPoly:

@@ -206,21 +206,14 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> NumericProjectorField:
     return NumericProjectorField(n, evaluator, "gauge-transformed", cond)
 
 
-def monte_carlo_integral(f: XPoly, samples: int, seed: int) -> float:
-    """(4*pi / samples) * sum of f over uniform random points of S^2."""
-    if samples < 10_000:
-        raise ValueError("need at least 10^4 samples")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, samples)
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
-    st = np.sqrt(1.0 - u * u)
-    vals = f.evaluate(st * np.cos(phi), st * np.sin(phi), u)
-    mean = complex(np.mean(vals))
-    return 4.0 * math.pi * mean.real
+MC_MIN_SAMPLES = 10_000
 
 
 def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
-    """(estimate, standard error) for the Monte-Carlo integral of f."""
+    """(estimate, standard error) of (4*pi / samples) * sum of f over
+    uniform random points of S^2."""
+    if samples < MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {MC_MIN_SAMPLES} Monte-Carlo samples, got {samples}")
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)
     phi = rng.uniform(0.0, 2.0 * math.pi, samples)
@@ -232,22 +225,30 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     return 4.0 * math.pi * mean, 4.0 * math.pi * stderr
 
 
-def _random_s3_point(rng) -> np.ndarray:
-    v = rng.normal(size=4)
-    return v / np.linalg.norm(v)
+def monte_carlo_integral(f: XPoly, samples: int, seed: int) -> float:
+    """The Monte-Carlo estimate of the integral of f over S^2."""
+    return monte_carlo_stderr(f, samples, seed)[0]
 
 
-def _random_tangent_pair(rng, point: np.ndarray):
-    """Two tangent vectors at a point of S^3 (orthogonal to the radial
-    gradient), resampled when nearly degenerate."""
+def _random_frame(rng, dim: int) -> tuple:
+    """A random point of the unit sphere in R^dim and two tangent vectors
+    there (orthogonal to the radial gradient), resampled when nearly
+    degenerate."""
+    point = rng.normal(size=dim)
+    point /= np.linalg.norm(point)
     while True:
-        t1 = rng.normal(size=4)
-        t2 = rng.normal(size=4)
+        t1 = rng.normal(size=dim)
+        t2 = rng.normal(size=dim)
         t1 -= point * (t1 @ point)
         t2 -= point * (t2 @ point)
         gram = np.array([[t1 @ t1, t1 @ t2], [t1 @ t2, t2 @ t2]])
         if np.linalg.det(gram) > 1e-6:
-            return t1, t2
+            return point, t1, t2
+
+
+def _z_coords(point: np.ndarray) -> tuple:
+    """(z0, z1) of a point of S^3 in R^4 = (Re z0, Im z0, Re z1, Im z1)."""
+    return complex(point[0], point[1]), complex(point[2], point[3])
 
 
 def _one_form_values(tangent: np.ndarray) -> tuple:
@@ -258,43 +259,45 @@ def _one_form_values(tangent: np.ndarray) -> tuple:
     return dz0, dz1, dz0.conjugate(), dz1.conjugate()
 
 
-def _eval_zform(omega: ZForm, z0: complex, z1: complex, t1, t2=None) -> complex:
-    l1 = _one_form_values(t1)
-    l2 = _one_form_values(t2) if t2 is not None else None
+def _eval_form(omega, coords: tuple, l1, l2) -> complex:
+    """omega(t1, t2) at one point: `coords` are the arguments of the
+    coefficients' evaluate, l1 and l2 the basis 1-forms on t1 and t2."""
     total = 0.0 + 0.0j
     for idx, poly in omega.terms.items():
-        coeff = poly.evaluate(z0, z1)
-        if len(idx) == 1:
-            total += coeff * l1[idx[0]]
-        elif len(idx) == 2:
-            if l2 is None:
-                raise ValueError("degree-2 form needs a tangent pair")
-            i, j = idx
-            total += coeff * (l1[i] * l2[j] - l2[i] * l1[j])
-        elif len(idx) == 0:
-            total += coeff
-        else:
-            raise ValueError(f"unsupported form degree {len(idx)}")
-    return total
-
-
-def _eval_xform(omega, x: np.ndarray, t1: np.ndarray, t2) -> complex:
-    total = 0.0 + 0.0j
-    for idx, poly in omega.terms.items():
-        coeff = poly.evaluate(x[0], x[1], x[2])
+        if len(idx) > 2:
+            continue  # a 3-form vanishes on the 2-dimensional tangent space
+        coeff = poly.evaluate(*coords)
         if len(idx) == 0:
             total += coeff
         elif len(idx) == 1:
-            total += coeff * t1[idx[0]]
-        elif len(idx) == 2:
-            if t2 is None:
-                raise ValueError("degree-2 form needs a tangent pair")
-            i, j = idx
-            total += coeff * (t1[i] * t2[j] - t2[i] * t1[j])
+            total += coeff * l1[idx[0]]
         else:
-            # a 3-form vanishes identically on the 2-dimensional tangent space
-            continue
+            i, j = idx
+            total += coeff * (l1[i] * l2[j] - l2[i] * l1[j])
     return total
+
+
+@dataclass(frozen=True)
+class TangentFrameReport:
+    passed: bool
+    max_difference: float
+    points: int
+
+
+def _frame_check(diff, points: int, seed: int, tol: float, dim: int,
+                 coords, one_forms) -> TangentFrameReport:
+    """Largest |diff(t1, t2)| over random tangent frames of the sphere in
+    R^dim; `coords` and `one_forms` map a point and a tangent vector to
+    the form's coefficient arguments and basis 1-form values."""
+    if diff.is_zero():
+        return TangentFrameReport(True, 0.0, points)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(points):
+        point, t1, t2 = _random_frame(rng, dim)
+        value = _eval_form(diff, coords(point), one_forms(t1), one_forms(t2))
+        worst = max(worst, abs(value))
+    return TangentFrameReport(bool(worst < tol), float(worst), points)
 
 
 def s2_tangent_frame_check(
@@ -303,37 +306,12 @@ def s2_tangent_frame_check(
     points: int = 100,
     seed: int = 0,
     tol: float = 1e-10,
-) -> "TangentFrameReport":
+) -> TangentFrameReport:
     """Compare two XForms (degree <= 2) on random tangent frames of S^2.
 
     Equality modulo the sphere ideal (r, dr) shows up as pointwise equality
     of the evaluations on tangent vectors."""
-    rng = np.random.default_rng(seed)
-    diff = omega - expected
-    if diff.is_zero():
-        return TangentFrameReport(True, 0.0, points)
-    need_pair = max(diff.degrees()) >= 2
-    worst = 0.0
-    for _ in range(points):
-        x = rng.normal(size=3)
-        x /= np.linalg.norm(x)
-        while True:
-            t1 = rng.normal(size=3)
-            t2 = rng.normal(size=3)
-            t1 -= x * (t1 @ x)
-            t2 -= x * (t2 @ x)
-            gram = np.array([[t1 @ t1, t1 @ t2], [t1 @ t2, t2 @ t2]])
-            if np.linalg.det(gram) > 1e-6:
-                break
-        worst = max(worst, abs(_eval_xform(diff, x, t1, t2 if need_pair else None)))
-    return TangentFrameReport(bool(worst < tol), float(worst), points)
-
-
-@dataclass(frozen=True)
-class TangentFrameReport:
-    passed: bool
-    max_difference: float
-    points: int
+    return _frame_check(omega - expected, points, seed, tol, 3, tuple, tuple)
 
 
 def tangent_frame_check(
@@ -349,21 +327,6 @@ def tangent_frame_check(
     single tangent vectors; equality modulo the ideal (r, dr) shows up as
     pointwise equality on tangents.
     """
-    rng = np.random.default_rng(seed)
-    diff = omega - expected
-    degrees = diff.degrees()
-    if not degrees:
-        return TangentFrameReport(True, 0.0, points)
-    need_pair = max(degrees) >= 2
-    worst = 0.0
-    for _ in range(points):
-        pt = _random_s3_point(rng)
-        z0 = complex(pt[0], pt[1])
-        z1 = complex(pt[2], pt[3])
-        if need_pair:
-            t1, t2 = _random_tangent_pair(rng, pt)
-        else:
-            t1, _ = _random_tangent_pair(rng, pt)
-            t2 = None
-        worst = max(worst, abs(_eval_zform(diff, z0, z1, t1, t2)))
-    return TangentFrameReport(bool(worst < tol), float(worst), points)
+    return _frame_check(
+        omega - expected, points, seed, tol, 4, _z_coords, _one_form_values
+    )

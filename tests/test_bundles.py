@@ -391,3 +391,15 @@ class TestSerialization:
             q = WeightedProjector.from_json(p.to_json(), p.label)
             assert q.weights == p.weights
             assert q.core == p.core
+
+    def test_malformed_projectors_rejected(self):
+        one = XPoly.one().to_json()
+        for weights, core in (
+            (["1", "2"], [[one], [one, one]]),          # ragged core
+            (["1", "2"], [[one, one, one]] * 2),        # core not square
+            (["1", "2"], [[one] * 3] * 3),              # core size != weight count
+            (["-1", "2"], [[one, one], [one, one]]),    # negative weight
+            (["0", "2"], [[one, one], [one, one]]),     # zero weight
+        ):
+            with pytest.raises(ValueError):
+                WeightedProjector.from_json({"weights": weights, "core": core})

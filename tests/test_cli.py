@@ -106,9 +106,12 @@ class TestVerifyCommand:
         assert "signed-permutation" in out
 
     def test_max_charge_guard(self, capsys):
-        code, _, err = invoke(capsys, "verify", "--suite", "axioms", "--max-charge", "99")
-        assert code == 2
-        assert "charge out of range" in err
+        # a negative max charge used to skip every monopole and print ALL PASS
+        for value in ("99", "17", "-3", "-1"):
+            code, out, err = invoke(capsys, "verify", "--suite", "axioms", "--max-charge", value)
+            assert code == 2, value
+            assert "ALL PASS" not in out
+            assert "charge out of range" in err
 
 
 class TestConnectionCommand:
@@ -162,6 +165,15 @@ class TestIntegrateCommand:
         assert code == 0
         assert "exact: (1/3)*4pi" in out
         assert "monte-carlo" in out
+
+    def test_mc_samples_floor(self, capsys):
+        # fewer than 10^4 samples used to print "nan +/- nan" with exit 0
+        for value in ("0", "1", "9999"):
+            code, out, err = invoke(capsys, "integrate", "--monomial", "2,0,0",
+                                    "--mc-samples", value)
+            assert code == 2, value
+            assert "nan" not in out
+            assert "samples" in err
 
     def test_bad_monomial(self, capsys):
         code, _, err = invoke(capsys, "integrate", "--monomial", "2,-1,0")

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundle_forge.exact_ring import (
     GR_I,
@@ -17,8 +18,9 @@ from bundle_forge.exact_ring import (
     ZB0,
     ZB1,
     ZPoly,
+    dagger,
     monomial_integral,
-    partial_derivative,
+    weighted_matmul,
     x_to_z,
     z_to_x,
 )
@@ -155,16 +157,29 @@ class TestZToX:
             p = random_xpoly(rng, 4)
             assert z_to_x(x_to_z(p)) == p
 
+    def test_every_invariant_monomial_round_trips(self):
+        # each invariant exponent tuple of holomorphic degree <= 4 (55 in all),
+        # fed unreduced so that z_to_x also pairs z0 with zb0 itself
+        seen = 0
+        for k in range(5):
+            for e0 in range(k + 1):
+                for f0 in range(k + 1):
+                    mono = (e0, k - e0, f0, k - f0)
+                    raw = ZPoly({mono: GR_ONE}, _reduced=True)
+                    assert x_to_z(z_to_x(raw)) == ZPoly.monomial(mono), mono
+                    seen += 1
+        assert seen == 55
+
 
 class TestPartialDerivative:
     def test_examples(self):
-        assert partial_derivative(X1 * X2, 0) == X2
-        assert partial_derivative(X3, 1) == XPoly.zero()
-        assert partial_derivative(Z0 * Z0 * ZB1, 0) == Z0 * ZB1 * 2
+        assert (X1 * X2).diff(0) == X2
+        assert X3.diff(1) == XPoly.zero()
+        assert (Z0 * Z0 * ZB1).diff(0) == Z0 * ZB1 * 2
 
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
-            partial_derivative(X1, 3)
+            X1.diff(3)
 
     def test_linearity(self, rng):
         for _ in range(200):
@@ -182,6 +197,49 @@ class TestPartialDerivative:
             q = XPoly({(a, b, 0): c for (a, b, _), c in q.terms.items()})
             for v in range(3):
                 assert (p * q).diff(v) == p.diff(v) * q + p * q.diff(v)
+
+
+_small_rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_positive_rational = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+_small_xpoly = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.builds(GaussianRational, _small_rational, _small_rational),
+    max_size=3,
+).map(XPoly)
+
+
+@st.composite
+def _weighted_product(draw):
+    """(a, weights, b) with a n x m, b m x k and m positive rational weights."""
+    n, m, k = (draw(st.integers(1, 3)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return tuple(tuple(draw(_small_xpoly) for _ in range(cols)) for _ in range(rows))
+
+    return matrix(n, m), tuple(draw(_positive_rational) for _ in range(m)), matrix(m, k)
+
+
+class TestWeightedMatmul:
+    @settings(max_examples=40, deadline=None)
+    @given(_weighted_product())
+    def test_matches_naive_sum_and_dagger_reverses(self, case):
+        a, w, b = case
+        product = weighted_matmul(a, w, b)
+        naive = tuple(
+            tuple(
+                sum((a[j][l] * b[l][k] * w[l] for l in range(len(w))), XPoly.zero())
+                for k in range(len(b[0]))
+            )
+            for j in range(len(a))
+        )
+        assert product == naive
+        assert dagger(product) == weighted_matmul(dagger(b), w, dagger(a))
+
+    def test_inner_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            weighted_matmul(((X1, X2),), (1, 1, 1), ((X1,), (X2,), (X3,)))
+        with pytest.raises(ValueError):
+            weighted_matmul(((X1, X2),), (1, 1), ((X1,),))
 
 
 class TestMonomialIntegral:

@@ -15,9 +15,10 @@ from bundle_forge.quadbench import (
     NumericProjectorField,
     QuadratureError,
     SphereGrid,
-    _eval_zform,
-    _random_s3_point,
-    _random_tangent_pair,
+    _eval_form,
+    _one_form_values,
+    _random_frame,
+    _z_coords,
     chern_number_quad,
     gauge_field,
     monte_carlo_integral,
@@ -140,13 +141,13 @@ class TestGaugeField:
         dpolys = [ZForm.from_poly(p).d() for p in k.polys]
         worst = 0.0
         for _ in range(50):
-            pt = _random_s3_point(rng)
-            z0, z1 = complex(pt[0], pt[1]), complex(pt[2], pt[3])
-            t, _ = _random_tangent_pair(rng, pt)
-            psi = np.array([p.evaluate(z0, z1) for p in k.polys])
-            dpsi = np.array([_eval_zform(w, z0, z1, t) for w in dpolys])
+            pt, t, t2 = _random_frame(rng, 4)
+            z = _z_coords(pt)
+            l1, l2 = _one_form_values(t), _one_form_values(t2)
+            psi = np.array([p.evaluate(*z) for p in k.polys])
+            dpsi = np.array([_eval_form(w, z, l1, l2) for w in dpolys])
             gauged = np.vdot(g @ psi, g @ dpsi)
-            plain = _eval_zform(A, z0, z1, t)
+            plain = _eval_form(A, z, l1, l2)
             worst = max(worst, abs(gauged - np.conj(plain)))
         # pairing convention puts conjugation on the second slot; vdot
         # conjugates its first argument, hence the conj above
