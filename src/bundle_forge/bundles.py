@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .exact_ring import (
     GR_I,
     GR_ONE,
@@ -24,6 +26,7 @@ from .exact_ring import (
     XPoly,
     ZPoly,
     dagger,
+    evaluate_polys,
     rational_sqrt,
     weighted_matmul,
     x_to_z,
@@ -122,16 +125,23 @@ class WeightedProjector:
 
     def evaluate(self, x1, x2, x3):
         """Dense complex matrix field at points of S^2 (numpy-friendly)."""
-        import numpy as np
+        return self.evaluate_along((x1, x2, x3))[0]
 
+    def evaluate_along(self, coords: tuple, tangents: tuple = ()) -> list:
+        """[P, *derivatives]: the dense complex matrix field at the points
+        `coords` = (x1, x2, x3) and its derivatives along each of `tangents`
+        (see `evaluate_polys`), arrays of shape (..., n, n)."""
         n = self.dim
         roots = [float(w) ** 0.5 for w in self.weights]
-        shape = np.shape(x1)
-        out = np.zeros(shape + (n, n), dtype=complex)
-        for j in range(n):
-            for k in range(n):
-                out[..., j, k] = roots[j] * roots[k] * self.core[j][k].evaluate(x1, x2, x3)
-        return out
+        scale = np.outer(roots, roots)
+        entries = [e for row in self.core for e in row]
+        fields = [
+            values.reshape(values.shape[:-1] + (n, n))
+            for values in evaluate_polys(entries, coords, tangents)
+        ]
+        for f in fields:
+            f *= scale
+        return fields
 
 
 def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:
@@ -143,10 +153,16 @@ def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:
 
 
 def projector_from_ket(k: EquivariantKet, label: str | None = None) -> WeightedProjector:
-    """p = |psi><psi| in factored form: M_jk = z_to_x(conj(poly_j) poly_k)."""
+    """p = |psi><psi| in factored form: M_jk = z_to_x(conj(poly_j) poly_k).
+
+    Only j <= k is converted: z_to_x commutes with conjugation, so
+    M_kj = conj(M_jk)."""
     n = len(k)
+    upper = {
+        (j, kk): z_to_x(k.polys[j].conj() * k.polys[kk]) for j in range(n) for kk in range(j, n)
+    }
     core = tuple(
-        tuple(z_to_x(k.polys[j].conj() * k.polys[kk]) for kk in range(n))
+        tuple(upper[j, kk] if j <= kk else upper[kk, j].conj() for kk in range(n))
         for j in range(n)
     )
     return WeightedProjector(tuple(k.weights), core, label or "p")

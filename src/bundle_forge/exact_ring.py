@@ -14,10 +14,14 @@ rational a, b), so integrals and Chern numbers come out as exact rationals.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
+
+import numpy as np
 
 RationalLike = Union[int, Fraction]
 
@@ -152,6 +156,11 @@ class _BasePoly:
     @classmethod
     def _reduce_terms(cls, terms):
         raise NotImplementedError
+
+    @staticmethod
+    def _variables(*coords) -> tuple:
+        """Values of the ring variables from the arguments of `evaluate`."""
+        return coords
 
     @classmethod
     def zero(cls):
@@ -352,10 +361,7 @@ class XPoly(_BasePoly):
 
     def evaluate(self, x1, x2, x3):
         """Numeric evaluation; accepts scalars or numpy arrays."""
-        total = 0
-        for (a, b, c), coeff in self.terms.items():
-            total = total + complex(coeff) * (x1 ** a) * (x2 ** b) * (x3 ** c)
-        return total
+        return evaluate_polys((self,), (x1, x2, x3))[0][..., 0]
 
 
 class ZPoly(_BasePoly):
@@ -402,12 +408,100 @@ class ZPoly(_BasePoly):
         """Per-monomial (holomorphic, antiholomorphic) degrees."""
         return {m: (m[0] + m[1], m[2] + m[3]) for m in self.terms}
 
+    @staticmethod
+    def _variables(z0, z1) -> tuple:
+        return z0, z1, np.conjugate(z0), np.conjugate(z1)
+
     def evaluate(self, z0, z1):
-        zb0, zb1 = z0.conjugate(), z1.conjugate()
-        total = 0
-        for (e0, e1, f0, f1), coeff in self.terms.items():
-            total = total + complex(coeff) * (z0 ** e0) * (z1 ** e1) * (zb0 ** f0) * (zb1 ** f1)
-        return total
+        """Numeric evaluation at (z0, z1); accepts scalars or numpy arrays."""
+        return evaluate_polys((self,), (z0, z1))[0][..., 0]
+
+
+# Points per block of `evaluate_polys`.  A block holds about ten float arrays
+# of shape (points, monomials).  Measured with Python 3.11 and numpy 2.4 on a
+# 2-vCPU Linux VM: without blocks, `bundle-forge integrate --monomial 4,2,2`
+# (10^6 samples) peaks at 349 MB RSS, with blocks of 2^12 points at 91 MB;
+# 2^13 points would raise the numpy peak of the charge-8 quadrature on the
+# 64x128 grid from 64 MB (its contraction) to 82 MB (its evaluation).
+EVAL_BLOCK = 1 << 12
+
+
+def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int) -> tuple:
+    """(exponents, C): the union of the monomials of `polys` as a
+    (monomials, nvars) integer array, and the complex coefficient matrix C
+    of shape (monomials, polynomials)."""
+    rows: dict = {}
+    for p in polys:
+        for m in p.terms:
+            rows.setdefault(m, len(rows))
+    exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), nvars)
+    coeffs = np.zeros((len(rows), len(polys)), dtype=complex)
+    for col, p in enumerate(polys):
+        for m, c in p.terms.items():
+            coeffs[rows[m], col] = complex(c)
+    return exponents, coeffs
+
+
+def _power_table(x: np.ndarray, top: int) -> np.ndarray:
+    """x^0 .. x^top by repeated multiplication, one column per power."""
+    table = np.empty((x.size, top + 1), dtype=x.dtype)
+    table[:, 0] = 1
+    for e in range(1, top + 1):
+        np.multiply(table[:, e - 1], x, out=table[:, e])
+    return table
+
+
+def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple, tangents: tuple = ()) -> list:
+    """Numeric values of polynomials of one ring at an array of points.
+
+    `coords` are the arguments of the ring's `evaluate` (x1, x2, x3 or
+    z0, z1): scalars or arrays broadcasting to one shape S.  Each entry of
+    `tangents` holds the derivatives of those arguments along one direction
+    (the chain rule through a chart), broadcasting to S as well.  Returns
+    [values, *derivatives], complex arrays of shape S + (len(polys),).
+
+    The polynomials share one coefficient matrix C (monomials x polynomials).
+    Per block of EVAL_BLOCK points each variable's powers are built once by
+    repeated multiplication, the monomial basis V is their product and the
+    values are V.C.  A derivative multiplies the same C by the derivative of
+    V along the tangent.
+    """
+    if len({type(p) for p in polys}) > 1:
+        raise TypeError("evaluate_polys takes polynomials of one ring")
+    ring = type(polys[0]) if polys else _BasePoly
+    arrays = np.broadcast_arrays(
+        *ring._variables(*coords), *(v for t in tangents for v in ring._variables(*t))
+    )
+    shape = arrays[0].shape
+    dtype = np.result_type(float, *arrays)
+    nvars = len(arrays) // (1 + len(tangents))
+    flat = [np.asarray(a, dtype=dtype).reshape(-1) for a in arrays]
+    exponents, coeffs = _coefficient_matrix(polys, nvars)
+    size = flat[0].size
+    along = [flat[nvars * t:nvars * (t + 1)] for t in range(1, 1 + len(tangents))]
+    outs = [np.empty((size, len(polys)), dtype=complex) for _ in range(1 + len(tangents))]
+    for lo in range(0, size, EVAL_BLOCK):
+        block = slice(lo, min(lo + EVAL_BLOCK, size))
+        powers = [
+            _power_table(x[block], int(exponents[:, v].max(initial=0)))
+            for v, x in enumerate(flat[:nvars])
+        ]
+        gathered = [table[:, exponents[:, v]] for v, table in enumerate(powers)]
+        np.matmul(functools.reduce(np.multiply, gathered), coeffs, out=outs[0][block])
+        bases = [np.zeros_like(gathered[0]) for _ in tangents]
+        for v, table in enumerate(powers):
+            e = exponents[:, v]
+            if not e.any():
+                continue
+            # dV/dx_v: e_v x_v^(e_v - 1) times the powers of the other variables
+            dv = functools.reduce(
+                np.multiply, gathered[:v] + gathered[v + 1:], table[:, np.maximum(e - 1, 0)] * e
+            )
+            for basis, tangent in zip(bases, along):
+                basis += dv * tangent[v][block, None]
+        for basis, out in zip(bases, outs[1:]):
+            np.matmul(basis, coeffs, out=out[block])
+    return [out.reshape(shape + (len(polys),)) for out in outs]
 
 
 # generators, for convenience
@@ -420,6 +514,16 @@ _Z0ZB0 = XPoly.constant(Fraction(1, 2)) + X3 * Fraction(1, 2)      # |z0|^2
 _Z1ZB1 = XPoly.constant(Fraction(1, 2)) - X3 * Fraction(1, 2)      # |z1|^2
 _Z0ZB1 = (X1 - X2 * GR_I) * Fraction(1, 2)                          # z0 zb1
 _Z1ZB0 = (X1 + X2 * GR_I) * Fraction(1, 2)                          # z1 zb0
+_PAIR_GENERATORS = (_Z0ZB0, _Z0ZB1, _Z1ZB0, _Z1ZB1)
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_power(generator: int, power: int) -> XPoly:
+    """_PAIR_GENERATORS[generator] ** power, built once per exponent.  The
+    result is shared between callers, so it must never be mutated."""
+    if power == 0:
+        return XPoly.one()
+    return _pair_power(generator, power - 1) * _PAIR_GENERATORS[generator]
 
 
 def z_to_x(p: ZPoly) -> XPoly:
@@ -427,7 +531,8 @@ def z_to_x(p: ZPoly) -> XPoly:
 
     Each monomial is factored greedily (in variable order) into the four
     invariant pair generators z0*zb0, z0*zb1, z1*zb0, z1*zb1; the result is
-    independent of the pairing choice modulo the sphere ideal.
+    independent of the pairing choice modulo the sphere ideal.  The powers of
+    the generators are cached, so a monomial costs at most three products.
     """
     result = XPoly.zero()
     for (e0, e1, f0, f1), coeff in p.terms.items():
@@ -440,11 +545,8 @@ def z_to_x(p: ZPoly) -> XPoly:
         b = min(e0 - a, f1)      # z0 zb1 pairs
         c = min(e1, f0 - a)      # z1 zb0 pairs
         d = e1 - c               # z1 zb1 pairs
-        factor = XPoly.constant(coeff)
-        for base, power in ((_Z0ZB0, a), (_Z0ZB1, b), (_Z1ZB0, c), (_Z1ZB1, d)):
-            for _ in range(power):
-                factor = factor * base
-        result = result + factor
+        factors = [_pair_power(g, power) for g, power in enumerate((a, b, c, d)) if power]
+        result = result + functools.reduce(operator.mul, factors or [XPoly.one()]) * coeff
     return result
 
 

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import WeightedProjector, projector_from_ket
-from .exact_ring import XPoly
+from .exact_ring import XPoly, evaluate_polys
 from .forms import ZForm
 from .kets import EquivariantKet
 
@@ -101,31 +101,11 @@ def _field_from_projector(p: WeightedProjector) -> NumericProjectorField:
 
 def _analytic_derivatives(p: WeightedProjector, theta, phi):
     """P, dP/dtheta, dP/dphi from the exact entry polynomials (chain rule)."""
-    x1, x2, x3 = _chart(theta, phi)
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     dx_dt = (ct * cp, ct * sp, -st)
-    dx_df = (-st * sp, st * cp, np.zeros_like(theta))
-
-    n = p.dim
-    roots = [math.sqrt(float(w)) for w in p.weights]
-    shape = theta.shape
-    P = np.zeros(shape + (n, n), dtype=complex)
-    Pt = np.zeros_like(P)
-    Pf = np.zeros_like(P)
-    for j in range(n):
-        for k in range(n):
-            scale = roots[j] * roots[k]
-            e = p.core[j][k]
-            P[..., j, k] = scale * e.evaluate(x1, x2, x3)
-            for v in range(3):
-                de = e.diff(v)
-                if de.is_zero():
-                    continue
-                val = de.evaluate(x1, x2, x3)
-                Pt[..., j, k] += scale * val * dx_dt[v]
-                Pf[..., j, k] += scale * val * dx_df[v]
-    return P, Pt, Pf
+    dx_df = (-st * sp, st * cp, 0.0)
+    return p.evaluate_along(_chart(theta, phi), (dx_dt, dx_df))
 
 
 FD_STEP = 1e-5
@@ -218,8 +198,7 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     u = rng.uniform(-1.0, 1.0, samples)
     phi = rng.uniform(0.0, 2.0 * math.pi, samples)
     st = np.sqrt(1.0 - u * u)
-    vals = np.real(np.asarray(f.evaluate(st * np.cos(phi), st * np.sin(phi), u)))
-    vals = np.broadcast_to(vals, (samples,))
+    vals = np.real(f.evaluate(st * np.cos(phi), st * np.sin(phi), u))
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return 4.0 * math.pi * mean, 4.0 * math.pi * stderr
@@ -246,27 +225,35 @@ def _random_frame(rng, dim: int) -> tuple:
             return point, t1, t2
 
 
+def _x_coords(vectors: np.ndarray) -> tuple:
+    """The components of vectors in R^3 stacked on the last axis: the
+    coordinates (x1, x2, x3) of points of S^2, or (dx1, dx2, dx3) on tangents."""
+    return vectors[..., 0], vectors[..., 1], vectors[..., 2]
+
+
 def _z_coords(point: np.ndarray) -> tuple:
-    """(z0, z1) of a point of S^3 in R^4 = (Re z0, Im z0, Re z1, Im z1)."""
-    return complex(point[0], point[1]), complex(point[2], point[3])
+    """(z0, z1) of points of S^3 in R^4 = (Re z0, Im z0, Re z1, Im z1),
+    stacked on the last axis."""
+    return point[..., 0] + 1j * point[..., 1], point[..., 2] + 1j * point[..., 3]
 
 
 def _one_form_values(tangent: np.ndarray) -> tuple:
-    """(dz0, dz1, dzb0, dzb1) evaluated on a real tangent 4-vector, with
+    """(dz0, dz1, dzb0, dzb1) evaluated on real tangent 4-vectors, with
     the embedding (Re z0, Im z0, Re z1, Im z1)."""
-    dz0 = tangent[0] + 1j * tangent[1]
-    dz1 = tangent[2] + 1j * tangent[3]
-    return dz0, dz1, dz0.conjugate(), dz1.conjugate()
+    dz0, dz1 = _z_coords(tangent)
+    return dz0, dz1, np.conjugate(dz0), np.conjugate(dz1)
 
 
-def _eval_form(omega, coords: tuple, l1, l2) -> complex:
-    """omega(t1, t2) at one point: `coords` are the arguments of the
-    coefficients' evaluate, l1 and l2 the basis 1-forms on t1 and t2."""
+def _eval_form(omega, coords: tuple, l1, l2):
+    """omega(t1, t2) at one point or an array of points: `coords` are the
+    arguments of the coefficients' evaluate, l1 and l2 the basis 1-forms on
+    t1 and t2."""
+    # a 3-form vanishes on the 2-dimensional tangent space
+    terms = [(idx, poly) for idx, poly in omega.terms.items() if len(idx) <= 2]
+    values = evaluate_polys([poly for _, poly in terms], coords)[0]
     total = 0.0 + 0.0j
-    for idx, poly in omega.terms.items():
-        if len(idx) > 2:
-            continue  # a 3-form vanishes on the 2-dimensional tangent space
-        coeff = poly.evaluate(*coords)
+    for col, (idx, _) in enumerate(terms):
+        coeff = values[..., col]
         if len(idx) == 0:
             total += coeff
         elif len(idx) == 1:
@@ -292,12 +279,12 @@ def _frame_check(diff, points: int, seed: int, tol: float, dim: int,
     if diff.is_zero():
         return TangentFrameReport(True, 0.0, points)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(points):
-        point, t1, t2 = _random_frame(rng, dim)
-        value = _eval_form(diff, coords(point), one_forms(t1), one_forms(t2))
-        worst = max(worst, abs(value))
-    return TangentFrameReport(bool(worst < tol), float(worst), points)
+    point, t1, t2 = (np.empty((points, dim)) for _ in range(3))
+    for i in range(points):
+        point[i], t1[i], t2[i] = _random_frame(rng, dim)
+    values = _eval_form(diff, coords(point), one_forms(t1), one_forms(t2))
+    worst = float(np.max(np.abs(values), initial=0.0))
+    return TangentFrameReport(bool(worst < tol), worst, points)
 
 
 def s2_tangent_frame_check(
@@ -311,7 +298,7 @@ def s2_tangent_frame_check(
 
     Equality modulo the sphere ideal (r, dr) shows up as pointwise equality
     of the evaluations on tangent vectors."""
-    return _frame_check(omega - expected, points, seed, tol, 3, tuple, tuple)
+    return _frame_check(omega - expected, points, seed, tol, 3, _x_coords, _x_coords)
 
 
 def tangent_frame_check(

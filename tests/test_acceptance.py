@@ -280,3 +280,19 @@ def test_11_monte_carlo_oracle():
                 else:
                     ok &= abs(est - exact) < 3.0 * err
     report(11, "Monte-Carlo matches exact integrals within 3 sigma (degree <= 8)", ok)
+
+
+def test_12_transposition_flips_charge_twelve():
+    # a fixed signed permutation of the 13 components
+    pyrng = random.Random(12)
+    perm = list(range(13))
+    pyrng.shuffle(perm)
+    s = [[0] * 13 for _ in range(13)]
+    for j, k in enumerate(perm):
+        s[j][k] = pyrng.choice((1, -1))
+    p, _ = exact_gauge(projector_from_ket(monopole_ket("minus", 12)), s)
+    grid = SphereGrid.build(64, 128)
+    c1 = chern_number_quad(p, grid, "analytic")
+    c1_t = chern_number_quad(transpose(p), grid, "analytic")
+    report(12, f"gauged c1(p[12]) = {c1:.9f}, c1(transpose) = {c1_t:.9f} by quadrature",
+           abs(c1 - 12) < 1e-6 and abs(c1_t + 12) < 1e-6)

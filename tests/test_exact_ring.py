@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bundle_forge.exact_ring import (
+    EVAL_BLOCK,
     GR_I,
     GR_ONE,
     GaussianRational,
@@ -19,6 +21,7 @@ from bundle_forge.exact_ring import (
     ZB1,
     ZPoly,
     dagger,
+    evaluate_polys,
     monomial_integral,
     weighted_matmul,
     x_to_z,
@@ -170,6 +173,15 @@ class TestZToX:
                     seen += 1
         assert seen == 55
 
+    def test_results_do_not_share_cached_powers(self):
+        # (z0 zb1)^3 hits the cached generator powers; clearing one result
+        # must not change the next
+        mono = ZPoly.monomial((3, 0, 0, 3))
+        z0zb1 = (X1 - X2 * GR_I) * Fraction(1, 2)
+        z_to_x(mono).terms.clear()
+        assert z_to_x(mono) == z0zb1 * z0zb1 * z0zb1
+        assert z_to_x(mono * Fraction(2, 3)) == z0zb1 * z0zb1 * z0zb1 * Fraction(2, 3)
+
 
 class TestPartialDerivative:
     def test_examples(self):
@@ -240,6 +252,71 @@ class TestWeightedMatmul:
             weighted_matmul(((X1, X2),), (1, 1, 1), ((X1,), (X2,), (X3,)))
         with pytest.raises(ValueError):
             weighted_matmul(((X1, X2),), (1, 1), ((X1,),))
+
+
+def _naive_evaluate(p, variables):
+    """Per-term reference: the sum over terms of coeff * prod(var ** exp),
+    together with the sum of the terms' absolute values."""
+    total, size = 0, 0
+    for mono, coeff in p.terms.items():
+        term = complex(coeff)
+        for v, e in zip(variables, mono):
+            term = term * v ** e
+        total, size = total + term, size + abs(term)
+    return total, size
+
+
+_POINT_SHAPES = ((), (3, 5), (EVAL_BLOCK + 3,))
+_small_zpoly = st.dictionaries(
+    st.tuples(*(st.integers(0, 3) for _ in range(4))),
+    st.builds(GaussianRational, _small_rational, _small_rational),
+    max_size=4,
+).map(ZPoly)
+_wide_xpoly = st.dictionaries(
+    st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 3)),
+    st.builds(GaussianRational, _small_rational, _small_rational),
+    max_size=4,
+).map(XPoly)
+
+
+class TestEvaluatePolys:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(st.lists(_wide_xpoly, min_size=1, max_size=4),
+                  st.lists(_small_zpoly, min_size=1, max_size=4)),
+        st.sampled_from(_POINT_SHAPES),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_term_reference(self, polys, shape, seed):
+        rng = np.random.default_rng(seed)
+        if isinstance(polys[0], XPoly):
+            coords = tuple(rng.uniform(-1.2, 1.2, shape) for _ in range(3))
+            variables = coords
+        else:
+            coords = tuple(
+                rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2)
+            )
+            variables = coords + tuple(np.conjugate(z) for z in coords)
+        values = evaluate_polys(polys, coords)[0]
+        assert values.shape == shape + (len(polys),)
+        for col, p in enumerate(polys):
+            want, size = _naive_evaluate(p, variables)
+            assert np.all(np.abs(values[..., col] - want) <= 1e-12 * size)
+            single = p.evaluate(*coords)
+            assert np.shape(single) == shape
+            assert np.all(np.abs(single - want) <= 1e-12 * size)
+
+    def test_constants_take_the_points_shape(self):
+        x = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+        for p, value in ((XPoly.one(), 1), (XPoly.zero(), 0)):
+            got = p.evaluate(x, x, x)
+            assert got.shape == (3, 4) and np.all(got == value)
+            scalar = p.evaluate(0.5, -0.5, 0.0)
+            assert np.ndim(scalar) == 0 and scalar == value
+
+    def test_rejects_mixed_rings(self):
+        with pytest.raises(TypeError):
+            evaluate_polys([X1, Z0], (0.5, 0.5, 0.5))
 
 
 class TestMonomialIntegral:

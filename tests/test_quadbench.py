@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundle_forge.bundles import (
     WeightedProjector,
@@ -10,11 +12,13 @@ from bundle_forge.bundles import (
 )
 from bundle_forge.exact_ring import XPoly, ZPoly, monomial_integral
 from bundle_forge.forms import DZ0, DZB0, DZB1, DZ1, ZForm
-from bundle_forge.kets import connection_form, curvature_scalar, monopole_ket
+from bundle_forge.kets import connection_form, curvature_scalar, monopole_ket, tilde_ket2
 from bundle_forge.quadbench import (
     NumericProjectorField,
     QuadratureError,
     SphereGrid,
+    _analytic_derivatives,
+    _chart,
     _eval_form,
     _one_form_values,
     _random_frame,
@@ -91,6 +95,35 @@ class TestChernQuad:
         field = gauge_field(monopole_ket("minus", 1), np.eye(2))
         with pytest.raises(ValueError):
             chern_number_quad(field, derivative="analytic")
+
+
+@functools.lru_cache(maxsize=None)
+def _projector(charge: int):
+    """The monopole projector of charge 1..8, or tilde for charge 0."""
+    return projector_from_ket(monopole_ket("minus", charge) if charge else tilde_ket2())
+
+
+class TestAnalyticDerivatives:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 8),
+        st.lists(st.tuples(st.floats(0.05, math.pi - 0.05), st.floats(0.0, 2.0 * math.pi)),
+                 min_size=1, max_size=8),
+    )
+    def test_match_central_differences(self, charge, points):
+        p = _projector(charge)
+        theta, phi = (np.array(c) for c in zip(*points))
+        P, Pt, Pf = _analytic_derivatives(p, theta, phi)
+        h = 1e-5
+
+        def field(t, f):
+            return p.evaluate(*_chart(t, f))
+
+        assert np.max(np.abs(P - field(theta, phi))) < 1e-13
+        fd_t = (field(theta + h, phi) - field(theta - h, phi)) / (2.0 * h)
+        fd_f = (field(theta, phi + h) - field(theta, phi - h)) / (2.0 * h)
+        assert np.max(np.abs(Pt - fd_t)) < 1e-7
+        assert np.max(np.abs(Pf - fd_f)) < 1e-7
 
 
 class TestGaugeField:
