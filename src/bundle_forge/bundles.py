@@ -26,7 +26,6 @@ from .exact_ring import (
     XPoly,
     ZPoly,
     dagger,
-    evaluate_polys,
     rational_sqrt,
     weighted_matmul,
     x_to_z,
@@ -130,14 +129,14 @@ class WeightedProjector:
     def evaluate_along(self, coords: tuple, tangents: tuple = ()) -> list:
         """[P, *derivatives]: the dense complex matrix field at the points
         `coords` = (x1, x2, x3) and its derivatives along each of `tangents`
-        (see `evaluate_polys`), arrays of shape (..., n, n)."""
+        (see `exact_ring.evaluate_polys`), arrays of shape (..., n, n)."""
         n = self.dim
         roots = [float(w) ** 0.5 for w in self.weights]
         scale = np.outer(roots, roots)
-        entries = [e for row in self.core for e in row]
+        first, *rest = (e for row in self.core for e in row)
         fields = [
             values.reshape(values.shape[:-1] + (n, n))
-            for values in evaluate_polys(entries, coords, tangents)
+            for values in first.evaluate(*coords, also=rest, tangents=tangents)
         ]
         for f in fields:
             f *= scale

@@ -162,6 +162,14 @@ class _BasePoly:
         """Values of the ring variables from the arguments of `evaluate`."""
         return coords
 
+    def _evaluate(self, coords: tuple, also, tangents: tuple):
+        """The body of the rings' `evaluate`.  The benchmark's tracer times
+        numeric evaluation by wrapping `XPoly.evaluate` and `ZPoly.evaluate`,
+        so every caller in the package evaluates through them."""
+        if also is None and not tangents:
+            return evaluate_polys((self,), coords)[0][..., 0]
+        return evaluate_polys((self, *(also or ())), coords, tangents)
+
     @classmethod
     def zero(cls):
         return cls({}, _reduced=True)
@@ -359,9 +367,12 @@ class XPoly(_BasePoly):
     def conj(self) -> "XPoly":
         return XPoly({m: c.conj() for m, c in self.terms.items()}, _reduced=True)
 
-    def evaluate(self, x1, x2, x3):
-        """Numeric evaluation; accepts scalars or numpy arrays."""
-        return evaluate_polys((self,), (x1, x2, x3))[0][..., 0]
+    def evaluate(self, x1, x2, x3, *, also=None, tangents=()):
+        """Values at (x1, x2, x3), scalars or arrays broadcasting to one shape
+        S: an array of shape S.  Given `also` (more polynomials of the ring,
+        possibly none) or `tangents`, all of them and their derivatives in one
+        pass instead: `evaluate_polys((self, *also), (x1, x2, x3), tangents)`."""
+        return self._evaluate((x1, x2, x3), also, tangents)
 
 
 class ZPoly(_BasePoly):
@@ -412,9 +423,9 @@ class ZPoly(_BasePoly):
     def _variables(z0, z1) -> tuple:
         return z0, z1, np.conjugate(z0), np.conjugate(z1)
 
-    def evaluate(self, z0, z1):
-        """Numeric evaluation at (z0, z1); accepts scalars or numpy arrays."""
-        return evaluate_polys((self,), (z0, z1))[0][..., 0]
+    def evaluate(self, z0, z1, *, also=None, tangents=()):
+        """Values at (z0, z1); see `XPoly.evaluate`."""
+        return self._evaluate((z0, z1), also, tangents)
 
 
 # Points per block of `evaluate_polys`.  A block holds about ten float arrays
@@ -464,7 +475,8 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple, tangents: tuple = 
     Per block of EVAL_BLOCK points each variable's powers are built once by
     repeated multiplication, the monomial basis V is their product and the
     values are V.C.  A derivative multiplies the same C by the derivative of
-    V along the tangent.
+    V along the tangent.  Callers in the package reach it through the
+    rings' `evaluate` (see `_BasePoly._evaluate`).
     """
     if len({type(p) for p in polys}) > 1:
         raise TypeError("evaluate_polys takes polynomials of one ring")

@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bundles import WeightedProjector, projector_from_ket
-from .exact_ring import XPoly, evaluate_polys
+from .exact_ring import XPoly
 from .forms import ZForm
 from .kets import EquivariantKet
 
@@ -250,7 +250,10 @@ def _eval_form(omega, coords: tuple, l1, l2):
     t1 and t2."""
     # a 3-form vanishes on the 2-dimensional tangent space
     terms = [(idx, poly) for idx, poly in omega.terms.items() if len(idx) <= 2]
-    values = evaluate_polys([poly for _, poly in terms], coords)[0]
+    if not terms:
+        return 0.0 + 0.0j
+    first, *rest = (poly for _, poly in terms)
+    values = first.evaluate(*coords, also=rest)[0]
     total = 0.0 + 0.0j
     for col, (idx, _) in enumerate(terms):
         coeff = values[..., col]

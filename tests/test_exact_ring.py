@@ -314,6 +314,21 @@ class TestEvaluatePolys:
             scalar = p.evaluate(0.5, -0.5, 0.0)
             assert np.ndim(scalar) == 0 and scalar == value
 
+    def test_ring_evaluate_takes_more_polynomials_and_tangents(self):
+        x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
+        coords, tangent = (x, 0.5 * x, 0.25), (1.0, x, -x)
+        polys = [X1 * X2 + X3, X1 * X1 * X1, XPoly.one()]
+        want = evaluate_polys(polys, coords, (tangent,))
+        got = polys[0].evaluate(*coords, also=polys[1:], tangents=(tangent,))
+        assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
+        # a single polynomial: the stacked form once `also` is given, even empty
+        (alone,) = polys[0].evaluate(*coords, also=())
+        assert alone.shape == (2, 3, 1)
+        assert np.array_equal(alone[..., 0], polys[0].evaluate(*coords))
+        z = (0.6 + 0.0j, 0.8j)
+        values = Z0.evaluate(*z, also=[ZB1])[0]
+        assert np.allclose(values, [0.6, -0.8j])
+
     def test_rejects_mixed_rings(self):
         with pytest.raises(TypeError):
             evaluate_polys([X1, Z0], (0.5, 0.5, 0.5))

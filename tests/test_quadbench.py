@@ -11,7 +11,7 @@ from bundle_forge.bundles import (
     tangent_projector,
 )
 from bundle_forge.exact_ring import XPoly, ZPoly, monomial_integral
-from bundle_forge.forms import DZ0, DZB0, DZB1, DZ1, ZForm
+from bundle_forge.forms import DX1, DX2, DX3, DZ0, DZB0, DZB1, DZ1, XForm, ZForm
 from bundle_forge.kets import connection_form, curvature_scalar, monopole_ket, tilde_ket2
 from bundle_forge.quadbench import (
     NumericProjectorField,
@@ -27,6 +27,7 @@ from bundle_forge.quadbench import (
     gauge_field,
     monte_carlo_integral,
     monte_carlo_stderr,
+    s2_tangent_frame_check,
     tangent_frame_check,
 )
 
@@ -240,7 +241,41 @@ class TestTangentFrameCheck:
         rep = tangent_frame_check(dr, ZForm.zero(), points=100, seed=2)
         assert rep.passed, rep
 
+    def test_three_forms_vanish_on_tangent_pairs(self):
+        three_form = DX1.wedge(DX2).wedge(DX3)
+        assert not three_form.is_zero()
+        rep = s2_tangent_frame_check(three_form, XForm.zero(), points=20, seed=4)
+        assert rep.passed and rep.max_difference == 0.0, rep
+
     def test_negative_control(self):
         rep = tangent_frame_check(DZ0.wedge(DZB0), ZForm.zero(), points=50, seed=3)
         assert not rep.passed
         assert rep.max_difference > 1e-3
+
+
+class TestEvaluationEntersThroughRings:
+    """The benchmark's tracer times numeric evaluation by wrapping
+    XPoly.evaluate and ZPoly.evaluate; every numeric check must call them."""
+
+    def test_every_numeric_check_calls_a_ring_evaluate(self, monkeypatch):
+        calls = {XPoly: 0, ZPoly: 0}
+        for ring in calls:
+            def counted(self, *args, _original=ring.evaluate, _ring=ring, **kwargs):
+                calls[_ring] += 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(ring, "evaluate", counted)
+
+        def count(ring, run):
+            before = calls[ring]
+            run()
+            return calls[ring] - before
+
+        p = projector_from_ket(monopole_ket("minus", 1))
+        grid = SphereGrid.build(8, 8)
+        field = gauge_field(monopole_ket("minus", 1), np.eye(2))
+        assert count(XPoly, lambda: chern_number_quad(p, grid)) > 0
+        assert count(XPoly, lambda: chern_number_quad(p, grid, "finite-difference")) > 0
+        assert count(XPoly, lambda: chern_number_quad(field, grid, "finite-difference")) > 0
+        assert count(XPoly, lambda: s2_tangent_frame_check(DX1.wedge(DX2), XForm.zero())) > 0
+        assert count(ZPoly, lambda: tangent_frame_check(KAHLER, ZForm.zero())) > 0
+        assert count(XPoly, lambda: monte_carlo_stderr(XPoly.one(), 10_000, 0)) > 0
