@@ -258,20 +258,23 @@ def real_form(p: WeightedProjector) -> WeightedProjector:
 
 
 def curvature_trace_form(p: WeightedProjector) -> XForm:
-    """tr(p (dp)^2) in the factored representation: tr(M W dM W dM W)."""
+    """tr(p (dp)^2) in the factored representation: tr(M W dM W dM W).
+
+    The weight is contracted first: sum_l w_l dM_kl ^ dM_lj is formed once
+    per nonzero M_jk and multiplied by M_jk w_j w_k once."""
     n = p.dim
     w = p.weights
     dM = [[XForm.from_poly(p.core[j][k]).d() for k in range(n)] for j in range(n)]
     total = XForm.zero()
-    for j in range(n):
-        for k in range(n):
+    for k in range(n):
+        weighted_row = [dM[k][l] * w[l] for l in range(n)]
+        for j in range(n):
             if p.core[j][k].is_zero():
                 continue
+            contracted = XForm.zero()
             for l in range(n):
-                piece = dM[k][l].wedge(dM[l][j])
-                if piece.is_zero():
-                    continue
-                total = total + piece * p.core[j][k] * (w[j] * w[k] * w[l])
+                contracted = contracted + weighted_row[l].wedge(dM[l][j])
+            total = total + contracted * (p.core[j][k] * (w[j] * w[k]))
     return total
 
 

@@ -53,8 +53,8 @@ class GaussianRational:
     im: Fraction
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", _as_fraction(re))
-        object.__setattr__(self, "im", _as_fraction(im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else _as_fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else _as_fraction(im))
 
     @staticmethod
     def from_strings(re: str, im: str) -> "GaussianRational":
@@ -62,7 +62,7 @@ class GaussianRational:
 
     def __add__(self, other) -> "GaussianRational":
         other = _coerce(other)
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        return GaussianRational(_fraction_sum(self.re, other.re), _fraction_sum(self.im, other.im))
 
     __radd__ = __add__
 
@@ -116,6 +116,15 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
+_FRACTION_ZERO = Fraction(0)
+
+
+def _fraction_sum(x: Fraction, y: Fraction) -> Fraction:
+    # about half of the real and imaginary parts added on the exact route
+    # are zero, and a Fraction addition costs far more than the test
+    return x + y if x and y else (x if x else y)
+
+
 def _coerce(x) -> GaussianRational:
     if isinstance(x, GaussianRational):
         return x
@@ -137,6 +146,60 @@ def _grlex_key(mono: tuple) -> tuple:
     return (sum(mono), mono)
 
 
+# The integer kernel.  As FLINT's fmpq_poly keeps one denominator over an
+# integer polynomial, a product brings each operand to one common
+# denominator D with Gaussian-integer numerators, convolves the numerators
+# as plain ints, reduces them in the ring and divides by D1*D2 only for the
+# surviving terms.  A monomial is packed into one int, `width` bits per
+# exponent (first variable highest), so multiplying monomials adds keys.
+# `width` holds the total degree of the result, which bounds every exponent
+# during the ring reductions as well.
+
+
+def _key_width(degree: int) -> int:
+    return max(1, degree.bit_length())
+
+
+def _integer_parts(terms: Mapping[tuple, GaussianRational], width: int) -> tuple:
+    """(D, re, im): the least common denominator D of the coefficients and
+    the numerators D*c as two lists of (packed monomial, int), zeros left out."""
+    den = 1
+    # one call per term: a single math.lcm(*generator) over all of them
+    # raised the peak RSS of the exact_chern workload by 1.5 MB
+    for c in terms.values():
+        den = math.lcm(den, c.re.denominator, c.im.denominator)
+    re, im = [], []
+    for m, c in terms.items():
+        key = 0
+        for e in m:
+            key = key << width | e
+        if c.re:
+            re.append((key, den // c.re.denominator * c.re.numerator))
+        if c.im:
+            im.append((key, den // c.im.denominator * c.im.numerator))
+    return den, re, im
+
+
+@functools.lru_cache(maxsize=1 << 16)
+def _unpack(key: int, width: int, nvars: int) -> tuple:
+    """The exponent tuple packed in `key`, shared between the polynomials
+    that hold the monomial.  Cached because a pass of the exact_chern
+    benchmark items takes about 15% longer when each term unpacks its own."""
+    mask = (1 << width) - 1
+    return tuple(key >> width * v & mask for v in reversed(range(nvars)))
+
+
+def _convolve(acc: dict, left: list, right: list, sign: int) -> None:
+    """acc += sign * left * right for integer polynomials given as lists
+    of (packed monomial, int)."""
+    get = acc.get
+    for k1, a in left:
+        a *= sign
+        for k2, b in right:
+            k = k1 + k2
+            acc[k] = get(k, 0) + a * b
+
+
 class _BasePoly:
     """Shared term-map mechanics for the two canonical quotient rings."""
 
@@ -151,11 +214,39 @@ class _BasePoly:
         if _reduced:
             self.terms = dict(terms)
         else:
-            self.terms = self._reduce_terms(terms)
+            coeffs = {tuple(m): _coerce(c) for m, c in terms.items()}
+            width = _key_width(max((sum(m) for m in coeffs), default=0))
+            den, re, im = _integer_parts(coeffs, width)
+            self.terms = self._terms_from_integers(den, dict(re), dict(im), width)
 
     @classmethod
-    def _reduce_terms(cls, terms):
+    def _reduce_integers(cls, numerators: dict, width: int) -> dict:
+        """The ring's canonical reduction of integer numerators keyed by
+        packed monomials (see `_integer_parts`); may reuse `numerators`."""
         raise NotImplementedError
+
+    @classmethod
+    def _terms_from_integers(cls, den: int, re: dict, im: dict, width: int) -> dict:
+        """Canonical terms of the polynomial sum_key (re[key] + i im[key]) / den
+        times the monomial packed in key: both numerator maps are reduced
+        in the ring, then divided by `den` term by term, zeros dropped."""
+        re = cls._reduce_integers(re, width)
+        im = cls._reduce_integers(im, width)
+        nvars = cls.NVARS
+        out: dict = {}
+        for key, a in re.items():
+            b = im.pop(key, 0)
+            if a or b:
+                out[_unpack(key, width, nvars)] = GaussianRational(
+                    Fraction(a, den) if a else _FRACTION_ZERO,
+                    Fraction(b, den) if b else _FRACTION_ZERO,
+                )
+        for key, b in im.items():
+            if b:
+                out[_unpack(key, width, nvars)] = GaussianRational(
+                    _FRACTION_ZERO, Fraction(b, den)
+                )
+        return out
 
     @staticmethod
     def _variables(*coords) -> tuple:
@@ -228,22 +319,19 @@ class _BasePoly:
         return type(self)({m: -c for m, c in self.terms.items()}, _reduced=True)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussianRational)):
-            c = _coerce(other)
-            if not c:
-                return self.zero()
-            return type(self)({m: v * c for m, v in self.terms.items()}, _reduced=True)
+        """Product in the ring by the integer kernel (see `_integer_parts`);
+        an exact scalar is multiplied as a constant polynomial."""
         other = self._coerce_poly(other)
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                s = out.get(m, GR_ZERO) + c1 * c2
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return type(self)(out)
+        width = _key_width(self.total_degree() + other.total_degree())
+        d1, re1, im1 = _integer_parts(self.terms, width)
+        d2, re2, im2 = _integer_parts(other.terms, width)
+        re: dict = {}
+        im: dict = {}
+        _convolve(re, re1, re2, 1)
+        _convolve(re, im1, im2, -1)
+        _convolve(im, re1, im2, 1)
+        _convolve(im, im1, re2, 1)
+        return type(self)(self._terms_from_integers(d1 * d2, re, im, width), _reduced=True)
 
     __rmul__ = __mul__
 
@@ -346,23 +434,22 @@ class XPoly(_BasePoly):
     VAR_NAMES = ("x1", "x2", "x3")
 
     @classmethod
-    def _reduce_terms(cls, terms):
-        out: dict = {}
-        pending = [(tuple(m), _coerce(c)) for m, c in terms.items() if c]
-        while pending:
-            (a, b, c), coeff = pending.pop()
-            if c <= 1:
-                s = out.get((a, b, c), GR_ZERO) + coeff
-                if s:
-                    out[(a, b, c)] = s
-                else:
-                    out.pop((a, b, c), None)
-                continue
-            # x3^2 -> 1 - x1^2 - x2^2, applied to one x3^2 factor at a time
-            pending.append(((a, b, c - 2), coeff))
-            pending.append(((a + 2, b, c - 2), -coeff))
-            pending.append(((a, b + 2, c - 2), -coeff))
-        return out
+    def _reduce_integers(cls, numerators, width):
+        """x3^2 -> 1 - x1^2 - x2^2, one pass by x3-degree from the top down:
+        a term of x3-degree c >= 2 moves to degree c - 2, which the pass
+        reaches later.  Total degree never grows, so the fields stay in
+        `width` bits."""
+        mask = (1 << width) - 1
+        top = max((key & mask for key in numerators), default=0)
+        # key offsets of x3^-2, x1^2 x3^-2 and x2^2 x3^-2
+        steps = (-2, (2 << 2 * width) - 2, (2 << width) - 2)
+        get = numerators.get
+        for level in range(top, 1, -1):
+            for key in [key for key in numerators if key & mask == level]:
+                v = numerators.pop(key)
+                for step, s in zip(steps, (v, -v, -v)):
+                    numerators[key + step] = get(key + step, 0) + s
+        return numerators
 
     def conj(self) -> "XPoly":
         return XPoly({m: c.conj() for m, c in self.terms.items()}, _reduced=True)
@@ -383,30 +470,23 @@ class ZPoly(_BasePoly):
     VAR_NAMES = ("z0", "z1", "zb0", "zb1")
 
     @classmethod
-    def _reduce_terms(cls, terms):
+    def _reduce_integers(cls, numerators, width):
+        """(z0 zb0)^k -> (1 - z1 zb1)^k by the binomial rule, one pass: no
+        rewritten term contains both z0 and zb0."""
+        mask = (1 << width) - 1
+        z0_pair = (1 << 3 * width) | (1 << width)    # key of z0 zb0
+        z1_pair = (1 << 2 * width) | 1               # key of z1 zb1
         out: dict = {}
-        for m, coeff in terms.items():
-            e0, e1, f0, f1 = m
-            coeff = _coerce(coeff)
-            if not coeff:
-                continue
-            k = min(e0, f0)
+        get = out.get
+        for key, v in numerators.items():
+            k = min(key >> 3 * width, key >> width & mask)
             if k == 0:
-                s = out.get(m, GR_ZERO) + coeff
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                out[key] = get(key, 0) + v
                 continue
-            # (z0 zb0)^k = (1 - z1 zb1)^k
+            base = key - k * z0_pair
             for j in range(k + 1):
-                mm = (e0 - k, e1 + j, f0 - k, f1 + j)
-                cc = coeff * GaussianRational(Fraction((-1) ** j * math.comb(k, j)))
-                s = out.get(mm, GR_ZERO) + cc
-                if s:
-                    out[mm] = s
-                else:
-                    out.pop(mm, None)
+                kk = base + j * z1_pair
+                out[kk] = get(kk, 0) + (-1) ** j * math.comb(k, j) * v
         return out
 
     def conj(self) -> "ZPoly":

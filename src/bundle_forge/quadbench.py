@@ -79,7 +79,8 @@ class NumericProjectorField:
 
 
 def _check_pointwise_axioms(P: np.ndarray) -> None:
-    defect = np.einsum("...jk,...kl->...jl", P, P) - P
+    defect = np.matmul(P, P)
+    defect -= P
     if np.max(np.abs(defect)) >= 1e-10:
         raise QuadratureError(
             f"pointwise idempotency defect {np.max(np.abs(defect)):.3e} >= 1e-10"
@@ -149,9 +150,8 @@ def chern_number_quad(
         raise TypeError(f"unsupported projector type {type(p).__name__}")
 
     _check_pointwise_axioms(P)
-    comm = np.einsum("...jk,...kl->...jl", Pt, Pf) - np.einsum(
-        "...jk,...kl->...jl", Pf, Pt
-    )
+    comm = np.matmul(Pt, Pf)
+    comm -= np.matmul(Pf, Pt)
     integrand = np.einsum("...jk,...kj->...", P, comm)
     st = np.sin(theta)
     weights = grid.dvol_weights()

@@ -11,6 +11,7 @@ from bundle_forge.bundles import (
     chern_number_exact,
     chern_report_exact,
     covariant_derivative,
+    curvature_trace_form,
     dense_equal,
     exact_gauge,
     isometry_verify,
@@ -32,7 +33,7 @@ from bundle_forge.exact_ring import (
     XPoly,
     ZPoly,
 )
-from bundle_forge.forms import DZ0, DZB0, DZB1, ZForm
+from bundle_forge.forms import DZ0, DZB0, DZB1, XForm, ZForm
 from bundle_forge.kets import (
     ScaledXVector,
     connection_form,
@@ -155,7 +156,7 @@ class TestTransposeAndRealForm:
         assert transpose(transpose(p)).core == p.core
 
     def test_transpose_flips_chern(self):
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4, 5):
             p = projector_from_ket(monopole_ket("minus", n))
             assert chern_number_exact(transpose(p)) == -n
 
@@ -181,7 +182,33 @@ class TestTransposeAndRealForm:
                     assert dense[j][k].is_zero()
 
 
+def _triple_sum_curvature(p: WeightedProjector) -> XForm:
+    """Reference for curvature_trace_form: tr(M W dM W dM W) as the plain
+    triple sum over (j, k, l), each wedge piece times M_jk and w_j w_k w_l."""
+    n, w = p.dim, p.weights
+    dM = [[XForm.from_poly(p.core[j][k]).d() for k in range(n)] for j in range(n)]
+    total = XForm.zero()
+    for j in range(n):
+        for k in range(n):
+            for l in range(n):
+                piece = dM[k][l].wedge(dM[l][j])
+                total = total + piece * p.core[j][k] * (w[j] * w[k] * w[l])
+    return total
+
+
 class TestChernExact:
+    def test_weight_first_contraction_matches_triple_sum(self):
+        swap = ((0, 0, 0, -1), (1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 0, 0))
+        gauged, _ = exact_gauge(projector_from_ket(monopole_ket("minus", 3)), swap)
+        projectors = [
+            projector_from_ket(monopole_ket(sign, n), f"{sign}{n}")
+            for sign in ("minus", "plus")
+            for n in (1, 2, 3)
+        ]
+        projectors += [tilde_projector(), tangent_projector(), real_form(tilde_projector()), gauged]
+        for p in projectors:
+            assert curvature_trace_form(p) == _triple_sum_curvature(p), p.label
+
     def test_monopoles(self):
         for n in range(4):
             assert chern_number_exact(projector_from_ket(monopole_ket("minus", n))) == n

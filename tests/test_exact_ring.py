@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -252,6 +253,113 @@ class TestWeightedMatmul:
             weighted_matmul(((X1, X2),), (1, 1, 1), ((X1,), (X2,), (X3,)))
         with pytest.raises(ValueError):
             weighted_matmul(((X1, X2),), (1, 1), ((X1,),))
+
+
+def _naive_reduce(ring, raw: dict) -> dict:
+    """Per-term Fraction reference of the ring's canonical reduction: one
+    x3^2 -> 1 - x1^2 - x2^2 or z0 zb0 -> 1 - z1 zb1 rewrite at a time."""
+    out: dict = {}
+    pending = list(raw.items())
+    while pending:
+        m, c = pending.pop()
+        if ring is XPoly and m[2] >= 2:
+            a, b, e = m
+            pending += [((a, b, e - 2), c), ((a + 2, b, e - 2), -c), ((a, b + 2, e - 2), -c)]
+        elif ring is ZPoly and min(m[0], m[2]) > 0:
+            e0, e1, f0, f1 = m
+            pending += [((e0 - 1, e1, f0 - 1, f1), c), ((e0 - 1, e1 + 1, f0 - 1, f1 + 1), -c)]
+        else:
+            out[m] = out.get(m, GaussianRational(0)) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def _naive_mul(p, q) -> dict:
+    """Per-term Fraction reference of p * q: every pair of terms multiplied
+    as GaussianRationals, then `_naive_reduce`."""
+    raw: dict = {}
+    for m1, c1 in p.terms.items():
+        for m2, c2 in q.terms.items():
+            m = tuple(a + b for a, b in zip(m1, m2))
+            raw[m] = raw.get(m, GaussianRational(0)) + c1 * c2
+    return _naive_reduce(type(p), raw)
+
+
+def _assert_canonical_coefficients(p) -> None:
+    """Every coefficient a nonzero GaussianRational of Fractions in lowest
+    terms (what the benchmark's coefficient-size counter reads), every
+    monomial in the ring's canonical form."""
+    for m, c in p.terms.items():
+        assert type(c) is GaussianRational and c
+        for f in (c.re, c.im):
+            assert type(f) is Fraction
+            assert f.denominator > 0 and math.gcd(f.numerator, f.denominator) == 1
+        assert m[2] <= 1 if isinstance(p, XPoly) else min(m[0], m[2]) == 0
+
+
+_mixed_rational = st.builds(
+    Fraction, st.integers(-40, 40), st.sampled_from((1, 2, 3, 4, 6, 7, 9, 12, 25))
+)
+_kernel_coefficient = st.one_of(
+    st.builds(GaussianRational, _mixed_rational, _mixed_rational),
+    st.builds(GaussianRational, st.just(0), _mixed_rational),     # pure imaginary
+    st.builds(GaussianRational, _mixed_rational),                  # real
+)
+# x3 exponents up to 8: a rewrite of x3^8 lands on x3^6, which needs another
+_kernel_xterms = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 8)),
+    _kernel_coefficient,
+    max_size=6,
+)
+_kernel_zterms = st.dictionaries(
+    st.tuples(*(st.integers(0, 4) for _ in range(4))), _kernel_coefficient, max_size=6
+)
+_kernel_terms = st.one_of(
+    st.tuples(st.just(XPoly), _kernel_xterms, _kernel_xterms),
+    st.tuples(st.just(ZPoly), _kernel_zterms, _kernel_zterms),
+)
+
+
+class TestIntegerKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_terms, st.booleans(), _kernel_coefficient)
+    def test_product_matches_per_term_reference(self, case, cancel, scalar):
+        ring, p_terms, q_terms = case
+        p = ring(p_terms)
+        # with `cancel`, q is p with every other sign flipped: (a + b)(a - b)
+        q = ring({
+            m: -c if i % 2 else c for i, (m, c) in enumerate(p.terms.items())
+        }) if cancel else ring(q_terms)
+        for left, right in ((p, q), (q, p), (p, p)):
+            product = left * right
+            assert product.terms == _naive_mul(left, right)
+            _assert_canonical_coefficients(product)
+        scaled = p * scalar
+        assert scaled.terms == {m: c * scalar for m, c in p.terms.items() if c * scalar}
+        _assert_canonical_coefficients(scaled)
+        assert (p * q + (-p) * q).is_zero() and (p * 0).is_zero()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_terms)
+    def test_constructor_matches_per_term_reference(self, case):
+        ring, terms, _ = case
+        p = ring(terms)
+        assert p.terms == _naive_reduce(ring, terms)
+        _assert_canonical_coefficients(p)
+
+    def test_high_x3_powers(self):
+        c = GaussianRational(Fraction(3, 4), Fraction(-5, 6))
+        power = XPoly.one()
+        for e in range(10):
+            assert XPoly({(0, 0, e): c}) == power * c
+            assert XPoly({(0, 0, e): c}).terms == _naive_reduce(XPoly, {(0, 0, e): c})
+            power = power * X3
+        assert XPoly({(1, 2, 7): GR_I}).terms == _naive_reduce(XPoly, {(1, 2, 7): GR_I})
+
+    def test_sphere_relations_reduce_to_zero(self):
+        assert XPoly({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1, (0, 0, 0): -1}).is_zero()
+        assert ZPoly({(1, 0, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 0, 0): -1}).is_zero()
+        assert (X1 + X2 * GR_I) * (X1 - X2 * GR_I) + X3 * X3 == XPoly.one()
+        assert (X1 + X2) * (X1 - X2) == XPoly({(2, 0, 0): 1, (0, 2, 0): -1})
 
 
 def _naive_evaluate(p, variables):
