@@ -184,13 +184,12 @@ def _cmd_gauge(args) -> int:
 def _cmd_integrate(args) -> int:
     try:
         a, b, c = (int(t) for t in args.monomial.split(","))
-        if min(a, b, c) < 0:
-            raise ValueError("negative exponent")
+        monomial = XPoly.monomial((a, b, c))    # rejects negative and too high exponents
     except ValueError as exc:
         raise CliInputError(f"bad monomial spec {args.monomial!r}: {exc}") from exc
     exact = monomial_integral(a, b, c)
     try:
-        est, se = monte_carlo_stderr(XPoly.monomial((a, b, c)), args.mc_samples, args.seed)
+        est, se = monte_carlo_stderr(monomial, args.mc_samples, args.seed)
     except ValueError as exc:
         raise CliInputError(f"bad --mc-samples: {exc}") from exc
     print(f"exact: {exact} = {float(exact):.12g}")

@@ -10,11 +10,14 @@ two quotient rings kept in canonical form:
 
 Coefficients are Gaussian rationals (exact a + b*i with arbitrary-precision
 rational a, b), so integrals and Chern numbers come out as exact rationals.
+A polynomial stores them as one denominator over Gaussian-integer numerators
+(see `_BasePoly`).
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -45,6 +48,19 @@ def rational_sqrt(q: Fraction) -> Fraction | None:
     return None
 
 
+def _scalar_operation(method):
+    """`method(self, other)` with an int or Fraction `other` taken as a
+    GaussianRational.  Any other operand gives NotImplemented, so Python
+    tries its reflected method: `GR_I * X2` is `X2.__rmul__(GR_I)`."""
+
+    def wrapper(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussianRational(other)
+        return method(self, other) if isinstance(other, GaussianRational) else NotImplemented
+
+    return functools.wraps(method)(wrapper)
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """An exact complex number a + b*i with rational a, b."""
@@ -53,28 +69,29 @@ class GaussianRational:
     im: Fraction
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        object.__setattr__(self, "re", re if type(re) is Fraction else _as_fraction(re))
-        object.__setattr__(self, "im", im if type(im) is Fraction else _as_fraction(im))
+        object.__setattr__(self, "re", _as_fraction(re))
+        object.__setattr__(self, "im", _as_fraction(im))
 
     @staticmethod
     def from_strings(re: str, im: str) -> "GaussianRational":
         return GaussianRational(Fraction(re), Fraction(im))
 
+    @_scalar_operation
     def __add__(self, other) -> "GaussianRational":
-        other = _coerce(other)
-        return GaussianRational(_fraction_sum(self.re, other.re), _fraction_sum(self.im, other.im))
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
+    @_scalar_operation
     def __sub__(self, other) -> "GaussianRational":
-        other = _coerce(other)
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    @_scalar_operation
     def __rsub__(self, other) -> "GaussianRational":
-        return _coerce(other) - self
+        return other - self
 
+    @_scalar_operation
     def __mul__(self, other) -> "GaussianRational":
-        other = _coerce(other)
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -82,8 +99,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    @_scalar_operation
     def __truediv__(self, other) -> "GaussianRational":
-        other = _coerce(other)
         n = other.re * other.re + other.im * other.im
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
@@ -116,21 +133,13 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-_FRACTION_ZERO = Fraction(0)
-
-
-def _fraction_sum(x: Fraction, y: Fraction) -> Fraction:
-    # about half of the real and imaginary parts added on the exact route
-    # are zero, and a Fraction addition costs far more than the test
-    return x + y if x and y else (x if x else y)
-
-
-def _coerce(x) -> GaussianRational:
+def _parts(x) -> tuple:
+    """(re, im) of an exact scalar, each an int or a Fraction."""
     if isinstance(x, GaussianRational):
-        return x
+        return x.re, x.im
     if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussianRational")
+        return x, 0
+    raise TypeError(f"expected an exact scalar, got {type(x).__name__}")
 
 
 GR_ZERO = GaussianRational(0)
@@ -142,56 +151,33 @@ class NonInvariantMonomialError(ValueError):
     """A z-polynomial fed to z_to_x contains a non-U(1)-invariant monomial."""
 
 
+class DegreeBoundError(ValueError):
+    """A monomial of degree above MAX_DEGREE, beyond the packed exponent fields."""
+
+
 def _grlex_key(mono: tuple) -> tuple:
     return (sum(mono), mono)
 
 
-# The integer kernel.  As FLINT's fmpq_poly keeps one denominator over an
-# integer polynomial, a product brings each operand to one common
-# denominator D with Gaussian-integer numerators, convolves the numerators
-# as plain ints, reduces them in the ring and divides by D1*D2 only for the
-# surviving terms.  A monomial is packed into one int, `width` bits per
-# exponent (first variable highest), so multiplying monomials adds keys.
-# `width` holds the total degree of the result, which bounds every exponent
-# during the ring reductions as well.
+# Packed monomials.  A monomial is one int, _WIDTH bits per exponent (first
+# variable highest), so multiplying monomials adds keys.  A stored monomial
+# has total degree at most MAX_DEGREE.  The raw product of two then has
+# degree at most 2 MAX_DEGREE < _FIELD, and the ring reductions after it
+# never raise the degree, so no exponent field ever carries into the next.
+# The exact Chern route at charge c multiplies up to degree 3c - 2, which
+# is 46 at the CLI's largest charge, 16.
+_WIDTH = 8
+_FIELD = (1 << _WIDTH) - 1
+MAX_DEGREE = _FIELD // 2
 
 
-def _key_width(degree: int) -> int:
-    return max(1, degree.bit_length())
+def _unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple packed in `key`."""
+    return tuple(key >> _WIDTH * v & _FIELD for v in reversed(range(nvars)))
 
 
-def _integer_parts(terms: Mapping[tuple, GaussianRational], width: int) -> tuple:
-    """(D, re, im): the least common denominator D of the coefficients and
-    the numerators D*c as two lists of (packed monomial, int), zeros left out."""
-    den = 1
-    # one call per term: a single math.lcm(*generator) over all of them
-    # raised the peak RSS of the exact_chern workload by 1.5 MB
-    for c in terms.values():
-        den = math.lcm(den, c.re.denominator, c.im.denominator)
-    re, im = [], []
-    for m, c in terms.items():
-        key = 0
-        for e in m:
-            key = key << width | e
-        if c.re:
-            re.append((key, den // c.re.denominator * c.re.numerator))
-        if c.im:
-            im.append((key, den // c.im.denominator * c.im.numerator))
-    return den, re, im
-
-
-@functools.lru_cache(maxsize=1 << 16)
-def _unpack(key: int, width: int, nvars: int) -> tuple:
-    """The exponent tuple packed in `key`, shared between the polynomials
-    that hold the monomial.  Cached because a pass of the exact_chern
-    benchmark items takes about 15% longer when each term unpacks its own."""
-    mask = (1 << width) - 1
-    return tuple(key >> width * v & mask for v in reversed(range(nvars)))
-
-
-def _convolve(acc: dict, left: list, right: list, sign: int) -> None:
-    """acc += sign * left * right for integer polynomials given as lists
-    of (packed monomial, int)."""
+def _convolve(acc: dict, left, right, sign: int) -> None:
+    """acc += sign * left * right for integer polynomials as (key, int) pairs."""
     get = acc.get
     for k1, a in left:
         a *= sign
@@ -201,52 +187,73 @@ def _convolve(acc: dict, left: list, right: list, sign: int) -> None:
 
 
 class _BasePoly:
-    """Shared term-map mechanics for the two canonical quotient rings."""
+    """Shared mechanics of the two canonical quotient rings.
+
+    As FLINT's fmpq_poly keeps one denominator over an integer polynomial,
+    a polynomial is stored as `den`, a positive int, and `re`, `im`, two
+    dicts from packed monomial to nonzero int: the polynomial is the sum
+    over keys of (re[key] + i im[key]) / den times the monomial.  The
+    monomials are canonical (each ring's `_reduce_integers` rewrites a
+    numerator dict, possibly in place) and gcd(den, numerators) = 1, so
+    equal polynomials store equal forms.  The dicts are never changed after
+    construction.  `terms` is a view derived from the stored form.
+    """
 
     NVARS = 0
     VAR_NAMES: tuple = ()
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "re", "im")
 
     def __init__(self, terms: Mapping[tuple, GaussianRational] | None = None, *, _reduced=False):
-        if terms is None:
-            terms = {}
-        if _reduced:
-            self.terms = dict(terms)
-        else:
-            coeffs = {tuple(m): _coerce(c) for m, c in terms.items()}
-            width = _key_width(max((sum(m) for m in coeffs), default=0))
-            den, re, im = _integer_parts(coeffs, width)
-            self.terms = self._terms_from_integers(den, dict(re), dict(im), width)
+        """From a map exponent tuple -> exact scalar; reduced unless `_reduced`."""
+        coeffs = [(self._pack(m), *_parts(c)) for m, c in (terms or {}).items()]
+        den = math.lcm(1, *(q.denominator for _, a, b in coeffs for q in (a, b)))
+        re = {key: den // a.denominator * a.numerator for key, a, _ in coeffs}
+        im = {key: den // b.denominator * b.numerator for key, _, b in coeffs}
+        if not _reduced:
+            re, im = self._reduce_integers(re), self._reduce_integers(im)
+        self._store(den, re, im)
+
+    def _store(self, den: int, re: dict, im: dict):
+        """Store sum_key (re[key] + i im[key]) / den times the canonical monomial
+        packed in key: zeros dropped, gcd(den, numerators) divided out."""
+        re = {k: v for k, v in re.items() if v}
+        im = {k: v for k, v in im.items() if v}
+        g = math.gcd(den, *re.values(), *im.values())
+        if g > 1:
+            re = {k: v // g for k, v in re.items()}
+            im = {k: v // g for k, v in im.items()}
+        self.den, self.re, self.im = den // g, re, im
+        return self
 
     @classmethod
-    def _reduce_integers(cls, numerators: dict, width: int) -> dict:
-        """The ring's canonical reduction of integer numerators keyed by
-        packed monomials (see `_integer_parts`); may reuse `numerators`."""
-        raise NotImplementedError
+    def _from_integers(cls, den: int, re: dict, im: dict):
+        return object.__new__(cls)._store(den, re, im)
 
     @classmethod
-    def _terms_from_integers(cls, den: int, re: dict, im: dict, width: int) -> dict:
-        """Canonical terms of the polynomial sum_key (re[key] + i im[key]) / den
-        times the monomial packed in key: both numerator maps are reduced
-        in the ring, then divided by `den` term by term, zeros dropped."""
-        re = cls._reduce_integers(re, width)
-        im = cls._reduce_integers(im, width)
-        nvars = cls.NVARS
-        out: dict = {}
-        for key, a in re.items():
-            b = im.pop(key, 0)
-            if a or b:
-                out[_unpack(key, width, nvars)] = GaussianRational(
-                    Fraction(a, den) if a else _FRACTION_ZERO,
-                    Fraction(b, den) if b else _FRACTION_ZERO,
-                )
-        for key, b in im.items():
-            if b:
-                out[_unpack(key, width, nvars)] = GaussianRational(
-                    _FRACTION_ZERO, Fraction(b, den)
-                )
-        return out
+    def _pack(cls, mono) -> int:
+        """The key of an exponent tuple, checked against the ring."""
+        mono = tuple(mono)
+        if len(mono) != cls.NVARS or min(mono) < 0:
+            raise ValueError(f"bad exponent tuple {mono} for {cls.__name__}")
+        if sum(mono) > MAX_DEGREE:
+            raise DegreeBoundError(f"monomial {mono} has degree above {MAX_DEGREE}")
+        key = 0
+        for e in mono:
+            key = key << _WIDTH | e
+        return key
+
+    @property
+    def terms(self) -> dict:
+        """A new dict from monomial tuple to GaussianRational in lowest
+        terms, without zero entries: the stored form as scalars."""
+        den, nvars, re, im = self.den, self.NVARS, self.re, self.im
+        return {
+            _unpack(key, nvars): GaussianRational(
+                Fraction(re.get(key, 0), den), Fraction(im.get(key, 0), den)
+            )
+            for key in {**re, **im}
+        }
 
     @staticmethod
     def _variables(*coords) -> tuple:
@@ -263,75 +270,84 @@ class _BasePoly:
 
     @classmethod
     def zero(cls):
-        return cls({}, _reduced=True)
+        return cls()
 
     @classmethod
     def one(cls):
-        return cls.constant(GR_ONE)
+        return cls.constant(1)
 
     @classmethod
     def constant(cls, c) -> "_BasePoly":
-        c = _coerce(c)
-        if not c:
-            return cls.zero()
         return cls({(0,) * cls.NVARS: c}, _reduced=True)
 
     @classmethod
     def variable(cls, i: int) -> "_BasePoly":
         mono = tuple(1 if j == i else 0 for j in range(cls.NVARS))
-        return cls({mono: GR_ONE}, _reduced=True)
+        return cls({mono: 1}, _reduced=True)
 
     @classmethod
     def monomial(cls, mono: tuple, coeff=GR_ONE) -> "_BasePoly":
-        return cls({tuple(mono): _coerce(coeff)})
+        return cls({tuple(mono): coeff})
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.re and not self.im
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        # the constant monomial packs to key 0
+        return not any(self.re) and not any(self.im)
 
     def constant_value(self) -> GaussianRational:
         if not self.is_constant():
             raise ValueError(f"polynomial is not constant: {self}")
         return self.terms.get((0,) * self.NVARS, GR_ZERO)
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, over the least common denominator."""
         other = self._coerce_poly(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, GR_ZERO) + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return type(self)(out, _reduced=True)
+        den = math.lcm(self.den, other.den)
+        s, t = den // self.den, sign * (den // other.den)
+        parts = []
+        for mine, theirs in ((self.re, other.re), (self.im, other.im)):
+            out = dict(mine) if s == 1 else {k: v * s for k, v in mine.items()}
+            for k, v in theirs.items():
+                out[k] = out.get(k, 0) + v * t
+            parts.append(out)
+        return self._from_integers(den, *parts)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-self._coerce_poly(other))
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
-        return self._coerce_poly(other) + (-self)
+        return self._coerce_poly(other)._combine(self, -1)
 
     def __neg__(self):
-        return type(self)({m: -c for m, c in self.terms.items()}, _reduced=True)
+        return self._from_integers(
+            self.den, {k: -v for k, v in self.re.items()}, {k: -v for k, v in self.im.items()}
+        )
 
     def __mul__(self, other):
-        """Product in the ring by the integer kernel (see `_integer_parts`);
-        an exact scalar is multiplied as a constant polynomial."""
+        """Product in the ring on the stored ints: re*re - im*im and
+        re*im + im*re convolved, both reduced in the ring, over den1 * den2.
+        An exact scalar is multiplied as a constant polynomial."""
         other = self._coerce_poly(other)
-        width = _key_width(self.total_degree() + other.total_degree())
-        d1, re1, im1 = _integer_parts(self.terms, width)
-        d2, re2, im2 = _integer_parts(other.terms, width)
-        re: dict = {}
-        im: dict = {}
+        re1, im1, re2, im2 = self.re.items(), self.im.items(), other.re.items(), other.im.items()
+        re, im = {}, {}
         _convolve(re, re1, re2, 1)
         _convolve(re, im1, im2, -1)
         _convolve(im, re1, im2, 1)
         _convolve(im, im1, re2, 1)
-        return type(self)(self._terms_from_integers(d1 * d2, re, im, width), _reduced=True)
+        product = self._from_integers(
+            self.den * other.den, self._reduce_integers(re), self._reduce_integers(im)
+        )
+        # a key of degree below _FIELD is its degree modulo _FIELD = 2^_WIDTH - 1
+        if any(key % _FIELD > MAX_DEGREE for key in itertools.chain(product.re, product.im)):
+            raise DegreeBoundError(f"product has degree above {MAX_DEGREE}")
+        return product
 
     __rmul__ = __mul__
 
@@ -343,24 +359,16 @@ class _BasePoly:
         raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
 
     def diff(self, var: int):
-        """Formal partial derivative of the canonical representative."""
+        """Formal partial derivative of the canonical representative: each
+        key with a positive exponent of `var` loses one from that field."""
         if not 0 <= var < self.NVARS:
             raise ValueError(f"unknown variable index {var} for {type(self).__name__}")
-        out: dict = {}
-        for m, c in self.terms.items():
-            e = m[var]
-            if e == 0:
-                continue
-            dm = m[:var] + (e - 1,) + m[var + 1:]
-            s = out.get(dm, GR_ZERO) + c * e
-            if s:
-                out[dm] = s
-            else:
-                out.pop(dm, None)
-        return type(self)(out)
-
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
+        shift = _WIDTH * (self.NVARS - 1 - var)
+        re, im = (
+            {key - (1 << shift): v * e for key, v in part.items() if (e := key >> shift & _FIELD)}
+            for part in (self.re, self.im)
+        )
+        return self._from_integers(self.den, re, im)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]))
@@ -370,13 +378,15 @@ class _BasePoly:
             other = type(self).constant(other)
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((type(self).__name__, frozenset(self.terms.items())))
+        return hash(
+            (type(self).__name__, self.den, frozenset(self.re.items()), frozenset(self.im.items()))
+        )
 
     def __str__(self) -> str:
-        if not self.terms:
+        if self.is_zero():
             return "0"
         parts = []
         for m, c in self.sorted_terms():
@@ -419,11 +429,8 @@ class _BasePoly:
         terms: dict = {}
         for t in data["terms"]:
             m = tuple(int(e) for e in t["exp"])
-            if len(m) != cls.NVARS or any(e < 0 for e in m):
-                raise ValueError(f"bad exponent tuple {t['exp']}")
             c = GaussianRational.from_strings(t["re"], t.get("im", "0"))
-            if c:
-                terms[m] = terms.get(m, GR_ZERO) + c
+            terms[m] = terms.get(m, GR_ZERO) + c
         return cls(terms)
 
 
@@ -434,25 +441,23 @@ class XPoly(_BasePoly):
     VAR_NAMES = ("x1", "x2", "x3")
 
     @classmethod
-    def _reduce_integers(cls, numerators, width):
+    def _reduce_integers(cls, numerators):
         """x3^2 -> 1 - x1^2 - x2^2, one pass by x3-degree from the top down:
         a term of x3-degree c >= 2 moves to degree c - 2, which the pass
-        reaches later.  Total degree never grows, so the fields stay in
-        `width` bits."""
-        mask = (1 << width) - 1
-        top = max((key & mask for key in numerators), default=0)
+        reaches later."""
+        top = max((key & _FIELD for key in numerators), default=0)
         # key offsets of x3^-2, x1^2 x3^-2 and x2^2 x3^-2
-        steps = (-2, (2 << 2 * width) - 2, (2 << width) - 2)
+        steps = (-2, (2 << 2 * _WIDTH) - 2, (2 << _WIDTH) - 2)
         get = numerators.get
         for level in range(top, 1, -1):
-            for key in [key for key in numerators if key & mask == level]:
+            for key in [key for key in numerators if key & _FIELD == level]:
                 v = numerators.pop(key)
                 for step, s in zip(steps, (v, -v, -v)):
                     numerators[key + step] = get(key + step, 0) + s
         return numerators
 
     def conj(self) -> "XPoly":
-        return XPoly({m: c.conj() for m, c in self.terms.items()}, _reduced=True)
+        return XPoly._from_integers(self.den, self.re, {k: -v for k, v in self.im.items()})
 
     def evaluate(self, x1, x2, x3, *, also=None, tangents=()):
         """Values at (x1, x2, x3), scalars or arrays broadcasting to one shape
@@ -470,16 +475,15 @@ class ZPoly(_BasePoly):
     VAR_NAMES = ("z0", "z1", "zb0", "zb1")
 
     @classmethod
-    def _reduce_integers(cls, numerators, width):
+    def _reduce_integers(cls, numerators):
         """(z0 zb0)^k -> (1 - z1 zb1)^k by the binomial rule, one pass: no
         rewritten term contains both z0 and zb0."""
-        mask = (1 << width) - 1
-        z0_pair = (1 << 3 * width) | (1 << width)    # key of z0 zb0
-        z1_pair = (1 << 2 * width) | 1               # key of z1 zb1
+        z0_pair = (1 << 3 * _WIDTH) | (1 << _WIDTH)    # key of z0 zb0
+        z1_pair = (1 << 2 * _WIDTH) | 1                # key of z1 zb1
         out: dict = {}
         get = out.get
         for key, v in numerators.items():
-            k = min(key >> 3 * width, key >> width & mask)
+            k = min(key >> 3 * _WIDTH, key >> _WIDTH & _FIELD)
             if k == 0:
                 out[key] = get(key, 0) + v
                 continue
@@ -490,10 +494,11 @@ class ZPoly(_BasePoly):
         return out
 
     def conj(self) -> "ZPoly":
-        return ZPoly(
-            {(f0, f1, e0, e1): c.conj() for (e0, e1, f0, f1), c in self.terms.items()},
-            _reduced=True,
-        )
+        """z <-> zbar: the two halves of every key trade places."""
+        half, low = 2 * _WIDTH, (1 << 2 * _WIDTH) - 1
+        re = {(k & low) << half | k >> half: v for k, v in self.re.items()}
+        im = {(k & low) << half | k >> half: -v for k, v in self.im.items()}
+        return ZPoly._from_integers(self.den, re, im)
 
     def bidegree_map(self):
         """Per-monomial (holomorphic, antiholomorphic) degrees."""

@@ -81,12 +81,6 @@ class _BaseForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def degrees(self):
-        return sorted({len(i) for i in self.terms})
-
-    def degree_part(self, d: int):
-        return type(self)({i: p for i, p in self.terms.items() if len(i) == d})
-
     def is_homogeneous(self, d: int) -> bool:
         return all(len(i) == d for i in self.terms)
 

@@ -179,6 +179,10 @@ class TestIntegrateCommand:
         code, _, err = invoke(capsys, "integrate", "--monomial", "2,-1,0")
         assert code == 2
         assert "monomial" in err
+        # beyond the exact rings' degree bound: an input error, not a traceback
+        code, _, err = invoke(capsys, "integrate", "--monomial", "100,20,8")
+        assert code == 2
+        assert "degree" in err
 
     def test_deterministic_output(self, capsys):
         args = ("integrate", "--monomial", "2,2,0", "--mc-samples", "50000",

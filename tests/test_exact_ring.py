@@ -10,6 +10,8 @@ from bundle_forge.exact_ring import (
     EVAL_BLOCK,
     GR_I,
     GR_ONE,
+    MAX_DEGREE,
+    DegreeBoundError,
     GaussianRational,
     NonInvariantMonomialError,
     X1,
@@ -287,7 +289,10 @@ def _naive_mul(p, q) -> dict:
 def _assert_canonical_coefficients(p) -> None:
     """Every coefficient a nonzero GaussianRational of Fractions in lowest
     terms (what the benchmark's coefficient-size counter reads), every
-    monomial in the ring's canonical form."""
+    monomial in the ring's canonical form, and the stored integer form
+    canonical: a positive denominator coprime to the nonzero numerators."""
+    assert p.den > 0 and all(p.re.values()) and all(p.im.values())
+    assert math.gcd(p.den, *p.re.values(), *p.im.values()) == 1
     for m, c in p.terms.items():
         assert type(c) is GaussianRational and c
         for f in (c.re, c.im):
@@ -360,6 +365,129 @@ class TestIntegerKernel:
         assert ZPoly({(1, 0, 1, 0): 1, (0, 1, 0, 1): 1, (0, 0, 0, 0): -1}).is_zero()
         assert (X1 + X2 * GR_I) * (X1 - X2 * GR_I) + X3 * X3 == XPoly.one()
         assert (X1 + X2) * (X1 - X2) == XPoly({(2, 0, 0): 1, (0, 2, 0): -1})
+
+
+def _naive_sum(p, q, sign: int) -> dict:
+    """Per-term Fraction reference of p + sign * q."""
+    out = dict(p.terms)
+    for m, c in q.terms.items():
+        out[m] = out.get(m, GaussianRational(0)) + c * sign
+    return {m: c for m, c in out.items() if c}
+
+
+def _naive_conj(p) -> dict:
+    if isinstance(p, XPoly):
+        return {m: c.conj() for m, c in p.terms.items()}
+    return {(f0, f1, e0, e1): c.conj() for (e0, e1, f0, f1), c in p.terms.items()}
+
+
+def _naive_diff(p, v: int) -> dict:
+    """Per-term reference of the formal derivative in variable v."""
+    return {
+        m[:v] + (m[v] - 1,) + m[v + 1:]: c * m[v] for m, c in p.terms.items() if m[v]
+    }
+
+
+class TestIntegerStorage:
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_terms, st.booleans())
+    def test_linear_operations_match_per_term_reference(self, case, cancel):
+        ring, p_terms, q_terms = case
+        p = ring(p_terms)
+        # with `cancel`, q is p with every other sign flipped: p + q and
+        # p - q cancel half the terms each, p - p all of them
+        q = ring({
+            m: -c if i % 2 else c for i, (m, c) in enumerate(p.terms.items())
+        }) if cancel else ring(q_terms)
+        results = [
+            (p + q, _naive_sum(p, q, 1)),
+            (p - q, _naive_sum(p, q, -1)),
+            (p - p, {}),
+            (-p, {m: -c for m, c in p.terms.items()}),
+            (p.conj(), _naive_conj(p)),
+        ]
+        results += [(p.diff(v), _naive_diff(p, v)) for v in range(ring.NVARS)]
+        for got, want in results:
+            assert got.terms == want
+            _assert_canonical_coefficients(got)
+        assert (p - p).is_zero() and p - p == ring.zero()
+
+    @settings(max_examples=100, deadline=None)
+    @given(_kernel_terms)
+    def test_add_then_subtract_is_identity(self, case):
+        ring, p_terms, q_terms = case
+        p, q = ring(p_terms), ring(q_terms)
+        back = p + q - q
+        assert back == p and hash(back) == hash(p)
+        assert (back.den, back.re, back.im) == (p.den, p.re, p.im)
+
+    def test_terms_is_a_derived_view(self):
+        p = X1 * Fraction(1, 2) + X2 * GR_I
+        p.terms.clear()
+        assert p.terms == {(1, 0, 0): GaussianRational(Fraction(1, 2)), (0, 1, 0): GR_I}
+        with pytest.raises(AttributeError):
+            p.terms = {}
+
+    def test_degree_bound_on_constructor_input(self):
+        for ring in (XPoly, ZPoly):
+            top = (MAX_DEGREE,) + (0,) * (ring.NVARS - 1)
+            assert ring.monomial(top).terms == {top: GR_ONE}
+            over = (MAX_DEGREE - 1,) + (0,) * (ring.NVARS - 2) + (2,)
+            with pytest.raises(DegreeBoundError):
+                ring.monomial(over)
+            with pytest.raises(DegreeBoundError):
+                ring({over: 1}, _reduced=True)
+            with pytest.raises(ValueError):
+                ring.monomial((-1,) + (0,) * (ring.NVARS - 1))
+        with pytest.raises(ValueError):
+            XPoly.from_json({"vars": ["x1", "x2", "x3"],
+                             "terms": [{"re": "1", "im": "0", "exp": [0, 300, 0]}]})
+
+    def test_degree_bound_on_products(self):
+        # an exponent field holds up to 2 * MAX_DEGREE, so every product
+        # above the bound is seen as such, never wrapped into the next field
+        half = XPoly.monomial((0, 64, 0))
+        assert (half * XPoly.monomial((0, 63, 0))).terms == {(0, 127, 0): GR_ONE}
+        for left, right in (
+            (half, half),                                              # x2^128
+            (XPoly.monomial((0, 127, 0)), XPoly.monomial((0, 127, 0))),  # x2^254
+            (XPoly.monomial((100, 0, 1)), XPoly.monomial((0, 0, 100))),  # x3 rewrite
+            (ZPoly.monomial((0, 0, 0, 127)), ZB1),
+            (ZPoly.monomial((127, 0, 0, 0)), ZPoly.monomial((0, 0, 127, 0))),
+        ):
+            with pytest.raises(DegreeBoundError):
+                left * right
+
+    def test_reductions_at_the_degree_bound(self):
+        # x3^127 rewrites to x3 (1 - x1^2 - x2^2)^63: checked exactly at a
+        # rational point of the sphere
+        point = (Fraction(2, 7), Fraction(3, 7), Fraction(6, 7))
+        p = XPoly.monomial((0, 0, MAX_DEGREE))
+        value = sum(
+            c.re * math.prod(x ** e for x, e in zip(point, m)) for m, c in p.terms.items()
+        )
+        assert value == point[2] ** MAX_DEGREE
+        k = MAX_DEGREE // 2
+        assert ZPoly.monomial((k, 0, k, 0)).terms == {
+            (0, j, 0, j): GaussianRational((-1) ** j * math.comb(k, j)) for j in range(k + 1)
+        }
+
+
+class TestScalarFirstOperands:
+    def test_scalar_first_equals_polynomial_first(self):
+        for scalar in (GR_I, GaussianRational(Fraction(2, 3), -1), Fraction(-5, 7), 3):
+            for p in (X2, X1 * X3 - X2 * GR_I, Z0, Z0 * ZB1 * Fraction(1, 2) + ZB0):
+                assert scalar * p == p * scalar
+                assert scalar + p == p + scalar
+                assert scalar - p == -(p - scalar)
+                assert type(scalar * p) is type(p)
+
+    def test_unknown_operand_still_rejected(self):
+        for bad in ("x", 1.5, None):
+            with pytest.raises(TypeError):
+                GR_I * bad
+            with pytest.raises(TypeError):
+                bad + GR_I
 
 
 def _naive_evaluate(p, variables):
