@@ -1,13 +1,16 @@
-"""Floating-point verification backend, independent of the exact pipeline.
+"""Floating-point verification backend and exact tangent-frame checks.
 
 Chern numbers by Gauss-Legendre x trapezoid quadrature in the chart
 x = (sin(t)cos(f), sin(t)sin(f), cos(t)), a Monte-Carlo oracle for the
-exact monomial integrals, and numeric tangent-frame checks on S^3 for the
-identities that hold modulo the sphere ideal (r, dr).
+exact monomial integrals, and exact checks of the identities that hold
+modulo the sphere ideal (r, dr): a form is contracted in the ring with
+polynomial vector fields that span every tangent space, the SU(2) frame
+iz, xi, J xi on S^3 and the rotation fields V_l = e_l x x on S^2.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -15,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .bundles import WeightedProjector, projector_from_ket
-from .exact_ring import XPoly
-from .forms import ZForm
-from .kets import EquivariantKet
+from .exact_ring import GR_I, Z0, Z1, ZB0, ZB1, XPoly
+from .forms import XForm, ZForm
+from .kets import EquivariantKet, named_real_objects
 
 
 class QuadratureError(RuntimeError):
@@ -209,114 +212,49 @@ def monte_carlo_integral(f: XPoly, samples: int, seed: int) -> float:
     return monte_carlo_stderr(f, samples, seed)[0]
 
 
-def _random_frame(rng, dim: int) -> tuple:
-    """A random point of the unit sphere in R^dim and two tangent vectors
-    there (orthogonal to the radial gradient), resampled when nearly
-    degenerate."""
-    point = rng.normal(size=dim)
-    point /= np.linalg.norm(point)
-    while True:
-        t1 = rng.normal(size=dim)
-        t2 = rng.normal(size=dim)
-        t1 -= point * (t1 @ point)
-        t2 -= point * (t2 @ point)
-        gram = np.array([[t1 @ t1, t1 @ t2], [t1 @ t2, t2 @ t2]])
-        if np.linalg.det(gram) > 1e-6:
-            return point, t1, t2
+# The SU(2) frame of S^3: iz, xi and J xi, each given as the values of
+# (dz0, dz1, dzb0, dzb1) on it.  They span the tangent space at every point.
+_S3_FRAME = (
+    (Z0 * GR_I, Z1 * GR_I, -ZB0 * GR_I, -ZB1 * GR_I),
+    (-ZB1, ZB0, -Z1, Z0),
+    (-ZB1 * GR_I, ZB0 * GR_I, Z1 * GR_I, -Z0 * GR_I),
+)
 
 
-def _x_coords(vectors: np.ndarray) -> tuple:
-    """The components of vectors in R^3 stacked on the last axis: the
-    coordinates (x1, x2, x3) of points of S^2, or (dx1, dx2, dx3) on tangents."""
-    return vectors[..., 0], vectors[..., 1], vectors[..., 2]
+def _on_fields(idx: tuple, fields: tuple):
+    """The wedge of the basis 1-forms `idx` (at most two) on as many vector
+    fields, each given as the values of the basis 1-forms on it."""
+    if not idx:
+        return 1
+    if len(idx) == 1:
+        return fields[0][idx[0]]
+    (i, j), (u, v) = idx, fields
+    return u[i] * v[j] - u[j] * v[i]
 
 
-def _z_coords(point: np.ndarray) -> tuple:
-    """(z0, z1) of points of S^3 in R^4 = (Re z0, Im z0, Re z1, Im z1),
-    stacked on the last axis."""
-    return point[..., 0] + 1j * point[..., 1], point[..., 2] + 1j * point[..., 3]
+def _vanishes(form, frame: tuple) -> bool:
+    """Whether `form` is zero on a sphere whose tangent spaces `frame`
+    spans at every point: its 0-form part, its 1-form part on each field
+    and its 2-form part on each pair of fields are zero in the ring.  Parts
+    of degree 3 are not read; they vanish on S^2."""
+    for degree in (0, 1, 2):
+        part = [(idx, poly) for idx, poly in form.terms.items() if len(idx) == degree]
+        for fields in itertools.combinations(frame, degree):
+            contraction = sum(
+                (poly * _on_fields(idx, fields) for idx, poly in part), form.POLY.zero()
+            )
+            if not contraction.is_zero():
+                return False
+    return True
 
 
-def _one_form_values(tangent: np.ndarray) -> tuple:
-    """(dz0, dz1, dzb0, dzb1) evaluated on real tangent 4-vectors, with
-    the embedding (Re z0, Im z0, Re z1, Im z1)."""
-    dz0, dz1 = _z_coords(tangent)
-    return dz0, dz1, np.conjugate(dz0), np.conjugate(dz1)
+def s2_tangent_frame_check(omega: XForm, expected: XForm) -> bool:
+    """Whether two XForms agree on S^2, i.e. modulo the sphere ideal (r, dr),
+    by contracting their difference with the rotation fields V_l = e_l x x."""
+    return _vanishes(omega - expected, tuple(v.comps for v in named_real_objects().V))
 
 
-def _eval_form(omega, coords: tuple, l1, l2):
-    """omega(t1, t2) at one point or an array of points: `coords` are the
-    arguments of the coefficients' evaluate, l1 and l2 the basis 1-forms on
-    t1 and t2."""
-    # a 3-form vanishes on the 2-dimensional tangent space
-    terms = [(idx, poly) for idx, poly in omega.terms.items() if len(idx) <= 2]
-    if not terms:
-        return 0.0 + 0.0j
-    first, *rest = (poly for _, poly in terms)
-    values = first.evaluate(*coords, also=rest)[0]
-    total = 0.0 + 0.0j
-    for col, (idx, _) in enumerate(terms):
-        coeff = values[..., col]
-        if len(idx) == 0:
-            total += coeff
-        elif len(idx) == 1:
-            total += coeff * l1[idx[0]]
-        else:
-            i, j = idx
-            total += coeff * (l1[i] * l2[j] - l2[i] * l1[j])
-    return total
-
-
-@dataclass(frozen=True)
-class TangentFrameReport:
-    passed: bool
-    max_difference: float
-    points: int
-
-
-def _frame_check(diff, points: int, seed: int, tol: float, dim: int,
-                 coords, one_forms) -> TangentFrameReport:
-    """Largest |diff(t1, t2)| over random tangent frames of the sphere in
-    R^dim; `coords` and `one_forms` map a point and a tangent vector to
-    the form's coefficient arguments and basis 1-form values."""
-    if diff.is_zero():
-        return TangentFrameReport(True, 0.0, points)
-    rng = np.random.default_rng(seed)
-    point, t1, t2 = (np.empty((points, dim)) for _ in range(3))
-    for i in range(points):
-        point[i], t1[i], t2[i] = _random_frame(rng, dim)
-    values = _eval_form(diff, coords(point), one_forms(t1), one_forms(t2))
-    worst = float(np.max(np.abs(values), initial=0.0))
-    return TangentFrameReport(bool(worst < tol), worst, points)
-
-
-def s2_tangent_frame_check(
-    omega,
-    expected,
-    points: int = 100,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> TangentFrameReport:
-    """Compare two XForms (degree <= 2) on random tangent frames of S^2.
-
-    Equality modulo the sphere ideal (r, dr) shows up as pointwise equality
-    of the evaluations on tangent vectors."""
-    return _frame_check(omega - expected, points, seed, tol, 3, _x_coords, _x_coords)
-
-
-def tangent_frame_check(
-    omega: ZForm,
-    expected: ZForm,
-    points: int = 200,
-    seed: int = 0,
-    tol: float = 1e-10,
-) -> TangentFrameReport:
-    """Compare two z-forms on random S^3 tangent frames.
-
-    Degree-2 forms are evaluated on random tangent pairs, degree-1 forms on
-    single tangent vectors; equality modulo the ideal (r, dr) shows up as
-    pointwise equality on tangents.
-    """
-    return _frame_check(
-        omega - expected, points, seed, tol, 4, _z_coords, _one_form_values
-    )
+def tangent_frame_check(omega: ZForm, expected: ZForm) -> bool:
+    """Whether two ZForms agree on S^3, i.e. modulo the sphere ideal (r, dr),
+    by contracting their difference with the SU(2) frame iz, xi, J xi."""
+    return _vanishes(omega - expected, _S3_FRAME)

@@ -19,6 +19,7 @@ from bundle_forge.bundles import (
     tangent_projector,
     transpose,
 )
+from bundle_forge.cli import MAX_CHARGE
 from bundle_forge.exact_ring import (
     GR_I,
     X1,
@@ -164,18 +165,11 @@ def test_06_golden_matrices():
 def test_07_curvature_identity():
     kahler = DZ0.wedge(DZB0) + DZ1.wedge(DZB1)
     ok = True
-    for n in range(1, 7):
+    for n in range(1, MAX_CHARGE + 1):
         for sign, factor in (("minus", n), ("plus", -n)):
-            rep = tangent_frame_check(
-                curvature_scalar(monopole_ket(sign, n)), kahler * factor,
-                points=200, seed=n,
-            )
-            ok &= rep.passed
-    rep = tangent_frame_check(
-        curvature_scalar(tilde_ket2()), kahler * 2, points=200, seed=0
-    )
-    ok &= rep.passed
-    report(7, "<d psi|d psi> = n * Kahler form on S^3 tangents, n=1..6 + tilde", ok)
+            ok &= tangent_frame_check(curvature_scalar(monopole_ket(sign, n)), kahler * factor)
+    ok &= tangent_frame_check(curvature_scalar(tilde_ket2()), kahler * 2)
+    report(7, f"<d psi|d psi> = n * Kahler form on S^3 tangents, n=1..{MAX_CHARGE} + tilde", ok)
 
 
 def test_08_backend_agreement():
@@ -242,14 +236,13 @@ def test_10_calculus_properties():
     for _ in range(1000):
         ok &= XForm.from_poly(random_xpoly(rng, 5)).d().d().is_zero()
 
-    for trial in range(1000):
+    for _ in range(1000):
         a = XForm.from_poly(random_xpoly(rng, 3, nterms=3))
         b = _random_xform(rng, 1)
         defect = (a.wedge(b)).d() - a.d().wedge(b) - a.wedge(b.d())
         if not defect.is_zero():
-            # the defect is a multiple of (r, dr): check on tangent frames
-            rep = s2_tangent_frame_check(defect, XForm.zero(), points=5, seed=trial)
-            ok &= rep.passed
+            # the defect is a multiple of (r, dr): check on the tangent frame
+            ok &= s2_tangent_frame_check(defect, XForm.zero())
 
     for _ in range(1000):
         a = _random_xform(rng, 1)

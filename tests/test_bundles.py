@@ -314,8 +314,7 @@ class TestCovariantDerivative:
         a = x_to_z(X3)
         lhs = covariant_derivative(k, phi * a)
         rhs = covariant_derivative(k, phi) * a + ZForm.from_poly(a).d() * phi
-        rep = tangent_frame_check(lhs, rhs, points=200, seed=11)
-        assert rep.passed, rep
+        assert tangent_frame_check(lhs, rhs)
 
     def test_type_mismatch(self):
         with pytest.raises(ValueError):
@@ -408,8 +407,7 @@ class TestIsometry:
 class TestConnectionConsistency:
     def test_tilde_connection_anti_hermitian(self):
         A = connection_form(tilde_ket2())
-        rep = tangent_frame_check(A + A.conj(), ZForm.zero(), points=200, seed=3)
-        assert rep.passed, rep
+        assert tangent_frame_check(A + A.conj(), ZForm.zero())
 
 
 class TestSerialization:

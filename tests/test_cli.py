@@ -95,6 +95,15 @@ class TestVerifyCommand:
         assert code == 0
         assert "FAIL" not in out
 
+    def test_curvature_suite(self, capsys):
+        code, out, _ = invoke(capsys, "verify", "--suite", "curvature", "--max-charge", "8")
+        assert code == 0
+        lines = out.splitlines()
+        passes = [line for line in lines if line.endswith("PASS") and line != "ALL PASS"]
+        assert len(passes) == 17
+        assert all("exact" in line for line in passes)
+        assert lines[-1] == "ALL PASS"
+
     def test_tangent_suite(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "tangent")
         assert code == 0

@@ -1,5 +1,6 @@
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,19 +11,33 @@ from bundle_forge.bundles import (
     projector_from_ket,
     tangent_projector,
 )
-from bundle_forge.exact_ring import XPoly, ZPoly, monomial_integral
-from bundle_forge.forms import DX1, DX2, DX3, DZ0, DZB0, DZB1, DZ1, XForm, ZForm
-from bundle_forge.kets import connection_form, curvature_scalar, monopole_ket, tilde_ket2
+from bundle_forge.cli import MAX_CHARGE
+from bundle_forge.exact_ring import GR_I, X1, X2, X3, XPoly, ZPoly, monomial_integral
+from bundle_forge.forms import (
+    DX1,
+    DX2,
+    DX3,
+    DZ0,
+    DZB0,
+    DZB1,
+    DZ1,
+    VOLUME_FORM,
+    XForm,
+    ZForm,
+)
+from bundle_forge.kets import (
+    EquivariantKet,
+    connection_form,
+    curvature_scalar,
+    monopole_ket,
+    tilde_ket2,
+)
 from bundle_forge.quadbench import (
     NumericProjectorField,
     QuadratureError,
     SphereGrid,
     _analytic_derivatives,
     _chart,
-    _eval_form,
-    _one_form_values,
-    _random_frame,
-    _z_coords,
     chern_number_quad,
     gauge_field,
     monte_carlo_integral,
@@ -163,29 +178,13 @@ class TestGaugeField:
             gauge_field(monopole_ket("minus", 2), np.eye(2))
 
     def test_unitary_gauge_preserves_connection(self):
-        # for special-unitary g the gauged connection equals <psi|d psi>
-        # pointwise on S^3 tangents
+        # for special-unitary g = ((a, b), (-conj b, conj a)) the gauged ket
+        # g psi has the connection form of psi, exactly
         k = monopole_ket("minus", 1)
-        A = connection_form(k)
-        rng = np.random.default_rng(5)
-        a, b = 0.6 + 0.48j, -0.4 + 0.5j
-        scale = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
-        a, b = a / scale, b / scale
-        g = np.array([[a, b], [-np.conj(b), np.conj(a)]])
-        dpolys = [ZForm.from_poly(p).d() for p in k.polys]
-        worst = 0.0
-        for _ in range(50):
-            pt, t, t2 = _random_frame(rng, 4)
-            z = _z_coords(pt)
-            l1, l2 = _one_form_values(t), _one_form_values(t2)
-            psi = np.array([p.evaluate(*z) for p in k.polys])
-            dpsi = np.array([_eval_form(w, z, l1, l2) for w in dpolys])
-            gauged = np.vdot(g @ psi, g @ dpsi)
-            plain = _eval_form(A, z, l1, l2)
-            worst = max(worst, abs(gauged - np.conj(plain)))
-        # pairing convention puts conjugation on the second slot; vdot
-        # conjugates its first argument, hence the conj above
-        assert worst < 1e-10
+        a, b = Fraction(3, 5), GR_I * Fraction(4, 5)
+        z0, z1 = k.polys
+        gauged = EquivariantKet(k.weights, (z0 * a + z1 * b, z1 * a - z0 * b.conj()))
+        assert connection_form(gauged) == connection_form(k)
 
 
 class TestMonteCarlo:
@@ -228,29 +227,38 @@ class TestMonteCarlo:
 
 class TestTangentFrameCheck:
     def test_curvature_identity(self):
-        got = curvature_scalar(monopole_ket("minus", 2))
-        rep = tangent_frame_check(got, KAHLER * 2, points=200, seed=0)
-        assert rep.passed, rep
+        # <d psi|d psi> = +-n Kahler on S^3; the factor n+1 is rejected
+        for n in range(1, MAX_CHARGE + 1):
+            for sign, unit in (("minus", 1), ("plus", -1)):
+                got = curvature_scalar(monopole_ket(sign, n))
+                assert tangent_frame_check(got, KAHLER * (unit * n)), (sign, n)
+                assert not tangent_frame_check(got, KAHLER * (unit * (n + 1))), (sign, n)
+        got = curvature_scalar(tilde_ket2())
+        assert tangent_frame_check(got, KAHLER * 2)
+        assert not tangent_frame_check(got, KAHLER * 3)
 
     def test_dr_annihilates_tangents(self):
         z0 = ZPoly.monomial((1, 0, 0, 0))
         z1 = ZPoly.monomial((0, 1, 0, 0))
         dr = DZ0 * z0.conj() + DZB0 * z0 + DZ1 * z1.conj() + DZB1 * z1
-        rep = tangent_frame_check(dr.wedge(DZ0), ZForm.zero(), points=100, seed=1)
-        assert rep.passed, rep
-        rep = tangent_frame_check(dr, ZForm.zero(), points=100, seed=2)
-        assert rep.passed, rep
+        assert tangent_frame_check(dr.wedge(DZ0), ZForm.zero())
+        assert tangent_frame_check(dr, ZForm.zero())
+        d_norm_squared = DX1 * (X1 * 2) + DX2 * (X2 * 2) + DX3 * (X3 * 2)
+        assert s2_tangent_frame_check(d_norm_squared, XForm.zero())
 
     def test_three_forms_vanish_on_tangent_pairs(self):
         three_form = DX1.wedge(DX2).wedge(DX3)
         assert not three_form.is_zero()
-        rep = s2_tangent_frame_check(three_form, XForm.zero(), points=20, seed=4)
-        assert rep.passed and rep.max_difference == 0.0, rep
+        assert s2_tangent_frame_check(three_form, XForm.zero())
 
     def test_negative_control(self):
-        rep = tangent_frame_check(DZ0.wedge(DZB0), ZForm.zero(), points=50, seed=3)
-        assert not rep.passed
-        assert rep.max_difference > 1e-3
+        assert not tangent_frame_check(DZ0.wedge(DZB0), ZForm.zero())
+        assert not tangent_frame_check(DZ0, ZForm.zero())
+        for k in (monopole_ket("minus", 1), monopole_ket("plus", 3), tilde_ket2()):
+            assert not tangent_frame_check(connection_form(k), ZForm.zero()), k
+        assert not s2_tangent_frame_check(XForm.from_poly(X3), XForm.zero())
+        assert not s2_tangent_frame_check(DX1, XForm.zero())
+        assert not s2_tangent_frame_check(DX1.wedge(DX2), VOLUME_FORM * (X3 + X1))
 
 
 class TestEvaluationEntersThroughRings:
@@ -276,6 +284,4 @@ class TestEvaluationEntersThroughRings:
         assert count(XPoly, lambda: chern_number_quad(p, grid)) > 0
         assert count(XPoly, lambda: chern_number_quad(p, grid, "finite-difference")) > 0
         assert count(XPoly, lambda: chern_number_quad(field, grid, "finite-difference")) > 0
-        assert count(XPoly, lambda: s2_tangent_frame_check(DX1.wedge(DX2), XForm.zero())) > 0
-        assert count(ZPoly, lambda: tangent_frame_check(KAHLER, ZForm.zero())) > 0
         assert count(XPoly, lambda: monte_carlo_stderr(XPoly.one(), 10_000, 0)) > 0
