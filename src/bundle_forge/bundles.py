@@ -4,6 +4,11 @@ A projector is stored factored as p = D M D with D = diag(sqrt(w_k)) and a
 hermitian core M of XPoly entries, so idempotency, traces and the Chern
 integrand tr(M W dM W dM W) all stay inside the exact Gaussian-rational
 field even when the dense matrix entries carry sqrt-binomial factors.
+
+A projector p = |psi><psi| built from an equivariant ket keeps the ket, and
+its axioms and Chern number then work with the n components of psi instead
+of the n x n core: the axioms through <psi|psi>, the Chern number through
+the Hopf lift to S^3.
 """
 
 from __future__ import annotations
@@ -26,18 +31,21 @@ from .exact_ring import (
     XPoly,
     ZPoly,
     dagger,
+    integrate_xpoly,
     rational_sqrt,
     weighted_matmul,
     x_to_z,
     z_to_x,
 )
-from .forms import SphereTwoForm, XForm, ZForm, integrate_s2, restrict_to_sphere
+from .forms import S3_FRAME, SphereTwoForm, XForm, ZForm, integrate_s2, restrict_to_sphere
 from .kets import (
     EquivariantKet,
     ScaledXMatrix,
     ScaledXVector,
     connection_form,
+    curvature_scalar,
     equivariance_type,
+    pairing,
     poly_equivariance_type,
 )
 
@@ -53,11 +61,16 @@ class UnsupportedGaugeError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedProjector:
-    """p = D M D with D = diag(sqrt(weights)) and hermitian core M."""
+    """p = D M D with D = diag(sqrt(weights)) and hermitian core M.
+
+    `ket`, when set, is the equivariant ket psi with p = |psi><psi|: its
+    weights are `weights` and projector_from_ket(ket) has this core.  Only
+    the constructors that know this set it."""
 
     weights: tuple
     core: tuple  # tuple of rows of XPoly
     label: str = "p"
+    ket: EquivariantKet | None = field(default=None, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -164,7 +177,7 @@ def projector_from_ket(k: EquivariantKet, label: str | None = None) -> WeightedP
         tuple(upper[j, kk] if j <= kk else upper[kk, j].conj() for kk in range(n))
         for j in range(n)
     )
-    return WeightedProjector(tuple(k.weights), core, label or "p")
+    return WeightedProjector(tuple(k.weights), core, label or "p", k)
 
 
 def normal_projector() -> WeightedProjector:
@@ -221,21 +234,38 @@ class AxiomReport:
 
 
 def verify_axioms(p: WeightedProjector) -> AxiomReport:
-    tr = p.trace()
+    """The projector axioms in the exact ring.
+
+    With a ket, p = |psi><psi| is hermitian by construction, tr p is
+    <psi|psi> = s and p^2 = s p.  The ring of S^3 has no zero divisors
+    (S^3 is irreducible), so p^2 = p iff s = 1 or psi = 0."""
+    if p.ket is None:
+        tr = p.trace()
+        idempotent = p.is_idempotent()
+        hermitian = p.is_hermitian()
+    else:
+        s = pairing(p.ket, p.ket)
+        tr = z_to_x(s)
+        idempotent = s == ZPoly.one() or s.is_zero()
+        hermitian = True
     constant = tr.is_constant()
     return AxiomReport(
-        idempotent=p.is_idempotent(),
-        hermitian=p.is_hermitian(),
+        idempotent=idempotent,
+        hermitian=hermitian,
         trace_constant=constant,
         trace=str(tr.constant_value()) if constant else str(tr),
     )
 
 
 def transpose(p: WeightedProjector) -> WeightedProjector:
+    """p^t, which for p = |psi><psi| is the projector of the conjugate ket."""
     core = tuple(
         tuple(p.core[k][j] for k in range(p.dim)) for j in range(p.dim)
     )
-    return WeightedProjector(p.weights, core, f"{p.label}^t")
+    ket = None
+    if p.ket is not None:
+        ket = EquivariantKet(p.ket.weights, tuple(q.conj() for q in p.ket.polys))
+    return WeightedProjector(p.weights, core, f"{p.label}^t", ket)
 
 
 def real_form(p: WeightedProjector) -> WeightedProjector:
@@ -288,14 +318,45 @@ def chern_form_exact(p: WeightedProjector) -> SphereTwoForm:
     return restrict_to_sphere(curvature_trace_form(p))
 
 
+# Up to this dimension (the monopoles up to charge 4 and tilde) a projector
+# with a ket also takes the x-route, and the two exact routes must agree.
+CROSS_CHECK_MAX_DIM = 5
+
+
+def _hopf_c1(k: EquivariantKet) -> GaussianRational:
+    """c1 of |psi><psi| for <psi|psi> = 1, from the Hopf lift to S^3.
+
+    There the pullback of tr(p (dp)^2) is <d psi|^|d psi> = curvature_scalar(psi):
+    the other term is -A^A with the scalar 1-form A = <psi|d psi>, which
+    is 0.  Contracting with the horizontal fields xi, J xi gives a function
+    on S^2; the Hopf map doubles their lengths, so its integral is 4 times
+    the x-route's volume value, and c1 = i v / 2."""
+    xi_pair = curvature_scalar(k).on_fields(S3_FRAME[1:])
+    return integrate_xpoly(z_to_x(xi_pair)).value * GR_I / 2
+
+
+def _x_route_c1(p: WeightedProjector) -> GaussianRational:
+    """c1 from tr(p (dp)^2) on S^2: 2i times the volume value in units of 4*pi."""
+    return integrate_s2(chern_form_exact(p)).value * GR_I * 2
+
+
 def chern_number_exact(p: WeightedProjector) -> int:
     """c1(p) = -(1/2*pi*i) * integral of tr(p (dp)^2) over S^2, exactly.
 
-    With the integral returned in units of 4*pi this is 2i times the
-    rational volume value; the result is asserted to be a real integer.
+    A projector with a normalised ket takes the Hopf route, cross-checked
+    against the x-route up to CROSS_CHECK_MAX_DIM; any other projector
+    takes the x-route.  The result is asserted to be a real integer.
     """
-    v = integrate_s2(chern_form_exact(p)).value
-    c1 = v * GR_I * 2
+    if p.ket is not None and pairing(p.ket, p.ket) == ZPoly.one():
+        c1 = _hopf_c1(p.ket)
+        if p.dim <= CROSS_CHECK_MAX_DIM:
+            x_c1 = _x_route_c1(p)
+            if x_c1 != c1:
+                raise ChernConsistencyError(
+                    f"Chern number of {p.label}: Hopf route {c1}, x-route {x_c1}"
+                )
+    else:
+        c1 = _x_route_c1(p)
     if not c1.is_integer():
         raise ChernConsistencyError(
             f"Chern number of {p.label} is not an integer: {c1}"
@@ -454,6 +515,18 @@ class PartialIsometry:
         return WeightedProjector(self.right_weights, core, "v+v")
 
 
+def _gauged_ket(k: EquivariantKet | None, s, weights: tuple) -> EquivariantKet | None:
+    """The ket of s p s^dagger, for s a signed permutation (`weights` the
+    permuted weights) or uniform weights: p_jk = conj(psi_j) psi_k, so the
+    components become conj(s) psi."""
+    if k is None:
+        return None
+    polys = tuple(
+        sum((q * e.conj() for e, q in zip(row, k.polys) if e), ZPoly.zero()) for row in s
+    )
+    return EquivariantKet(weights, polys)
+
+
 def exact_gauge(p: WeightedProjector, s) -> tuple:
     """Conjugate p by s inside the exact field: p^s = s p s^dagger, v = s p.
 
@@ -477,7 +550,7 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
             )
             for j in range(n)
         )
-        p_s = WeightedProjector(weights, core, f"{p.label}^s")
+        p_s = WeightedProjector(weights, core, f"{p.label}^s", _gauged_ket(p.ket, s, weights))
         v_core = tuple(
             tuple(p.core[perm[j]][k] * signs[j] for k in range(n))
             for j in range(n)
@@ -496,7 +569,7 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
     ones = (1,) * n
     sM = weighted_matmul(s_poly, ones, p.core)
     core = weighted_matmul(sM, ones, dagger(s_poly))
-    p_s = WeightedProjector(p.weights, core, f"{p.label}^s")
+    p_s = WeightedProjector(p.weights, core, f"{p.label}^s", _gauged_ket(p.ket, s, p.weights))
     v = PartialIsometry(p.weights, sM, p.weights)
     return p_s, v
 

@@ -355,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_family(p):
         p.add_argument("--family", choices=FAMILIES, required=True)
-        p.add_argument("--charge", type=int, default=1)
+        p.add_argument("--charge", type=int, default=None,
+                       help="monopole charge (default 1); monopole family only")
 
     p_build = sub.add_parser("build", help="print a projector")
     add_family(p_build)
@@ -403,6 +404,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        family = getattr(args, "family", "monopole")
+        if family != "monopole" and args.charge is not None:
+            raise CliInputError(f"--charge applies only to --family monopole, not {family}")
+        if getattr(args, "charge", 0) is None:
+            args.charge = 1  # the monopole default; other families ignore it
         if abs(getattr(args, "charge", 0)) > MAX_CHARGE:
             raise CliInputError(f"charge out of range (|c| <= {MAX_CHARGE})")
         if not 0 <= getattr(args, "max_charge", 0) <= MAX_CHARGE:

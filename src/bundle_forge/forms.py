@@ -14,10 +14,15 @@ from fractions import Fraction
 from typing import Mapping
 
 from .exact_ring import (
+    GR_I,
     GR_ZERO,
     GaussianRational,
     VolumeUnits,
     XPoly,
+    Z0,
+    Z1,
+    ZB0,
+    ZB1,
     ZPoly,
     integrate_xpoly,
 )
@@ -40,6 +45,17 @@ def _merge_indices(a: tuple, b: tuple):
             if indices[i] > indices[j]:
                 sign = -sign
     return tuple(sorted(merged)), sign
+
+
+def _basis_on_fields(idx: tuple, fields: tuple):
+    """The wedge of the basis 1-forms `idx` (at most two) on as many vector
+    fields, each given as the values of the basis 1-forms on it."""
+    if not idx:
+        return 1
+    if len(idx) == 1:
+        return fields[0][idx[0]]
+    (i, j), (u, v) = idx, fields
+    return u[i] * v[j] - u[j] * v[i]
 
 
 class _BaseForm:
@@ -132,6 +148,16 @@ class _BaseForm:
                 out[idx] = out[idx] + term if idx in out else term
         return type(self)(out)
 
+    def on_fields(self, fields: tuple):
+        """The part of degree len(fields) (at most two) evaluated on the
+        vector fields `fields`, each given as the values of the basis 1-forms
+        on it; a polynomial of the form's ring."""
+        total = self.POLY.zero()
+        for idx, poly in self.terms.items():
+            if len(idx) == len(fields):
+                total = total + poly * _basis_on_fields(idx, fields)
+        return total
+
     def d(self):
         """Exterior derivative (linear, graded Leibniz, d o d = 0)."""
         out: dict = {}
@@ -218,6 +244,16 @@ class ZForm(_BaseForm):
 
 DX1, DX2, DX3 = (XForm.basis_one_form(i) for i in range(3))
 DZ0, DZ1, DZB0, DZB1 = (ZForm.basis_one_form(i) for i in range(4))
+
+# The SU(2) frame of S^3: iz, xi and J xi, each given as the values of
+# (dz0, dz1, dzb0, dzb1) on it.  They span the tangent space at every point;
+# xi and J xi are horizontal for the Hopf map S^3 -> S^2, which doubles
+# their lengths.
+S3_FRAME = (
+    (Z0 * GR_I, Z1 * GR_I, -ZB0 * GR_I, -ZB1 * GR_I),
+    (-ZB1, ZB0, -Z1, Z0),
+    (-ZB1 * GR_I, ZB0 * GR_I, Z1 * GR_I, -Z0 * GR_I),
+)
 
 # dvol(S^2) = x1 dx2 dx3 + x2 dx3 dx1 + x3 dx1 dx2, total integral 4*pi
 from .exact_ring import X1, X2, X3  # noqa: E402

@@ -18,13 +18,19 @@ from typing import Callable
 import numpy as np
 
 from .bundles import WeightedProjector, projector_from_ket
-from .exact_ring import GR_I, Z0, Z1, ZB0, ZB1, XPoly
-from .forms import XForm, ZForm
+from .exact_ring import XPoly
+from .forms import S3_FRAME, XForm, ZForm
 from .kets import EquivariantKet, named_real_objects
 
 
 class QuadratureError(RuntimeError):
     """Pointwise projector axiom violation or non-finite quadrature values."""
+
+
+# Largest node count per grid axis.  64x128 already integrates every
+# polynomial family up to charge 16 exactly, and the cap keeps a mistyped grid
+# from allocating without bound.
+MAX_GRID_AXIS = 1024
 
 
 @dataclass(frozen=True)
@@ -46,6 +52,8 @@ class SphereGrid:
     def build(polar: int = 64, azimuthal: int = 128) -> "SphereGrid":
         if polar < 8 or azimuthal < 8:
             raise ValueError("grid must be at least 8x8")
+        if polar > MAX_GRID_AXIS or azimuthal > MAX_GRID_AXIS:
+            raise ValueError(f"grid axes must be at most {MAX_GRID_AXIS}")
         nodes, weights = np.polynomial.legendre.leggauss(polar)
         phi = np.linspace(0.0, 2.0 * math.pi, azimuthal, endpoint=False)
         grid = SphereGrid(polar, azimuthal, nodes, weights, phi)
@@ -164,7 +172,7 @@ def chern_number_quad(
         raise QuadratureError("non-finite quadrature value")
     if abs(c1.imag) > 1e-8:
         raise QuadratureError(f"Chern quadrature has imaginary part {c1.imag:.3e}")
-    return float(c1.real)
+    return float(c1.real) + 0.0  # turns -0.0 into 0.0
 
 
 def gauge_field(k: EquivariantKet, g: np.ndarray) -> NumericProjectorField:
@@ -177,14 +185,17 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> NumericProjectorField:
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError("gauge matrix is singular or near-singular")
     base = projector_from_ket(k)
+    # On the n^2 flattened entries of P, P -> g P g+ is the matrix g (x) conj(g)
+    # and P -> tr(g+g P) the row vec((g+g)^T): one GEMM gives both
     gdg = np.conj(g.T) @ g
+    mix = np.concatenate([np.kron(g, np.conj(g)).T, gdg.T.reshape(n * n, 1)], axis=1)
 
     def evaluator(theta, phi):
         x1, x2, x3 = _chart(theta, phi)
         P = base.evaluate(x1, x2, x3)
-        norm = np.einsum("jk,...kj->...", gdg, P)
-        out = np.einsum("jl,...lm,km->...jk", g, P, np.conj(g))
-        return out / norm[..., None, None]
+        mixed = P.reshape(P.shape[:-2] + (n * n,)) @ mix
+        out = mixed[..., :-1] / mixed[..., -1:]
+        return out.reshape(P.shape)
 
     return NumericProjectorField(n, evaluator, "gauge-transformed", cond)
 
@@ -212,40 +223,16 @@ def monte_carlo_integral(f: XPoly, samples: int, seed: int) -> float:
     return monte_carlo_stderr(f, samples, seed)[0]
 
 
-# The SU(2) frame of S^3: iz, xi and J xi, each given as the values of
-# (dz0, dz1, dzb0, dzb1) on it.  They span the tangent space at every point.
-_S3_FRAME = (
-    (Z0 * GR_I, Z1 * GR_I, -ZB0 * GR_I, -ZB1 * GR_I),
-    (-ZB1, ZB0, -Z1, Z0),
-    (-ZB1 * GR_I, ZB0 * GR_I, Z1 * GR_I, -Z0 * GR_I),
-)
-
-
-def _on_fields(idx: tuple, fields: tuple):
-    """The wedge of the basis 1-forms `idx` (at most two) on as many vector
-    fields, each given as the values of the basis 1-forms on it."""
-    if not idx:
-        return 1
-    if len(idx) == 1:
-        return fields[0][idx[0]]
-    (i, j), (u, v) = idx, fields
-    return u[i] * v[j] - u[j] * v[i]
-
-
 def _vanishes(form, frame: tuple) -> bool:
     """Whether `form` is zero on a sphere whose tangent spaces `frame`
     spans at every point: its 0-form part, its 1-form part on each field
     and its 2-form part on each pair of fields are zero in the ring.  Parts
     of degree 3 are not read; they vanish on S^2."""
-    for degree in (0, 1, 2):
-        part = [(idx, poly) for idx, poly in form.terms.items() if len(idx) == degree]
-        for fields in itertools.combinations(frame, degree):
-            contraction = sum(
-                (poly * _on_fields(idx, fields) for idx, poly in part), form.POLY.zero()
-            )
-            if not contraction.is_zero():
-                return False
-    return True
+    return all(
+        form.on_fields(fields).is_zero()
+        for degree in (0, 1, 2)
+        for fields in itertools.combinations(frame, degree)
+    )
 
 
 def s2_tangent_frame_check(omega: XForm, expected: XForm) -> bool:
@@ -257,4 +244,4 @@ def s2_tangent_frame_check(omega: XForm, expected: XForm) -> bool:
 def tangent_frame_check(omega: ZForm, expected: ZForm) -> bool:
     """Whether two ZForms agree on S^3, i.e. modulo the sphere ideal (r, dr),
     by contracting their difference with the SU(2) frame iz, xi, J xi."""
-    return _vanishes(omega - expected, _S3_FRAME)
+    return _vanishes(omega - expected, S3_FRAME)

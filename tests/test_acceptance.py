@@ -77,11 +77,11 @@ def all_builtin_projectors():
 def test_01_exact_monopole_cherns():
     start = time.perf_counter()
     ok = True
-    for n in range(6):
+    for n in range(MAX_CHARGE + 1):
         ok &= chern_number_exact(projector_from_ket(monopole_ket("minus", n))) == n
         ok &= chern_number_exact(projector_from_ket(monopole_ket("plus", n))) == -n
     elapsed = time.perf_counter() - start
-    report(1, f"c1(p_[-/+n]) = +/-n for n=0..5 in {elapsed:.1f}s", ok and elapsed < 60.0)
+    report(1, f"c1(p_[-/+n]) = +/-n for n=0..{MAX_CHARGE} in {elapsed:.1f}s", ok and elapsed < 60.0)
 
 
 def test_02_tilde_charge():

@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bundle_forge.bundles import (
+    CROSS_CHECK_MAX_DIM,
     ChernConsistencyError,
     Section,
     UnsupportedGaugeError,
@@ -23,6 +25,8 @@ from bundle_forge.bundles import (
     tangent_projector,
     transpose,
     verify_axioms,
+    _hopf_c1,
+    _x_route_c1,
 )
 from bundle_forge.exact_ring import (
     GR_I,
@@ -35,6 +39,7 @@ from bundle_forge.exact_ring import (
 )
 from bundle_forge.forms import DZ0, DZB0, DZB1, XForm, ZForm
 from bundle_forge.kets import (
+    EquivariantKet,
     ScaledXVector,
     connection_form,
     monopole_ket,
@@ -137,6 +142,18 @@ class TestAxioms:
         assert not rep.idempotent
         assert not rep.all_pass
 
+    def test_negative_control_ket_norm(self):
+        # p = 2|psi><psi| from doubled weights: <psi|psi> = 2, so p^2 = 2p
+        k = monopole_ket("minus", 1)
+        p = projector_from_ket(EquivariantKet(tuple(w * 2 for w in k.weights), k.polys))
+        rep = verify_axioms(p)
+        assert not rep.idempotent and rep.hermitian
+        assert rep.trace == "2"
+        assert not rep.all_pass
+        # without <psi|psi> = 1 the Hopf lift does not apply: the x-route
+        # integrates tr(p (dp)^2) = 8 tr(q (dq)^2) for the charge-1 q
+        assert chern_number_exact(p) == 8
+
     def test_all_builtins(self):
         builtins = [projector_from_ket(monopole_ket(s, n)) for s in ("minus", "plus") for n in range(5)]
         builtins += [
@@ -162,6 +179,7 @@ class TestTransposeAndRealForm:
 
     def test_real_form_is_projector_with_doubled_trace(self):
         q = real_form(tilde_projector())
+        assert q.ket is None
         rep = verify_axioms(q)
         assert rep.all_pass
         assert rep.trace == "2"
@@ -379,6 +397,70 @@ class TestExactGauge:
             exact_gauge(charge_one_projector(), ((1, 0, 0), (0, 1, 0)))
 
 
+def _signed_permutation_matrix(perm, signs) -> list:
+    s = [[0] * len(perm) for _ in perm]
+    for j, (k, sign) in enumerate(zip(perm, signs)):
+        s[j][k] = sign
+    return s
+
+
+@st.composite
+def _gauged_ket_projectors(draw):
+    """A monopole of charge up to 4 or tilde, under a random signed
+    permutation, transposed or not, with its expected c1."""
+    charge = draw(st.sampled_from(list(range(-4, 5)) + ["tilde"]))
+    if charge == "tilde":
+        p, c1 = tilde_projector(), 2
+    else:
+        p, c1 = projector_from_ket(monopole_ket("minus" if charge >= 0 else "plus", abs(charge))), charge
+    perm = draw(st.permutations(range(p.dim)))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=p.dim, max_size=p.dim))
+    p, _ = exact_gauge(p, _signed_permutation_matrix(perm, signs))
+    if draw(st.booleans()):
+        p, c1 = transpose(p), -c1
+    return p, c1
+
+
+class TestKetRoutes:
+    def test_constructors_keep_their_ket(self):
+        c, s = GaussianRational(Fraction(3, 5)), GaussianRational(Fraction(4, 5))
+        rot = ((c, s * GR_I), (s * GR_I, c))
+        swap = _signed_permutation_matrix((2, 0, 3, 1), (1, -1, -1, 1))
+        projectors = [
+            charge_one_projector(),
+            tilde_projector(),
+            exact_gauge(projector_from_ket(monopole_ket("minus", 3)), swap)[0],
+            exact_gauge(charge_one_projector(), ((c, s), (-s, c)))[0],
+            exact_gauge(projector_from_ket(monopole_ket("plus", 1)), rot)[0],
+            transpose(tilde_projector()),
+            transpose(exact_gauge(charge_one_projector(), rot)[0]),
+        ]
+        for p in projectors:
+            rebuilt = projector_from_ket(p.ket)
+            assert rebuilt.weights == p.weights, p.label
+            assert rebuilt.core == p.core, p.label
+
+    @settings(max_examples=40, deadline=None)
+    @given(_gauged_ket_projectors())
+    def test_hopf_and_x_routes_agree(self, case):
+        p, c1 = case
+        assert p.dim <= CROSS_CHECK_MAX_DIM
+        assert _hopf_c1(p.ket) == _x_route_c1(p) == GaussianRational(c1)
+        assert chern_number_exact(p) == c1
+        assert verify_axioms(p) == verify_axioms(WeightedProjector(p.weights, p.core))
+
+    def test_routes_disagreeing_raise(self):
+        # the core of the charge -1 projector under the ket of charge +1
+        wrong = WeightedProjector(
+            (Fraction(1),) * 2,
+            projector_from_ket(monopole_ket("plus", 1)).core,
+            "mislabelled",
+            monopole_ket("minus", 1),
+        )
+        with pytest.raises(ChernConsistencyError):
+            chern_number_exact(wrong)
+
+
 class TestIsometry:
     def test_tangent_to_real_form(self):
         geo = named_real_objects()
@@ -416,6 +498,7 @@ class TestSerialization:
             q = WeightedProjector.from_json(p.to_json(), p.label)
             assert q.weights == p.weights
             assert q.core == p.core
+            assert q.ket is None
 
     def test_malformed_projectors_rejected(self):
         one = XPoly.one().to_json()

@@ -54,6 +54,35 @@ class TestChernCommand:
         assert code == 2
         assert "grid" in err
 
+    def test_charge_is_monopole_only(self, capsys):
+        for command in ("build", "chern"):
+            for family in ("tilde", "normal", "tangent", "realform"):
+                code, out, err = invoke(capsys, command, "--family", family, "--charge", "5")
+                assert code == 2 and not out
+                assert "--charge applies only to --family monopole" in err
+        code, out, _ = invoke(capsys, "chern", "--family", "monopole")
+        assert code == 0
+        assert "c1 = 1" in out
+
+    def test_quad_zero_is_unsigned(self, capsys):
+        for argv in (
+            ("--family", "normal"),
+            ("--family", "tangent"),
+            ("--family", "realform"),
+            ("--family", "monopole", "--charge", "0"),
+        ):
+            code, out, _ = invoke(capsys, "chern", *argv, "--backend", "quad", "--grid", "16x32")
+            assert code == 0
+            assert out.splitlines()[-1] == "c1 = 0.0"
+
+    def test_grid_axis_cap(self, capsys):
+        for grid in ("8x9999999999999", "9999999999999x8"):
+            code, _, err = invoke(
+                capsys, "chern", "--family", "monopole", "--backend", "quad", "--grid", grid,
+            )
+            assert code == 2
+            assert "grid axes must be at most 1024" in err
+
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "chern", "--family", "monopole", "--wat")
         assert code == 2

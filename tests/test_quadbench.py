@@ -33,6 +33,7 @@ from bundle_forge.kets import (
     tilde_ket2,
 )
 from bundle_forge.quadbench import (
+    MAX_GRID_AXIS,
     NumericProjectorField,
     QuadratureError,
     SphereGrid,
@@ -59,6 +60,12 @@ class TestSphereGrid:
             SphereGrid.build(4, 128)
         with pytest.raises(ValueError):
             SphereGrid.build(64, 4)
+
+    def test_axis_cap(self):
+        # rejected before anything is allocated
+        for shape in ((10**12, 128), (64, 10**12), (MAX_GRID_AXIS + 1, 8)):
+            with pytest.raises(ValueError, match="at most"):
+                SphereGrid.build(*shape)
 
     def test_mesh_shape(self):
         grid = SphereGrid.build(16, 32)
@@ -152,6 +159,20 @@ class TestGaugeField:
         st = np.sin(theta)
         P0 = base.evaluate(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
         assert np.max(np.abs(field.evaluator(theta, phi) - P0)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_einsum_reference(self, n):
+        rng = np.random.default_rng(n)
+        k = monopole_ket("minus", n - 1)
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        theta = rng.uniform(0.0, math.pi, (7, 9))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (7, 9))
+        P = projector_from_ket(k).evaluate(*_chart(theta, phi))
+        norm = np.einsum("jk,...kj->...", np.conj(g.T) @ g, P)
+        want = np.einsum("jl,...lm,km->...jk", g, P, np.conj(g)) / norm[..., None, None]
+        got = gauge_field(k, g).evaluator(theta, phi)
+        assert got.shape == want.shape == (7, 9, n, n)
+        assert np.max(np.abs(got - want)) < 1e-13
 
     def test_diagonal_gauge_keeps_charge(self):
         field = gauge_field(monopole_ket("minus", 1), np.diag([2.0, 1.0]))
