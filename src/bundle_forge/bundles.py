@@ -136,23 +136,26 @@ class WeightedProjector:
         return WeightedProjector(weights, core, label)
 
     def evaluate(self, x1, x2, x3):
-        """Dense complex matrix field at points of S^2 (numpy-friendly)."""
-        return self.evaluate_along((x1, x2, x3))[0]
+        """Dense complex matrix field at points of S^2, arrays broadcasting
+        to one shape S: shape S + (n, n)."""
+        return self._field(x1, x2, x3)
 
-    def evaluate_along(self, coords: tuple, tangents: tuple = ()) -> list:
-        """[P, *derivatives]: the dense complex matrix field at the points
-        `coords` = (x1, x2, x3) and its derivatives along each of `tangents`
-        (see `exact_ring.evaluate_polys`), arrays of shape (..., n, n)."""
+    def evaluate_grid(self, theta, phi, derivatives: bool = False):
+        """The dense field on the product grid of theta, shape (P, 1), and
+        phi, shape (1, A): shape (P, A, n, n), or with `derivatives`
+        (3, P, A, n, n) holding P, dP/dtheta and dP/dphi (see
+        `exact_ring.evaluate_grid`)."""
+        return self._field(angles=(theta, phi), derivatives=derivatives)
+
+    def _field(self, *points, **grid):
+        """All entries in one `XPoly.evaluate` pass, as n x n matrices
+        scaled in place to sqrt(w_j w_k) M_jk."""
         n = self.dim
-        roots = [float(w) ** 0.5 for w in self.weights]
-        scale = np.outer(roots, roots)
         first, *rest = (e for row in self.core for e in row)
-        fields = [
-            values.reshape(values.shape[:-1] + (n, n))
-            for values in first.evaluate(*coords, also=rest, tangents=tangents)
-        ]
-        for f in fields:
-            f *= scale
+        values = first.evaluate(*points, also=rest, **grid)
+        fields = values.reshape(values.shape[:-1] + (n, n))
+        roots = [float(w) ** 0.5 for w in self.weights]
+        fields *= np.outer(roots, roots)
         return fields
 
 

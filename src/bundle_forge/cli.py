@@ -12,6 +12,7 @@ Exit codes: 0 success / all pass, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -164,6 +165,8 @@ def _cmd_gauge(args) -> int:
             [complex(float(e["re"]), float(e.get("im", 0.0))) for e in row]
             for row in data["entries"]
         ]
+        if not all(cmath.isfinite(e) for row in entries for e in row):
+            raise ValueError("entries must be finite numbers")
     except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         raise CliInputError(f"malformed gauge file {args.g_file!r}: {exc}") from exc
     if n != len(k) or len(entries) != n or any(len(r) != n for r in entries):
@@ -172,7 +175,10 @@ def _cmd_gauge(args) -> int:
         )
     import numpy as np
 
-    field = gauge_field(k, np.array(entries))
+    try:
+        field = gauge_field(k, np.array(entries))
+    except ValueError as exc:
+        raise CliInputError(f"bad gauge matrix: {exc}") from exc
     grid = _parse_grid(args.grid)
     c1 = chern_number_quad(field, grid, "finite-difference")
     print(_charge_mapping_line(args.charge))

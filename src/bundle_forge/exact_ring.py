@@ -260,13 +260,20 @@ class _BasePoly:
         """Values of the ring variables from the arguments of `evaluate`."""
         return coords
 
-    def _evaluate(self, coords: tuple, also, tangents: tuple):
+    def _evaluate(self, coords: tuple, also, angles=None, derivatives=False):
         """The body of the rings' `evaluate`.  The benchmark's tracer times
         numeric evaluation by wrapping `XPoly.evaluate` and `ZPoly.evaluate`,
         so every caller in the package evaluates through them."""
-        if also is None and not tangents:
-            return evaluate_polys((self,), coords)[0][..., 0]
-        return evaluate_polys((self, *(also or ())), coords, tangents)
+        polys = (self, *(also or ()))
+        if angles is None:
+            if derivatives:
+                raise ValueError("derivatives are taken on a grid of angles only")
+            values = evaluate_polys(polys, coords)
+        else:
+            if coords:
+                raise TypeError("give points or angles, not both")
+            values = evaluate_grid(polys, *angles, derivatives)
+        return values if also is not None else values[..., 0]
 
     @classmethod
     def zero(cls):
@@ -459,12 +466,20 @@ class XPoly(_BasePoly):
     def conj(self) -> "XPoly":
         return XPoly._from_integers(self.den, self.re, {k: -v for k, v in self.im.items()})
 
-    def evaluate(self, x1, x2, x3, *, also=None, tangents=()):
-        """Values at (x1, x2, x3), scalars or arrays broadcasting to one shape
-        S: an array of shape S.  Given `also` (more polynomials of the ring,
-        possibly none) or `tangents`, all of them and their derivatives in one
-        pass instead: `evaluate_polys((self, *also), (x1, x2, x3), tangents)`."""
-        return self._evaluate((x1, x2, x3), also, tangents)
+    def evaluate(self, *points, also=None, angles=None, derivatives=False):
+        """Values at the points (x1, x2, x3), scalars or arrays broadcasting
+        to one shape S: an array of shape S.  Given `also` (more polynomials
+        of the ring, possibly none), all of them in one pass instead, with a
+        last axis running over (self, *also): `evaluate_polys`.
+
+        Given `angles` = (theta, phi) in place of points, theta of shape
+        (P, 1) and phi of shape (1, A), the values on that product grid of
+        the chart x = (sin t cos f, sin t sin f, cos t), shape (P, A); with
+        `derivatives`, a leading axis of three holds the values, d/dtheta
+        and d/dphi: `evaluate_grid`."""
+        if angles is None and len(points) != 3:
+            raise TypeError(f"XPoly.evaluate takes the points x1, x2, x3, got {len(points)}")
+        return self._evaluate(points, also, angles, derivatives)
 
 
 class ZPoly(_BasePoly):
@@ -508,97 +523,135 @@ class ZPoly(_BasePoly):
     def _variables(z0, z1) -> tuple:
         return z0, z1, np.conjugate(z0), np.conjugate(z1)
 
-    def evaluate(self, z0, z1, *, also=None, tangents=()):
+    def evaluate(self, z0, z1, *, also=None):
         """Values at (z0, z1); see `XPoly.evaluate`."""
-        return self._evaluate((z0, z1), also, tangents)
+        return self._evaluate((z0, z1), also)
 
 
 # Points per block of `evaluate_polys`.  A block holds about ten float arrays
-# of shape (points, monomials).  Measured with Python 3.11 and numpy 2.4 on a
+# of shape (monomials, points).  Measured with Python 3.11 and numpy 2.4 on a
 # 2-vCPU Linux VM: without blocks, `bundle-forge integrate --monomial 4,2,2`
-# (10^6 samples) peaks at 349 MB RSS, with blocks of 2^12 points at 91 MB;
-# 2^13 points would raise the numpy peak of the charge-8 quadrature on the
-# 64x128 grid from 64 MB (its contraction) to 82 MB (its evaluation).
+# (10^6 samples) peaks at 349 MB RSS, with blocks of 2^12 points at 82 MB.
 EVAL_BLOCK = 1 << 12
 
 
 def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int) -> tuple:
     """(exponents, C): the union of the monomials of `polys` as a
     (monomials, nvars) integer array, and the complex coefficient matrix C
-    of shape (monomials, polynomials)."""
+    of shape (monomials, polynomials), read from the stored integers."""
     rows: dict = {}
     for p in polys:
-        for m in p.terms:
-            rows.setdefault(m, len(rows))
-    exponents = np.array(list(rows), dtype=np.intp).reshape(len(rows), nvars)
+        for key in itertools.chain(p.re, p.im):
+            rows.setdefault(key, len(rows))
+    exponents = np.array([_unpack(key, nvars) for key in rows], dtype=np.intp)
     coeffs = np.zeros((len(rows), len(polys)), dtype=complex)
     for col, p in enumerate(polys):
-        for m, c in p.terms.items():
-            coeffs[rows[m], col] = complex(c)
-    return exponents, coeffs
+        for part, numerators in ((coeffs.real, p.re), (coeffs.imag, p.im)):
+            for key, v in numerators.items():
+                part[rows[key], col] = v / p.den
+    return exponents.reshape(len(rows), nvars), coeffs
 
 
 def _power_table(x: np.ndarray, top: int) -> np.ndarray:
-    """x^0 .. x^top by repeated multiplication, one column per power."""
-    table = np.empty((x.size, top + 1), dtype=x.dtype)
-    table[:, 0] = 1
+    """x^0 .. x^top by repeated multiplication, one contiguous row per power."""
+    table = np.empty((top + 1, x.size), dtype=x.dtype)
+    table[0] = 1
     for e in range(1, top + 1):
-        np.multiply(table[:, e - 1], x, out=table[:, e])
+        np.multiply(table[e - 1], x, out=table[e])
     return table
 
 
-def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple, tangents: tuple = ()) -> list:
+def _matmul_into(out: np.ndarray, left: np.ndarray, coeffs: np.ndarray) -> None:
+    """out = left . coeffs for complex coefficients.  A real `left` is not
+    cast to complex: it multiplies the interleaved real and imaginary parts
+    of `coeffs` in one real GEMM, written into the same view of `out`."""
+    if np.iscomplexobj(left):
+        np.matmul(left, coeffs, out=out)
+    else:
+        np.matmul(left, coeffs.view(float), out=out.view(float))
+
+
+def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     """Numeric values of polynomials of one ring at an array of points.
 
     `coords` are the arguments of the ring's `evaluate` (x1, x2, x3 or
-    z0, z1): scalars or arrays broadcasting to one shape S.  Each entry of
-    `tangents` holds the derivatives of those arguments along one direction
-    (the chain rule through a chart), broadcasting to S as well.  Returns
-    [values, *derivatives], complex arrays of shape S + (len(polys),).
+    z0, z1): scalars or arrays broadcasting to one shape S.  Returns a
+    complex array of shape S + (len(polys),).
 
     The polynomials share one coefficient matrix C (monomials x polynomials).
     Per block of EVAL_BLOCK points each variable's powers are built once by
     repeated multiplication, the monomial basis V is their product and the
-    values are V.C.  A derivative multiplies the same C by the derivative of
-    V along the tangent.  Callers in the package reach it through the
-    rings' `evaluate` (see `_BasePoly._evaluate`).
+    values are V.C.  Callers in the package reach it through the rings'
+    `evaluate` (see `_BasePoly._evaluate`).
     """
     if len({type(p) for p in polys}) > 1:
         raise TypeError("evaluate_polys takes polynomials of one ring")
     ring = type(polys[0]) if polys else _BasePoly
-    arrays = np.broadcast_arrays(
-        *ring._variables(*coords), *(v for t in tangents for v in ring._variables(*t))
-    )
+    arrays = np.broadcast_arrays(*ring._variables(*coords))
     shape = arrays[0].shape
     dtype = np.result_type(float, *arrays)
-    nvars = len(arrays) // (1 + len(tangents))
     flat = [np.asarray(a, dtype=dtype).reshape(-1) for a in arrays]
-    exponents, coeffs = _coefficient_matrix(polys, nvars)
+    exponents, coeffs = _coefficient_matrix(polys, len(flat))
     size = flat[0].size
-    along = [flat[nvars * t:nvars * (t + 1)] for t in range(1, 1 + len(tangents))]
-    outs = [np.empty((size, len(polys)), dtype=complex) for _ in range(1 + len(tangents))]
+    out = np.empty((size, len(polys)), dtype=complex)
     for lo in range(0, size, EVAL_BLOCK):
         block = slice(lo, min(lo + EVAL_BLOCK, size))
-        powers = [
-            _power_table(x[block], int(exponents[:, v].max(initial=0)))
-            for v, x in enumerate(flat[:nvars])
-        ]
-        gathered = [table[:, exponents[:, v]] for v, table in enumerate(powers)]
-        np.matmul(functools.reduce(np.multiply, gathered), coeffs, out=outs[0][block])
-        bases = [np.zeros_like(gathered[0]) for _ in tangents]
-        for v, table in enumerate(powers):
-            e = exponents[:, v]
-            if not e.any():
-                continue
-            # dV/dx_v: e_v x_v^(e_v - 1) times the powers of the other variables
-            dv = functools.reduce(
-                np.multiply, gathered[:v] + gathered[v + 1:], table[:, np.maximum(e - 1, 0)] * e
-            )
-            for basis, tangent in zip(bases, along):
-                basis += dv * tangent[v][block, None]
-        for basis, out in zip(bases, outs[1:]):
-            np.matmul(basis, coeffs, out=out[block])
-    return [out.reshape(shape + (len(polys),)) for out in outs]
+        # the transposed basis, one row per monomial
+        basis = functools.reduce(np.multiply, (
+            _power_table(x[block], int(e.max(initial=0)))[e] for x, e in zip(flat, exponents.T)
+        ))
+        _matmul_into(out[block], basis.T, coeffs)
+    return out.reshape(shape + (len(polys),))
+
+
+def evaluate_grid(polys: Sequence[XPoly], theta, phi, derivatives: bool = False) -> np.ndarray:
+    """Numeric values of XPolys on the product grid of polar angles theta,
+    shape (P, 1), and azimuths phi, shape (1, A), in the chart
+    x = (sin t cos f, sin t sin f, cos t).  Returns a complex array of shape
+    (P, A, len(polys)), or with `derivatives` of shape (3, P, A, len(polys))
+    holding the values, d/dtheta and d/dphi.
+
+    Sum factorization: a monomial is x1^a x2^b x3^c =
+    (sin^(a+b) t cos^c t) (cos^a f sin^b f), and a canonical XPoly has
+    c <= 1.  The coefficients fold into T[t, (a, b)] = sin^(a+b) t
+    (C0[a, b] + cos t C1[a, b]), C0 and C1 holding the monomials with c = 0
+    and c = 1, and each output is one batched real GEMM of the (A, #(a, b))
+    table of phi-factors with the interleaved real and imaginary parts of a
+    (P, #(a, b), polys) table.  Callers in the package reach it through
+    `XPoly.evaluate` with `angles`.
+    """
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.ndim != 2 or theta.shape[1] != 1 or phi.ndim != 2 or phi.shape[0] != 1:
+        raise ValueError("grid angles must be theta of shape (P, 1) and phi of shape (1, A)")
+    exponents, coeffs = _coefficient_matrix(polys, 3)
+    pairs, pair_of = np.unique(exponents[:, :2], axis=0, return_inverse=True)
+    a, b = pairs.reshape(-1, 2).T
+    s = a + b
+    folded = np.zeros((2, len(s), len(polys)), dtype=complex)
+    folded[exponents[:, 2], pair_of.reshape(-1)] = coeffs
+    # theta-factors sin^s t (C0 + cos t C1), s = a + b, as (P, #(a, b), polys)
+    sin_t = _power_table(np.sin(theta[:, 0]), int(s.max(initial=0)) + 1)
+    cos_t = np.cos(theta)[:, :, None]
+    inner = folded[1] * cos_t
+    inner += folded[0]
+    table = sin_t[s].T[:, :, None] * inner
+    # phi-factors cos^a f sin^b f, as (A, #(a, b))
+    cos_f = _power_table(np.cos(phi[0]), int(a.max(initial=0)) + 1)
+    sin_f = _power_table(np.sin(phi[0]), int(b.max(initial=0)) + 1)
+    phi_factor = (cos_f[a] * sin_f[b]).T
+    out = np.empty((3 if derivatives else 1, len(theta), phi.shape[1], len(polys)), dtype=complex)
+    _matmul_into(out[0], phi_factor, table)
+    if not derivatives:
+        return out[0]
+    # d/dphi of cos^a f sin^b f = b cos^(a+1) f sin^(b-1) f - a cos^(a-1) f sin^(b+1) f
+    d_phi = b[:, None] * cos_f[a + 1] * sin_f[np.maximum(b - 1, 0)]
+    d_phi -= a[:, None] * cos_f[np.maximum(a - 1, 0)] * sin_f[b + 1]
+    _matmul_into(out[2], d_phi.T, table)
+    # d/dtheta of sin^s t (C0 + cos t C1) = s sin^(s-1) t cos t (C0 + cos t C1) - sin^(s+1) t C1
+    table = (s[:, None] * sin_t[np.maximum(s - 1, 0)]).T[:, :, None] * cos_t * inner
+    table -= sin_t[s + 1].T[:, :, None] * folded[1]
+    _matmul_into(out[1], phi_factor, table)
+    return out
 
 
 # generators, for convenience

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bundle_forge.exact_ring import GaussianRational, XPoly, ZPoly
@@ -34,6 +35,12 @@ def random_zpoly(rng: random.Random, max_degree: int = 4, nterms: int = 4) -> ZP
             remaining -= e
         terms[tuple(expo)] = random_coeff(rng)
     return ZPoly(terms)
+
+
+def chart(theta, phi):
+    """The points x(theta, phi) of S^2, broadcast to one shape."""
+    st = np.sin(theta)
+    return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
 
 
 @pytest.fixture

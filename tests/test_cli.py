@@ -195,6 +195,29 @@ class TestGaugeCommand:
         assert code == 2
         assert "3x3" in err
 
+    def test_singular_gauge(self, capsys, tmp_path):
+        # used to end in a ValueError traceback with exit 1
+        g_file = tmp_path / "g.json"
+        g_file.write_text(json.dumps({
+            "n": 2,
+            "entries": [[{"re": 1.0}, {"re": 0.0}], [{"re": 0.0}, {"re": 0.0}]],
+        }))
+        code, out, err = invoke(capsys, "gauge", "--charge", "1", "--g-file", str(g_file))
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "singular" in err
+
+    def test_non_finite_entries(self, capsys, tmp_path):
+        # a "nan" entry used to end in a numpy LinAlgError traceback
+        g_file = tmp_path / "g.json"
+        for bad in ({"re": "nan"}, {"re": 1.0, "im": "inf"}, {"re": float("-inf")}):
+            g_file.write_text(json.dumps({
+                "n": 2,
+                "entries": [[bad, {"re": 0.0}], [{"re": 0.0}, {"re": 1.0}]],
+            }))
+            code, out, err = invoke(capsys, "gauge", "--charge", "1", "--g-file", str(g_file))
+            assert code == 2 and not out, bad
+            assert err.startswith("error: malformed gauge file") and "finite" in err, bad
+
 
 class TestIntegrateCommand:
     def test_even_monomial(self, capsys):
@@ -212,6 +235,15 @@ class TestIntegrateCommand:
             assert code == 2, value
             assert "nan" not in out
             assert "samples" in err
+
+    def test_mc_samples_cap(self, capsys):
+        # rejected before anything is allocated; used to end in a numpy
+        # memory error traceback with exit 1
+        for value in ("10000000000000", str(10**12)):
+            code, out, err = invoke(capsys, "integrate", "--monomial", "2,0,0",
+                                    "--mc-samples", value)
+            assert code == 2 and not out, value
+            assert "at most 10000000" in err
 
     def test_bad_monomial(self, capsys):
         code, _, err = invoke(capsys, "integrate", "--monomial", "2,-1,0")

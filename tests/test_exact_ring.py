@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 from fractions import Fraction
@@ -30,8 +31,10 @@ from bundle_forge.exact_ring import (
     x_to_z,
     z_to_x,
 )
+from bundle_forge.bundles import projector_from_ket
+from bundle_forge.kets import monopole_ket
 
-from conftest import random_xpoly, random_zpoly
+from conftest import chart, random_xpoly, random_zpoly
 
 
 class TestGaussianRational:
@@ -515,6 +518,17 @@ _wide_xpoly = st.dictionaries(
 ).map(XPoly)
 
 
+# monopoles of charge up to 16, as in the CLI
+MAX_GRID_CHARGE = 16
+
+
+@functools.lru_cache(maxsize=None)
+def _monopole_entries(charge: int) -> list:
+    """The core entries of the monopole projector of `charge`."""
+    ket = monopole_ket("minus" if charge >= 0 else "plus", abs(charge))
+    return [e for row in projector_from_ket(ket).core for e in row]
+
+
 class TestEvaluatePolys:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -533,7 +547,7 @@ class TestEvaluatePolys:
                 rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape) for _ in range(2)
             )
             variables = coords + tuple(np.conjugate(z) for z in coords)
-        values = evaluate_polys(polys, coords)[0]
+        values = evaluate_polys(polys, coords)
         assert values.shape == shape + (len(polys),)
         for col, p in enumerate(polys):
             want, size = _naive_evaluate(p, variables)
@@ -550,20 +564,77 @@ class TestEvaluatePolys:
             scalar = p.evaluate(0.5, -0.5, 0.0)
             assert np.ndim(scalar) == 0 and scalar == value
 
-    def test_ring_evaluate_takes_more_polynomials_and_tangents(self):
+    def test_ring_evaluate_takes_more_polynomials_and_angles(self):
         x = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
-        coords, tangent = (x, 0.5 * x, 0.25), (1.0, x, -x)
+        coords = (x, 0.5 * x, 0.25)
         polys = [X1 * X2 + X3, X1 * X1 * X1, XPoly.one()]
-        want = evaluate_polys(polys, coords, (tangent,))
-        got = polys[0].evaluate(*coords, also=polys[1:], tangents=(tangent,))
-        assert len(got) == 2 and all(np.array_equal(g, w) for g, w in zip(got, want))
+        got = polys[0].evaluate(*coords, also=polys[1:])
+        assert np.array_equal(got, evaluate_polys(polys, coords))
         # a single polynomial: the stacked form once `also` is given, even empty
-        (alone,) = polys[0].evaluate(*coords, also=())
+        alone = polys[0].evaluate(*coords, also=())
         assert alone.shape == (2, 3, 1)
         assert np.array_equal(alone[..., 0], polys[0].evaluate(*coords))
         z = (0.6 + 0.0j, 0.8j)
-        values = Z0.evaluate(*z, also=[ZB1])[0]
-        assert np.allclose(values, [0.6, -0.8j])
+        assert np.allclose(Z0.evaluate(*z, also=[ZB1]), [0.6, -0.8j])
+        # on a grid of angles: the values, d/dtheta and d/dphi in closed form
+        theta, phi = np.array([[0.3], [1.2]]), np.array([[0.0, 2.0, 4.0]])
+        st, ct, sf, cf = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+        grid = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+        assert grid.shape == (3, 2, 3, 3)
+        want = [
+            # x1 x2 + x3 = sin^2 t cos f sin f + cos t
+            (st**2 * cf * sf + ct, 2 * st * ct * cf * sf - st, st**2 * (cf**2 - sf**2)),
+            # x1^3 = sin^3 t cos^3 f
+            (st**3 * cf**3, 3 * st**2 * ct * cf**3, -3 * st**3 * cf**2 * sf),
+            (1.0, 0.0, 0.0),
+        ]
+        for col, derivatives in enumerate(want):
+            for k, w in enumerate(derivatives):
+                assert np.allclose(grid[k, ..., col], w, rtol=0, atol=1e-15)
+        values = polys[0].evaluate(angles=(theta, phi))
+        assert values.shape == (2, 3)
+        assert np.allclose(values, grid[0, ..., 0], rtol=0, atol=1e-15)
+        with pytest.raises(ValueError):
+            polys[0].evaluate(*coords, derivatives=True)
+        with pytest.raises(TypeError):
+            polys[0].evaluate(*coords, angles=(theta, phi))
+        with pytest.raises(TypeError):
+            polys[0].evaluate(x, x)
+        with pytest.raises(ValueError):
+            polys[0].evaluate(angles=(phi, theta))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(_wide_xpoly, min_size=1, max_size=4),
+            st.sampled_from([[XPoly.one()], [XPoly.zero()], [XPoly.zero(), X3 - GR_I]]),
+            st.integers(-MAX_GRID_CHARGE, MAX_GRID_CHARGE).map(_monopole_entries),
+        ),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_grid_matches_points(self, polys, polar, azimuthal, seed):
+        """The product-grid path against the scattered path at the meshed
+        points: values to 1e-12 of the summed term sizes, the derivatives
+        against central differences to 1e-7 of the summed coefficient sizes,
+        a bound of the polynomial on the sphere."""
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, math.pi, (polar, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, azimuthal))
+        got = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+        assert got.shape == (3, polar, azimuthal, len(polys))
+        # the sum of |re| + |im| of every term bounds the rounding of each path
+        bounds = [XPoly({m: abs(c.re) + abs(c.im) for m, c in p.terms.items()}) for p in polys]
+        size = evaluate_polys(bounds, tuple(np.abs(x) for x in chart(theta, phi))).real
+        assert np.all(np.abs(got[0] - evaluate_polys(polys, chart(theta, phi))) <= 1e-12 * size)
+        scale = evaluate_polys(bounds, (1.0, 1.0, 1.0)).real
+        h = 1e-5
+        for k, step in ((1, (h, 0.0)), (2, (0.0, h))):
+            ahead = evaluate_polys(polys, chart(theta + step[0], phi + step[1]))
+            behind = evaluate_polys(polys, chart(theta - step[0], phi - step[1]))
+            fd = (ahead - behind) / (2.0 * h)
+            assert np.all(np.abs(got[k] - fd) <= 1e-7 * scale)
 
     def test_rejects_mixed_rings(self):
         with pytest.raises(TypeError):

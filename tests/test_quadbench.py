@@ -37,8 +37,6 @@ from bundle_forge.quadbench import (
     NumericProjectorField,
     QuadratureError,
     SphereGrid,
-    _analytic_derivatives,
-    _chart,
     chern_number_quad,
     gauge_field,
     monte_carlo_integral,
@@ -46,6 +44,8 @@ from bundle_forge.quadbench import (
     s2_tangent_frame_check,
     tangent_frame_check,
 )
+
+from conftest import chart
 
 KAHLER = DZ0.wedge(DZB0) + DZ1.wedge(DZB1)
 
@@ -67,11 +67,12 @@ class TestSphereGrid:
             with pytest.raises(ValueError, match="at most"):
                 SphereGrid.build(*shape)
 
-    def test_mesh_shape(self):
+    def test_axes_shape(self):
         grid = SphereGrid.build(16, 32)
-        theta, phi = grid.mesh()
-        assert theta.shape == (16, 32)
-        assert phi.shape == (16, 32)
+        theta, phi = grid.axes()
+        assert theta.shape == (16, 1)
+        assert phi.shape == (1, 32)
+        assert np.array_equal(theta[:, 0], grid.theta()) and np.array_equal(phi[0], grid.phi)
 
 
 class TestChernQuad:
@@ -111,6 +112,13 @@ class TestChernQuad:
         with pytest.raises(QuadratureError):
             chern_number_quad(halved, SphereGrid.build(8, 8))
 
+    def test_hermiticity_violation_detected(self):
+        # ((1, x1), (0, 0)) is idempotent but not hermitian
+        p = WeightedProjector((1, 1), ((XPoly.one(), X1), (XPoly.zero(), XPoly.zero())))
+        for derivative in ("analytic", "finite-difference"):
+            with pytest.raises(QuadratureError, match="hermiticity"):
+                chern_number_quad(p, SphereGrid.build(8, 8), derivative)
+
     def test_unknown_modes_rejected(self):
         p = projector_from_ket(monopole_ket("minus", 1))
         with pytest.raises(ValueError):
@@ -130,17 +138,18 @@ class TestAnalyticDerivatives:
     @settings(max_examples=30, deadline=None)
     @given(
         st.integers(0, 8),
-        st.lists(st.tuples(st.floats(0.05, math.pi - 0.05), st.floats(0.0, 2.0 * math.pi)),
-                 min_size=1, max_size=8),
+        st.lists(st.floats(0.05, math.pi - 0.05), min_size=1, max_size=4),
+        st.lists(st.floats(0.0, 2.0 * math.pi), min_size=1, max_size=4),
     )
-    def test_match_central_differences(self, charge, points):
+    def test_match_central_differences(self, charge, thetas, phis):
         p = _projector(charge)
-        theta, phi = (np.array(c) for c in zip(*points))
-        P, Pt, Pf = _analytic_derivatives(p, theta, phi)
+        theta, phi = np.array(thetas)[:, None], np.array(phis)[None, :]
+        P, Pt, Pf = p.evaluate_grid(theta, phi, derivatives=True)
+        assert P.shape == (len(thetas), len(phis), p.dim, p.dim)
         h = 1e-5
 
         def field(t, f):
-            return p.evaluate(*_chart(t, f))
+            return p.evaluate(*chart(t, f))
 
         assert np.max(np.abs(P - field(theta, phi))) < 1e-13
         fd_t = (field(theta + h, phi) - field(theta - h, phi)) / (2.0 * h)
@@ -154,7 +163,7 @@ class TestGaugeField:
         k = monopole_ket("minus", 2)
         field = gauge_field(k, np.eye(3))
         grid = SphereGrid.build(8, 8)
-        theta, phi = grid.mesh()
+        theta, phi = grid.axes()
         base = projector_from_ket(k)
         st = np.sin(theta)
         P0 = base.evaluate(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
@@ -165,9 +174,9 @@ class TestGaugeField:
         rng = np.random.default_rng(n)
         k = monopole_ket("minus", n - 1)
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        theta = rng.uniform(0.0, math.pi, (7, 9))
-        phi = rng.uniform(0.0, 2.0 * math.pi, (7, 9))
-        P = projector_from_ket(k).evaluate(*_chart(theta, phi))
+        theta = rng.uniform(0.0, math.pi, (7, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 9))
+        P = projector_from_ket(k).evaluate(*chart(theta, phi))
         norm = np.einsum("jk,...kj->...", np.conj(g.T) @ g, P)
         want = np.einsum("jl,...lm,km->...jk", g, P, np.conj(g)) / norm[..., None, None]
         got = gauge_field(k, g).evaluator(theta, phi)
@@ -244,6 +253,12 @@ class TestMonteCarlo:
     def test_sample_floor(self):
         with pytest.raises(ValueError):
             monte_carlo_integral(XPoly.one(), 100, seed=0)
+
+    def test_sample_cap(self):
+        # far above the cap only: rejected before anything is allocated
+        for samples in (10**12, 10**18):
+            with pytest.raises(ValueError, match="at most"):
+                monte_carlo_stderr(XPoly.one(), samples, seed=0)
 
 
 class TestTangentFrameCheck:
