@@ -148,15 +148,18 @@ class WeightedProjector:
         return self._field(angles=(theta, phi), derivatives=derivatives)
 
     def _field(self, *points, **grid):
-        """All entries in one `XPoly.evaluate` pass, as n x n matrices
-        scaled in place to sqrt(w_j w_k) M_jk."""
+        """All entries in one `XPoly.evaluate` pass, as n x n matrices: the
+        scaling of M_jk to sqrt(w_j w_k) M_jk is a diagonal mix."""
         n = self.dim
         first, *rest = (e for row in self.core for e in row)
-        values = first.evaluate(*points, also=rest, **grid)
-        fields = values.reshape(values.shape[:-1] + (n, n))
-        roots = [float(w) ** 0.5 for w in self.weights]
-        fields *= np.outer(roots, roots)
-        return fields
+        values = first.evaluate(*points, also=rest, mix=np.diag(self.entry_roots()), **grid)
+        return values.reshape(values.shape[:-1] + (n, n))
+
+    def entry_roots(self) -> np.ndarray:
+        """sqrt(w_j w_k) for the n*n entries in row-major order: the dense
+        field is these times the core entries."""
+        roots = np.sqrt([float(w) for w in self.weights])
+        return np.outer(roots, roots).reshape(-1)
 
 
 def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:

@@ -419,6 +419,8 @@ def run(argv=None) -> int:
             raise CliInputError(f"charge out of range (|c| <= {MAX_CHARGE})")
         if not 0 <= getattr(args, "max_charge", 0) <= MAX_CHARGE:
             raise CliInputError(f"max charge out of range (0 <= max-charge <= {MAX_CHARGE})")
+        if getattr(args, "seed", 0) < 0:
+            raise CliInputError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)

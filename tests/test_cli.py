@@ -151,6 +151,13 @@ class TestVerifyCommand:
             assert "ALL PASS" not in out
             assert "charge out of range" in err
 
+    def test_negative_seed(self, capsys):
+        # used to end in a numpy ValueError traceback with exit 1, the code of
+        # a verification failure
+        code, out, err = invoke(capsys, "verify", "--suite", "gauge", "--seed", "-1")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "--seed" in err
+
 
 class TestConnectionCommand:
     def test_charge_one(self, capsys):
@@ -253,6 +260,12 @@ class TestIntegrateCommand:
         code, _, err = invoke(capsys, "integrate", "--monomial", "100,20,8")
         assert code == 2
         assert "degree" in err
+
+    def test_negative_seed(self, capsys):
+        # used to blame --mc-samples
+        code, out, err = invoke(capsys, "integrate", "--monomial", "2,0,0", "--seed", "-1")
+        assert code == 2 and not out
+        assert err.startswith("error: ") and "--seed" in err and "mc-samples" not in err
 
     def test_deterministic_output(self, capsys):
         args = ("integrate", "--monomial", "2,2,0", "--mc-samples", "50000",

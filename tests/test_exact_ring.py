@@ -636,6 +636,36 @@ class TestEvaluatePolys:
             fd = (ahead - behind) / (2.0 * h)
             assert np.all(np.abs(got[k] - fd) <= 1e-7 * scale)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.lists(_wide_xpoly, min_size=1, max_size=4),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_mix_combines_the_outputs(self, polys, m, seed):
+        """evaluate(..., mix=M) is evaluate(...) @ M on the grid (values
+        alone, and values with d/dtheta and d/dphi) and at scattered points,
+        to 1e-12 of a bound
+        on |outputs| @ |M|: the summed coefficient sizes, times the entry
+        degree (at most 15) for the derivatives."""
+        rng = np.random.default_rng(seed)
+        mix = rng.normal(size=(len(polys), m)) + 1j * rng.normal(size=(len(polys), m))
+        theta = rng.uniform(0.0, math.pi, (3, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 4))
+        bounds = [XPoly({e: abs(c.re) + abs(c.im) for e, c in p.terms.items()}) for p in polys]
+        scale = 16.0 * evaluate_polys(bounds, (1.0, 1.0, 1.0)).real @ np.abs(mix)
+        first, rest = polys[0], polys[1:]
+        for points, grid in (((), {"angles": (theta, phi), "derivatives": True}),
+                             ((), {"angles": (theta, phi)}),
+                             (chart(theta, phi), {})):
+            plain = first.evaluate(*points, also=rest, **grid)
+            mixed = first.evaluate(*points, also=rest, mix=mix, **grid)
+            assert mixed.shape == plain.shape[:-1] + (m,)
+            assert np.all(np.abs(mixed - plain @ mix) <= 1e-12 * scale)
+        # without `also` the last axis runs over the mix's columns as well
+        alone = first.evaluate(angles=(theta, phi), mix=mix[:1])
+        assert alone.shape == (3, 4, m)
+
     def test_rejects_mixed_rings(self):
         with pytest.raises(TypeError):
             evaluate_polys([X1, Z0], (0.5, 0.5, 0.5))

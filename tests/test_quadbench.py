@@ -33,11 +33,15 @@ from bundle_forge.kets import (
     tilde_ket2,
 )
 from bundle_forge.quadbench import (
+    ENTRYWISE_MAX_DIM,
+    FD_STEP,
     MAX_GRID_AXIS,
     NumericProjectorField,
     QuadratureError,
     SphereGrid,
     chern_number_quad,
+    _fd_derivatives,
+    _matmul_points,
     gauge_field,
     monte_carlo_integral,
     monte_carlo_stderr,
@@ -156,6 +160,67 @@ class TestAnalyticDerivatives:
         fd_f = (field(theta, phi + h) - field(theta, phi - h)) / (2.0 * h)
         assert np.max(np.abs(Pt - fd_t)) < 1e-7
         assert np.max(np.abs(Pf - fd_f)) < 1e-7
+
+
+class TestMatmulPoints:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.tuples(*(st.integers(1, ENTRYWISE_MAX_DIM + 1) for _ in range(3))),
+        st.sampled_from([((4, 3), (4, 3)), ((4, 1), (1, 3)), ((2, 4, 3), (4, 3)), ((), (5,))]),
+        st.sampled_from(["contiguous", "transposed", "every other column"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_matmul(self, dims, grids, layout, seed):
+        """Both sides of the entrywise cut against np.matmul, on broadcast
+        grid shapes and strided views, to 1e-13 of |x| @ |y|."""
+        rng = np.random.default_rng(seed)
+        rows, inner, cols = dims
+
+        def stack(grid, r, c):
+            shape = {"contiguous": (r, c), "transposed": (c, r), "every other column": (r, 2 * c)}
+            full = rng.normal(size=grid + shape[layout]) + 1j * rng.normal(size=grid + shape[layout])
+            if layout == "transposed":
+                return np.swapaxes(full, -1, -2)
+            return full[..., ::2] if layout == "every other column" else full
+
+        x, y = stack(grids[0], rows, inner), stack(grids[1], inner, cols)
+        got, want = _matmul_points(x, y), np.matmul(x, y)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.matmul(np.abs(x), np.abs(y)))
+
+
+class TestFiniteDifferences:
+    @pytest.mark.parametrize("kind", ["projector", "gauge"])
+    def test_three_calls_match_the_five_call_formula(self, kind):
+        """The stacked stencil evaluates the same points as the five-call
+        central differences: values equal, derivatives within the rounding
+        of the values (1e-16) magnified by 1/(2 FD_STEP)."""
+        rng = np.random.default_rng(11)
+        k = monopole_ket("minus", 2)
+        if kind == "projector":
+            evaluator = projector_from_ket(k).evaluate_grid
+        else:
+            g = np.eye(3) + 0.3 * rng.normal(size=(3, 3)) + 0.3j * rng.normal(size=(3, 3))
+            evaluator = gauge_field(k, g).evaluator
+        theta = rng.uniform(0.1, math.pi - 0.1, (5, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
+        calls = []
+
+        def counted(t, f):
+            calls.append((t.shape, f.shape))
+            return evaluator(t, f)
+
+        P, Pt, Pf = _fd_derivatives(counted, theta, phi)
+        assert calls == [((5, 1), (1, 7)), ((10, 1), (1, 7)), ((5, 1), (1, 14))]
+        h = FD_STEP
+        want_t = (evaluator(theta + h, phi) - evaluator(theta - h, phi)) / (2.0 * h)
+        want_f = (evaluator(theta, phi + h) - evaluator(theta, phi - h)) / (2.0 * h)
+        assert np.array_equal(P, evaluator(theta, phi))
+        for got, want in ((Pt, want_t), (Pf, want_f)):
+            assert got.shape == want.shape == (5, 7, 3, 3)
+            # the derivatives own their memory: no view keeps a stacked output alive
+            assert got.base is None
+            assert np.max(np.abs(got - want)) < 1e-16 / (2.0 * h) * 10
 
 
 class TestGaugeField:
