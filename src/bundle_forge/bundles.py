@@ -346,6 +346,15 @@ def _x_route_c1(p: WeightedProjector) -> GaussianRational:
     return integrate_s2(chern_form_exact(p)).value * GR_I * 2
 
 
+def unit_ket(p: WeightedProjector) -> EquivariantKet | None:
+    """The ket psi of p = |psi><psi| when <psi|psi> = 1, else None: the
+    projectors that the rank-one routes (the Hopf route here, the ket
+    quadrature in `quadbench`) serve."""
+    if p.ket is not None and pairing(p.ket, p.ket) == ZPoly.one():
+        return p.ket
+    return None
+
+
 def chern_number_exact(p: WeightedProjector) -> int:
     """c1(p) = -(1/2*pi*i) * integral of tr(p (dp)^2) over S^2, exactly.
 
@@ -353,8 +362,9 @@ def chern_number_exact(p: WeightedProjector) -> int:
     against the x-route up to CROSS_CHECK_MAX_DIM; any other projector
     takes the x-route.  The result is asserted to be a real integer.
     """
-    if p.ket is not None and pairing(p.ket, p.ket) == ZPoly.one():
-        c1 = _hopf_c1(p.ket)
+    ket = unit_ket(p)
+    if ket is not None:
+        c1 = _hopf_c1(ket)
         if p.dim <= CROSS_CHECK_MAX_DIM:
             x_c1 = _x_route_c1(p)
             if x_c1 != c1:

@@ -1,7 +1,11 @@
 """Floating-point verification backend and exact tangent-frame checks.
 
 Chern numbers by Gauss-Legendre x trapezoid quadrature in the chart
-x = (sin(t)cos(f), sin(t)sin(f), cos(t)), a Monte-Carlo oracle for the
+x = (sin(t)cos(f), sin(t)sin(f), cos(t)), by one of two routes chosen from
+the input: a projector p = |psi><psi| with <psi|psi> = 1 integrates its
+curvature density from the n components of psi on a Hopf section over the
+chart, in O(n) per node; every other projector or projector field from its
+n x n entries and their pointwise products.  Also a Monte-Carlo oracle for the
 exact monomial integrals, and exact checks of the identities that hold
 modulo the sphere ideal (r, dr): a form is contracted in the ring with
 polynomial vector fields that span every tangent space, the SU(2) frame
@@ -10,6 +14,7 @@ iz, xi, J xi on S^3 and the rotation fields V_l = e_l x x on S^2.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bundles import WeightedProjector, projector_from_ket
+from .bundles import WeightedProjector, projector_from_ket, unit_ket
 from .exact_ring import XPoly
 from .forms import S3_FRAME, XForm, ZForm
 from .kets import EquivariantKet, named_real_objects
@@ -113,12 +118,18 @@ def _matmul_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest pointwise defect accepted: |P^2 - P| on the matrix route,
+# |<w|w> - 1| on the rank-one route, where P^2 - P = (<w|w> - 1) P.
+IDEMPOTENCY_TOL = 1e-10
+DERIVATIVE_MODES = ("analytic", "finite-difference")
+
+
 def _check_pointwise_axioms(P: np.ndarray) -> None:
     defect = _matmul_points(P, P)
     defect -= P
-    if np.max(np.abs(defect)) >= 1e-10:
+    if np.max(np.abs(defect)) >= IDEMPOTENCY_TOL:
         raise QuadratureError(
-            f"pointwise idempotency defect {np.max(np.abs(defect)):.3e} >= 1e-10"
+            f"pointwise idempotency defect {np.max(np.abs(defect)):.3e} >= {IDEMPOTENCY_TOL:g}"
         )
     # P - P^+ in the same buffer: the evaluated fields dominate the memory
     herm = np.conjugate(np.swapaxes(P, -1, -2), out=defect)
@@ -133,11 +144,13 @@ FD_STEP = 1e-5
 
 
 def _fd_derivatives(evaluator: Callable, theta, phi):
-    """P, dP/dtheta and dP/dphi of the field `evaluator` by central
-    differences, in three calls: the centre, then both theta-neighbours on
-    one stacked theta axis, then both phi-neighbours on one stacked phi
-    axis.  Each stacked output is dropped once its difference is formed, so
-    at most one is alive beside P and the derivatives."""
+    """F, dF/dtheta and dF/dphi of the field `evaluator` by central
+    differences.  The evaluator maps theta (P, 1) and phi (1, A) to an array
+    of shape (P, A) + any trailing shape: (n, n) for a projector field, (n,)
+    for a ket.  Three calls: the centre, then both theta-neighbours on one
+    stacked theta axis, then both phi-neighbours on one stacked phi axis.
+    Each stacked output is dropped once its difference is formed, so at most
+    one is alive beside F and the derivatives."""
     P = evaluator(theta, phi)
     polar, azimuthal = theta.shape[0], phi.shape[1]
     pair = evaluator(np.concatenate([theta - FD_STEP, theta + FD_STEP]), phi)
@@ -150,39 +163,104 @@ def _fd_derivatives(evaluator: Callable, theta, phi):
     return P, Pt, Pf
 
 
+def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
+    """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section
+    sigma(theta, phi) = (cos(theta/2), e^(i phi) sin(theta/2)), which lies
+    over the chart point x(theta, phi) of `z_to_x`'s convention; shape
+    (P, A, n).  Then w w+ is the dense field of projector_from_ket(ket),
+    whose core is M_jk = conj(psi_j) psi_k.  With `derivatives`, the triple
+    (w, dw/dtheta, dw/dphi): psi and its 4n partials come from one
+    `ZPoly.evaluate` call and are combined by the chain rule along sigma."""
+    half = theta / 2.0
+    e_phi = np.exp(1j * phi)
+    z1 = e_phi * np.sin(half)
+    polys = ket.polys
+    if derivatives:
+        polys += tuple(q.diff(var) for var in range(4) for q in ket.polys)
+    first, *rest = polys
+    values = first.evaluate(np.cos(half), z1, also=rest)
+    roots = np.sqrt([float(w) for w in ket.weights])
+    if not derivatives:
+        return np.conjugate(values, out=values) * roots
+    psi, d_z0, d_z1, d_zb0, d_zb1 = np.split(values, 5, axis=-1)
+    # along sigma, d/dtheta (z0, z1, zb0, zb1) = (-sin(t/2), e^(if) cos(t/2),
+    # -sin(t/2), e^(-if) cos(t/2)) / 2 and d/dphi (z0, z1, zb0, zb1) = (0, i z1, 0, -i zb1)
+    z1_t = (e_phi * (np.cos(half) / 2.0))[..., None]
+    z0_t = (-np.sin(half) / 2.0)[..., None]
+    z1 = z1[..., None]
+    d_theta = (d_z0 + d_zb0) * z0_t + d_z1 * z1_t + d_zb1 * np.conj(z1_t)
+    d_phi = (d_z1 * z1 - d_zb1 * np.conj(z1)) * 1j
+    return tuple(np.conjugate(f) * roots for f in (psi, d_theta, d_phi))
+
+
+def _rank_one_density(ket: EquivariantKet, theta, phi, derivative: str) -> np.ndarray:
+    """tr(P [dP/dtheta, dP/dphi]) on the product grid for P = w w+, w the
+    Hopf-section ket of `_hopf_ket`, in O(n) per node.  P is hermitian by
+    construction and P^2 - P = (<w|w> - 1) P, so the pointwise check is
+    |<w|w> - 1|.  With <w|w> = 1 the density is
+    <w_t|w_f> - <w_f|w_t> - (<w_t|w><w|w_f> - <w_f|w><w|w_t>); the bracket
+    is A_t A_f - A_f A_t = 0 for the scalar connection A = <w|dw>, as on the
+    exact Hopf route, which leaves 2i Im <w_t|w_f>.  The density does not
+    change under w -> e^(i a) w, so it is the same function of
+    (theta, phi) as the matrix route's.  It is purely imaginary by
+    construction: the imaginary-part check of `chern_number_quad` reads 0
+    here."""
+    if derivative == "analytic":
+        w, w_t, w_f = _hopf_ket(ket, theta, phi, derivatives=True)
+    else:
+        w, w_t, w_f = _fd_derivatives(functools.partial(_hopf_ket, ket), theta, phi)
+    defect = np.max(np.abs(np.einsum("...j,...j->...", np.conj(w), w) - 1.0))
+    if defect >= IDEMPOTENCY_TOL:
+        raise QuadratureError(
+            f"pointwise norm defect |<w|w> - 1| {defect:.3e} >= {IDEMPOTENCY_TOL:g}"
+        )
+    return 2j * np.imag(np.einsum("...j,...j->...", np.conj(w_t), w_f))
+
+
+def _matrix_density(P, Pt, Pf) -> np.ndarray:
+    """tr(P [Pt, Pf]) on the grid from the dense field and its derivatives,
+    after the pointwise axiom checks of P."""
+    _check_pointwise_axioms(P)
+    comm = _matmul_points(Pt, Pf)
+    comm -= _matmul_points(Pf, Pt)
+    return np.einsum("...jk,...kj->...", P, comm)
+
+
 def chern_number_quad(
     p, grid: SphereGrid | None = None, derivative: str = "analytic"
 ) -> float:
     """-(1/2*pi*i) * sum of weights * tr(P [dP/dtheta, dP/dphi]) / sin(theta).
 
     `p` is a WeightedProjector (analytic or finite-difference derivatives)
-    or a NumericProjectorField (finite differences only).
+    or a NumericProjectorField (finite differences only).  A projector
+    p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) takes the
+    rank-one route, `_rank_one_density`, on the n components of psi; every
+    other input takes the matrix route on the n x n field.
     """
     if grid is None:
         grid = SphereGrid.build()
     theta, phi = grid.axes()
 
     if isinstance(p, WeightedProjector):
-        if derivative == "analytic":
-            P, Pt, Pf = p.evaluate_grid(theta, phi, derivatives=True)
-        elif derivative == "finite-difference":
-            P, Pt, Pf = _fd_derivatives(p.evaluate_grid, theta, phi)
-        else:
+        if derivative not in DERIVATIVE_MODES:
             raise ValueError(f"unknown derivative mode {derivative!r}")
+        ket = unit_ket(p)
+        if ket is not None:
+            density = _rank_one_density(ket, theta, phi, derivative)
+        elif derivative == "analytic":
+            density = _matrix_density(*p.evaluate_grid(theta, phi, derivatives=True))
+        else:
+            density = _matrix_density(*_fd_derivatives(p.evaluate_grid, theta, phi))
     elif isinstance(p, NumericProjectorField):
         if derivative == "analytic":
             raise ValueError("numeric projector fields support only finite differences")
-        P, Pt, Pf = _fd_derivatives(p.evaluator, theta, phi)
+        density = _matrix_density(*_fd_derivatives(p.evaluator, theta, phi))
     else:
         raise TypeError(f"unsupported projector type {type(p).__name__}")
 
-    _check_pointwise_axioms(P)
-    comm = _matmul_points(Pt, Pf)
-    comm -= _matmul_points(Pf, Pt)
-    integrand = np.einsum("...jk,...kj->...", P, comm)
     st = np.sin(theta)
     weights = grid.dvol_weights()
-    value = np.sum(weights * integrand / st)
+    value = np.sum(weights * density / st)
     c1 = value / (-2.0j * math.pi)
     if not np.isfinite(c1):
         raise QuadratureError("non-finite quadrature value")
@@ -212,7 +290,9 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> NumericProjectorField:
 
     def evaluator(theta, phi):
         mixed = first.evaluate(angles=(theta, phi), also=rest, mix=mix)
-        out = mixed[..., :-1] / mixed[..., -1:]
+        # tr(g+g P) is real (g+g and P hermitian): one real reciprocal per
+        # point, then a multiply, instead of a complex division per entry
+        out = mixed[..., :-1] * (1.0 / mixed[..., -1:].real)
         return out.reshape(mixed.shape[:-1] + (n, n))
 
     return NumericProjectorField(n, evaluator, "gauge-transformed", cond)

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from bundle_forge.bundles import (
     WeightedProjector,
+    exact_gauge,
     projector_from_ket,
     tangent_projector,
+    transpose,
 )
 from bundle_forge.cli import MAX_CHARGE
 from bundle_forge.exact_ring import GR_I, X1, X2, X3, XPoly, ZPoly, monomial_integral
@@ -33,6 +37,7 @@ from bundle_forge.kets import (
     tilde_ket2,
 )
 from bundle_forge.quadbench import (
+    DERIVATIVE_MODES,
     ENTRYWISE_MAX_DIM,
     FD_STEP,
     MAX_GRID_AXIS,
@@ -41,7 +46,9 @@ from bundle_forge.quadbench import (
     SphereGrid,
     chern_number_quad,
     _fd_derivatives,
+    _hopf_ket,
     _matmul_points,
+    _rank_one_density,
     gauge_field,
     monte_carlo_integral,
     monte_carlo_stderr,
@@ -134,8 +141,10 @@ class TestChernQuad:
 
 @functools.lru_cache(maxsize=None)
 def _projector(charge: int):
-    """The monopole projector of charge 1..8, or tilde for charge 0."""
-    return projector_from_ket(monopole_ket("minus", charge) if charge else tilde_ket2())
+    """The monopole projector of charge +-1..+-MAX_CHARGE, or tilde for charge 0."""
+    if not charge:
+        return projector_from_ket(tilde_ket2())
+    return projector_from_ket(monopole_ket("minus" if charge > 0 else "plus", abs(charge)))
 
 
 class TestAnalyticDerivatives:
@@ -160,6 +169,103 @@ class TestAnalyticDerivatives:
         fd_f = (field(theta, phi + h) - field(theta, phi - h)) / (2.0 * h)
         assert np.max(np.abs(Pt - fd_t)) < 1e-7
         assert np.max(np.abs(Pf - fd_f)) < 1e-7
+
+
+def _matrix_route(p):
+    """p without its ket, which chern_number_quad serves by the matrix route."""
+    return dataclasses.replace(p, ket=None)
+
+
+CHARGES = [c for n in range(1, MAX_CHARGE + 1) for c in (n, -n)]
+# Exact for entry degree up to 16 (Gauss-Legendre: 2*25 - 1 >= 3*16;
+# trapezoid: 49 > 3*16), so the routes differ by rounding only.
+EXACT_GRID = SphereGrid.build(25, 49)
+
+
+class TestRankOneRoute:
+    @pytest.mark.parametrize("charge", CHARGES)
+    def test_analytic_routes_agree(self, charge):
+        p = _projector(charge)
+        got = chern_number_quad(p, EXACT_GRID)
+        assert abs(got - chern_number_quad(_matrix_route(p), EXACT_GRID)) < 1e-12
+        assert abs(got - charge) < 1e-12
+
+    def test_tilde_transposes_and_gauges_agree(self):
+        rng = random.Random(10)
+        targets = []
+        for p in (_projector(0), _projector(3), _projector(-5), _projector(8)):
+            perm = list(range(p.dim))
+            rng.shuffle(perm)
+            s = [[rng.choice((1, -1)) if k == perm[j] else 0 for k in range(p.dim)]
+                 for j in range(p.dim)]
+            gauged, _ = exact_gauge(p, s)
+            targets += [p, transpose(p), gauged, transpose(gauged)]
+        for p in targets:
+            assert p.ket is not None, p.label
+            got = chern_number_quad(p, EXACT_GRID)
+            assert abs(got - chern_number_quad(_matrix_route(p), EXACT_GRID)) < 1e-12, p.label
+
+    @pytest.mark.parametrize("charge", [1, -2, 5, -8, 16, 0])
+    def test_finite_differences_on_both_routes(self, charge):
+        """Charge 0 stands for tilde, of charge 2."""
+        p, want = _projector(charge), charge or 2
+        for q in (p, _matrix_route(p)):
+            assert abs(chern_number_quad(q, EXACT_GRID, "finite-difference") - want) < 1e-6
+
+    @pytest.mark.parametrize("charge", [1, -3, 0])
+    def test_section_ket_spans_the_dense_field(self, charge):
+        """w w+ and its derivatives against the matrix route's field on a
+        grid off the quadrature nodes; charge 0 stands for tilde."""
+        p = _projector(charge)
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(0.05, math.pi - 0.05, (6, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
+        w, w_t, w_f = _hopf_ket(p.ket, theta, phi, derivatives=True)
+        assert w.shape == (6, 7, p.dim)
+        assert np.array_equal(w, _hopf_ket(p.ket, theta, phi))
+
+        def outer(a, b):
+            return np.einsum("...j,...k->...jk", a, np.conj(b))
+
+        P, Pt, Pf = p.evaluate_grid(theta, phi, derivatives=True)
+        assert np.max(np.abs(outer(w, w) - P)) < 1e-13
+        assert np.max(np.abs(outer(w_t, w) + outer(w, w_t) - Pt)) < 1e-12
+        assert np.max(np.abs(outer(w_f, w) + outer(w, w_f) - Pf)) < 1e-12
+
+    def test_one_ket_evaluation_per_stencil_point(self, monkeypatch):
+        """The rank-one route never evaluates the n x n core: one
+        ZPoly.evaluate call for analytic derivatives, three for the
+        finite-difference stencil."""
+        calls = {XPoly: 0, ZPoly: 0}
+        for ring in calls:
+            def counted(self, *args, _original=ring.evaluate, _ring=ring, **kwargs):
+                calls[_ring] += 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(ring, "evaluate", counted)
+        p = _projector(-4)
+        for derivative, evaluations in zip(DERIVATIVE_MODES, (1, 3)):
+            calls.update({XPoly: 0, ZPoly: 0})
+            chern_number_quad(p, SphereGrid.build(8, 8), derivative)
+            assert calls == {XPoly: 0, ZPoly: evaluations}, derivative
+
+    def test_norm_defect_raises(self):
+        k = monopole_ket("minus", 3)
+        scale = Fraction(10**9 + 1, 10**9)
+        scaled = EquivariantKet(tuple(w * scale for w in k.weights), k.polys)
+        theta, phi = SphereGrid.build(8, 8).axes()
+        for derivative in DERIVATIVE_MODES:
+            with pytest.raises(QuadratureError, match="norm defect"):
+                _rank_one_density(scaled, theta, phi, derivative)
+            assert np.all(np.isfinite(_rank_one_density(k, theta, phi, derivative)))
+
+    def test_ket_with_other_pairing_takes_the_matrix_route(self):
+        # <psi|psi> = 1 + 1e-9: the matrix route's idempotency check fires
+        k = monopole_ket("minus", 3)
+        scale = Fraction(10**9 + 1, 10**9)
+        p = projector_from_ket(EquivariantKet(tuple(w * scale for w in k.weights), k.polys))
+        for derivative in DERIVATIVE_MODES:
+            with pytest.raises(QuadratureError, match="idempotency defect"):
+                chern_number_quad(p, SphereGrid.build(8, 8), derivative)
 
 
 class TestMatmulPoints:
@@ -221,6 +327,20 @@ class TestFiniteDifferences:
             # the derivatives own their memory: no view keeps a stacked output alive
             assert got.base is None
             assert np.max(np.abs(got - want)) < 1e-16 / (2.0 * h) * 10
+
+
+    def test_ket_trailing_shape(self):
+        """The stencil takes any trailing shape: a ket field is (P, A, n)."""
+        k = monopole_ket("plus", 2)
+        evaluator = functools.partial(_hopf_ket, k)
+        rng = np.random.default_rng(12)
+        theta = rng.uniform(0.1, math.pi - 0.1, (5, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
+        w, w_t, w_f = _fd_derivatives(evaluator, theta, phi)
+        _, want_t, want_f = _hopf_ket(k, theta, phi, derivatives=True)
+        assert w.shape == w_t.shape == w_f.shape == (5, 7, 3)
+        assert np.max(np.abs(w_t - want_t)) < 1e-8
+        assert np.max(np.abs(w_f - want_f)) < 1e-8
 
 
 class TestGaugeField:
@@ -379,10 +499,14 @@ class TestEvaluationEntersThroughRings:
             run()
             return calls[ring] - before
 
+        # a ket projector takes the rank-one route (ZPoly), the tangent
+        # projector the matrix route (XPoly), in both derivative modes
         p = projector_from_ket(monopole_ket("minus", 1))
+        tangent = tangent_projector()
         grid = SphereGrid.build(8, 8)
         field = gauge_field(monopole_ket("minus", 1), np.eye(2))
-        assert count(XPoly, lambda: chern_number_quad(p, grid)) > 0
-        assert count(XPoly, lambda: chern_number_quad(p, grid, "finite-difference")) > 0
+        for derivative in DERIVATIVE_MODES:
+            assert count(ZPoly, lambda: chern_number_quad(p, grid, derivative)) > 0
+            assert count(XPoly, lambda: chern_number_quad(tangent, grid, derivative)) > 0
         assert count(XPoly, lambda: chern_number_quad(field, grid, "finite-difference")) > 0
         assert count(XPoly, lambda: monte_carlo_stderr(XPoly.one(), 10_000, 0)) > 0
