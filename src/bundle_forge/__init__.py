@@ -50,7 +50,7 @@ from .bundles import (
     verify_axioms,
 )
 from .quadbench import (
-    NumericProjectorField,
+    KetField,
     SphereGrid,
     chern_number_quad,
     gauge_field,

@@ -148,11 +148,12 @@ class WeightedProjector:
         return self._field(angles=(theta, phi), derivatives=derivatives)
 
     def _field(self, *points, **grid):
-        """All entries in one `XPoly.evaluate` pass, as n x n matrices: the
-        scaling of M_jk to sqrt(w_j w_k) M_jk is a diagonal mix."""
+        """All entries in one `XPoly.evaluate` pass, as n x n matrices,
+        each M_jk scaled in place to sqrt(w_j w_k) M_jk."""
         n = self.dim
         first, *rest = (e for row in self.core for e in row)
-        values = first.evaluate(*points, also=rest, mix=np.diag(self.entry_roots()), **grid)
+        values = first.evaluate(*points, also=rest, **grid)
+        values *= self.entry_roots()
         return values.reshape(values.shape[:-1] + (n, n))
 
     def entry_roots(self) -> np.ndarray:
@@ -531,16 +532,15 @@ class PartialIsometry:
         return WeightedProjector(self.right_weights, core, "v+v")
 
 
-def _gauged_ket(k: EquivariantKet | None, s, weights: tuple) -> EquivariantKet | None:
-    """The ket of s p s^dagger, for s a signed permutation (`weights` the
-    permuted weights) or uniform weights: p_jk = conj(psi_j) psi_k, so the
-    components become conj(s) psi."""
+def _gauged_ket(k: EquivariantKet | None, s) -> EquivariantKet | None:
+    """The ket of s p s^dagger for an exact-unitary s and uniform weights:
+    p_jk = conj(psi_j) psi_k, so the components become conj(s) psi."""
     if k is None:
         return None
     polys = tuple(
         sum((q * e.conj() for e, q in zip(row, k.polys) if e), ZPoly.zero()) for row in s
     )
-    return EquivariantKet(weights, polys)
+    return EquivariantKet(k.weights, polys)
 
 
 def exact_gauge(p: WeightedProjector, s) -> tuple:
@@ -558,17 +558,22 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
     decoded = _signed_permutation(s)
     if decoded is not None:
         perm, signs = decoded
+
+        def signed(e, sign):
+            return e if sign > 0 else -e
+
         weights = tuple(p.weights[perm[j]] for j in range(n))
         core = tuple(
-            tuple(
-                p.core[perm[j]][perm[k]] * (signs[j] * signs[k])
-                for k in range(n)
-            )
+            tuple(signed(p.core[perm[j]][perm[k]], signs[j] * signs[k]) for k in range(n))
             for j in range(n)
         )
-        p_s = WeightedProjector(weights, core, f"{p.label}^s", _gauged_ket(p.ket, s, weights))
+        # s is real, so the gauged ket's components are sign_j psi_perm[j]
+        ket = None if p.ket is None else EquivariantKet(
+            weights, tuple(signed(p.ket.polys[perm[j]], signs[j]) for j in range(n))
+        )
+        p_s = WeightedProjector(weights, core, f"{p.label}^s", ket)
         v_core = tuple(
-            tuple(p.core[perm[j]][k] * signs[j] for k in range(n))
+            tuple(signed(p.core[perm[j]][k], signs[j]) for k in range(n))
             for j in range(n)
         )
         v = PartialIsometry(weights, v_core, p.weights)
@@ -585,7 +590,7 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
     ones = (1,) * n
     sM = weighted_matmul(s_poly, ones, p.core)
     core = weighted_matmul(sM, ones, dagger(s_poly))
-    p_s = WeightedProjector(p.weights, core, f"{p.label}^s", _gauged_ket(p.ket, s, p.weights))
+    p_s = WeightedProjector(p.weights, core, f"{p.label}^s", _gauged_ket(p.ket, s))
     v = PartialIsometry(p.weights, sM, p.weights)
     return p_s, v
 

@@ -180,7 +180,7 @@ def _cmd_gauge(args) -> int:
     except ValueError as exc:
         raise CliInputError(f"bad gauge matrix: {exc}") from exc
     grid = _parse_grid(args.grid)
-    c1 = chern_number_quad(field, grid, "finite-difference")
+    c1 = chern_number_quad(field, grid, "analytic")
     print(_charge_mapping_line(args.charge))
     print(f"condition(g) = {field.condition:.6g}")
     print(f"c1(quad, gauged) = {c1:.10f}")
@@ -326,7 +326,7 @@ def _suite_gauge(max_charge: int, seed: int, out) -> bool:
             if np.linalg.cond(g) < 10:
                 break
         field = gauge_field(k1, g)
-        c1 = chern_number_quad(field, grid, "finite-difference")
+        c1 = chern_number_quad(field, grid, "analytic")
         passed = abs(c1 - 1.0) < 1e-4
         ok &= passed
         out(f"gauge random g trial {trial}: c1 = {c1:.8f} "

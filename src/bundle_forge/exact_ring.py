@@ -260,7 +260,7 @@ class _BasePoly:
         """Values of the ring variables from the arguments of `evaluate`."""
         return coords
 
-    def _evaluate(self, coords: tuple, also, angles=None, derivatives=False, mix=None):
+    def _evaluate(self, coords: tuple, also, angles=None, derivatives=False):
         """The body of the rings' `evaluate`.  The benchmark's tracer times
         numeric evaluation by wrapping `XPoly.evaluate` and `ZPoly.evaluate`,
         so every caller in the package evaluates through them."""
@@ -268,12 +268,12 @@ class _BasePoly:
         if angles is None:
             if derivatives:
                 raise ValueError("derivatives are taken on a grid of angles only")
-            values = evaluate_polys(polys, coords, mix)
+            values = evaluate_polys(polys, coords)
         else:
             if coords:
                 raise TypeError("give points or angles, not both")
-            values = evaluate_grid(polys, *angles, derivatives, mix)
-        return values if also is not None or mix is not None else values[..., 0]
+            values = evaluate_grid(polys, *angles, derivatives)
+        return values if also is not None else values[..., 0]
 
     @classmethod
     def zero(cls):
@@ -466,7 +466,7 @@ class XPoly(_BasePoly):
     def conj(self) -> "XPoly":
         return XPoly._from_integers(self.den, self.re, {k: -v for k, v in self.im.items()})
 
-    def evaluate(self, *points, also=None, angles=None, derivatives=False, mix=None):
+    def evaluate(self, *points, also=None, angles=None, derivatives=False):
         """Values at the points (x1, x2, x3), scalars or arrays broadcasting
         to one shape S: an array of shape S.  Given `also` (more polynomials
         of the ring, possibly none), all of them in one pass instead, with a
@@ -476,15 +476,10 @@ class XPoly(_BasePoly):
         (P, 1) and phi of shape (1, A), the values on that product grid of
         the chart x = (sin t cos f, sin t sin f, cos t), shape (P, A); with
         `derivatives`, a leading axis of three holds the values, d/dtheta
-        and d/dphi: `evaluate_grid`.
-
-        Given `mix`, a complex matrix of shape (polynomials, m), the last
-        axis runs over the m linear combinations (self, *also) . mix
-        instead; the mix is applied to the coefficients, before any point
-        is evaluated."""
+        and d/dphi: `evaluate_grid`."""
         if angles is None and len(points) != 3:
             raise TypeError(f"XPoly.evaluate takes the points x1, x2, x3, got {len(points)}")
-        return self._evaluate(points, also, angles, derivatives, mix)
+        return self._evaluate(points, also, angles, derivatives)
 
 
 class ZPoly(_BasePoly):
@@ -540,11 +535,10 @@ class ZPoly(_BasePoly):
 EVAL_BLOCK = 1 << 12
 
 
-def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int, mix=None) -> tuple:
+def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int) -> tuple:
     """(exponents, C): the union of the monomials of `polys` as a
     (monomials, nvars) integer array, and the complex coefficient matrix C
-    of shape (monomials, polynomials), read from the stored integers; given
-    `mix` of shape (polynomials, m), C . mix of shape (monomials, m)."""
+    of shape (monomials, polynomials), read from the stored integers."""
     rows: dict = {}
     for p in polys:
         for key in itertools.chain(p.re, p.im):
@@ -555,8 +549,6 @@ def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int, mix=None) -> tup
         for part, numerators in ((coeffs.real, p.re), (coeffs.imag, p.im)):
             for key, v in numerators.items():
                 part[rows[key], col] = v / p.den
-    if mix is not None:
-        coeffs = coeffs @ np.asarray(mix, dtype=complex)
     return exponents.reshape(len(rows), nvars), coeffs
 
 
@@ -579,19 +571,19 @@ def _matmul_into(out: np.ndarray, left: np.ndarray, coeffs: np.ndarray) -> None:
         np.matmul(left, coeffs.view(float), out=out.view(float))
 
 
-def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple, mix=None) -> np.ndarray:
+def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     """Numeric values of polynomials of one ring at an array of points.
 
     `coords` are the arguments of the ring's `evaluate` (x1, x2, x3 or
     z0, z1): scalars or arrays broadcasting to one shape S.  Returns a
-    complex array of shape S + (len(polys),), or S + (m,) for the linear
-    combinations polys . mix given `mix` of shape (len(polys), m).
+    complex array of shape S + (len(polys),).
 
     The polynomials share one coefficient matrix C (monomials x polynomials).
-    Per block of EVAL_BLOCK points each variable's powers are built once by
-    repeated multiplication, the monomial basis V is their product and the
-    values are V.C.  Callers in the package reach it through the rings'
-    `evaluate` (see `_BasePoly._evaluate`).
+    Per block of EVAL_BLOCK points the powers of each variable that occurs
+    in some monomial are built once by repeated multiplication, the
+    monomial basis V is their product and the values are V.C.  Callers in
+    the package reach it through the rings' `evaluate` (see
+    `_BasePoly._evaluate`).
     """
     if len({type(p) for p in polys}) > 1:
         raise TypeError("evaluate_polys takes polynomials of one ring")
@@ -599,29 +591,30 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple, mix=None) -> np.nd
     arrays = np.broadcast_arrays(*ring._variables(*coords))
     shape = arrays[0].shape
     dtype = np.result_type(float, *arrays)
-    flat = [np.asarray(a, dtype=dtype).reshape(-1) for a in arrays]
-    exponents, coeffs = _coefficient_matrix(polys, len(flat), mix)
-    size = flat[0].size
+    exponents, coeffs = _coefficient_matrix(polys, len(arrays))
+    # a variable of exponent 0 in every monomial has an all-ones power table
+    used = [(np.asarray(a, dtype=dtype).reshape(-1), e)
+            for a, e in zip(arrays, exponents.T) if e.any()]
+    size = math.prod(shape)
     out = np.empty((size, coeffs.shape[1]), dtype=complex)
     for lo in range(0, size, EVAL_BLOCK):
         block = slice(lo, min(lo + EVAL_BLOCK, size))
         # the transposed basis, one row per monomial
-        basis = functools.reduce(np.multiply, (
-            _power_table(x[block], int(e.max(initial=0)))[e] for x, e in zip(flat, exponents.T)
-        ))
+        basis = functools.reduce(np.multiply, [
+            _power_table(x[block], int(e.max()))[e] for x, e in used
+        ] or [np.ones((len(exponents), block.stop - lo))])
         _matmul_into(out[block], basis.T, coeffs)
     return out.reshape(shape + (coeffs.shape[1],))
 
 
 def evaluate_grid(
-    polys: Sequence[XPoly], theta, phi, derivatives: bool = False, mix=None
+    polys: Sequence[XPoly], theta, phi, derivatives: bool = False
 ) -> np.ndarray:
     """Numeric values of XPolys on the product grid of polar angles theta,
     shape (P, 1), and azimuths phi, shape (1, A), in the chart
     x = (sin t cos f, sin t sin f, cos t).  Returns a complex array of shape
     (P, A, len(polys)), or with `derivatives` of shape (3, P, A, len(polys))
-    holding the values, d/dtheta and d/dphi.  Given `mix` of shape
-    (len(polys), m), the last axis holds the m combinations polys . mix.
+    holding the values, d/dtheta and d/dphi.
 
     Sum factorization: a monomial is x1^a x2^b x3^c =
     (sin^(a+b) t cos^c t) (cos^a f sin^b f), and a canonical XPoly has
@@ -635,7 +628,7 @@ def evaluate_grid(
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 1 or phi.ndim != 2 or phi.shape[0] != 1:
         raise ValueError("grid angles must be theta of shape (P, 1) and phi of shape (1, A)")
-    exponents, coeffs = _coefficient_matrix(polys, 3, mix)
+    exponents, coeffs = _coefficient_matrix(polys, 3)
     pairs, pair_of = np.unique(exponents[:, :2], axis=0, return_inverse=True)
     a, b = pairs.reshape(-1, 2).T
     s = a + b

@@ -2,14 +2,15 @@
 
 Chern numbers by Gauss-Legendre x trapezoid quadrature in the chart
 x = (sin(t)cos(f), sin(t)sin(f), cos(t)), by one of two routes chosen from
-the input: a projector p = |psi><psi| with <psi|psi> = 1 integrates its
-curvature density from the n components of psi on a Hopf section over the
-chart, in O(n) per node; every other projector or projector field from its
-n x n entries and their pointwise products.  Also a Monte-Carlo oracle for the
-exact monomial integrals, and exact checks of the identities that hold
-modulo the sphere ideal (r, dr): a form is contracted in the ring with
-polynomial vector fields that span every tangent space, the SU(2) frame
-iz, xi, J xi on S^3 and the rotation fields V_l = e_l x x on S^2.
+the input: a field of kets u (a projector p = |psi><psi| with
+<psi|psi> = 1 on a Hopf section over the chart, or its gauge move by g,
+g times that) integrates the curvature of u u+ / <u|u> in O(n) per node;
+every other projector its n x n entries and their pointwise products.  Also
+a Monte-Carlo oracle for the exact monomial integrals, and exact checks of
+the identities that hold modulo the sphere ideal (r, dr): a form is
+contracted in the ring with polynomial vector fields that span every
+tangent space, the SU(2) frame iz, xi, J xi on S^3 and the rotation fields
+V_l = e_l x x on S^2.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bundles import WeightedProjector, projector_from_ket, unit_ket
-from .exact_ring import XPoly
+from .bundles import WeightedProjector, unit_ket
+from .exact_ring import XPoly, ZPoly
 from .forms import S3_FRAME, XForm, ZForm
-from .kets import EquivariantKet, named_real_objects
+from .kets import EquivariantKet, named_real_objects, pairing
 
 
 class QuadratureError(RuntimeError):
@@ -81,12 +82,15 @@ class SphereGrid:
 
 
 @dataclass(frozen=True)
-class NumericProjectorField:
-    """A pointwise projector evaluator on S^2 with float entries."""
+class KetField:
+    """The projector field u u+ / <u|u> of kets u on S^2: `evaluator(theta,
+    phi, derivatives=False)` maps theta (P, 1), phi (1, A) to u, shape
+    (P, A, n), or to (u, du/dtheta, du/dphi); (lo, hi) = `norm_bounds`
+    bound <u|u>; `condition` is that of the gauge matrix applied."""
 
     n: int
-    evaluator: Callable  # theta (P, 1), phi (1, A) -> (P, A, n, n) complex
-    source: str  # "polynomial" | "gauge-transformed"
+    evaluator: Callable
+    norm_bounds: tuple = (1.0, 1.0)
     condition: float = 1.0
 
 
@@ -118,8 +122,8 @@ def _matmul_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-# Largest pointwise defect accepted: |P^2 - P| on the matrix route,
-# |<w|w> - 1| on the rank-one route, where P^2 - P = (<w|w> - 1) P.
+# Largest pointwise defect accepted: |P^2 - P| on the matrix route, the
+# relative excursion of <u|u> past the norm bounds on the rank-one route.
 IDEMPOTENCY_TOL = 1e-10
 DERIVATIVE_MODES = ("analytic", "finite-difference")
 
@@ -193,28 +197,29 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
     return tuple(np.conjugate(f) * roots for f in (psi, d_theta, d_phi))
 
 
-def _rank_one_density(ket: EquivariantKet, theta, phi, derivative: str) -> np.ndarray:
-    """tr(P [dP/dtheta, dP/dphi]) on the product grid for P = w w+, w the
-    Hopf-section ket of `_hopf_ket`, in O(n) per node.  P is hermitian by
-    construction and P^2 - P = (<w|w> - 1) P, so the pointwise check is
-    |<w|w> - 1|.  With <w|w> = 1 the density is
-    <w_t|w_f> - <w_f|w_t> - (<w_t|w><w|w_f> - <w_f|w><w|w_t>); the bracket
-    is A_t A_f - A_f A_t = 0 for the scalar connection A = <w|dw>, as on the
-    exact Hopf route, which leaves 2i Im <w_t|w_f>.  The density does not
-    change under w -> e^(i a) w, so it is the same function of
-    (theta, phi) as the matrix route's.  It is purely imaginary by
-    construction: the imaginary-part check of `chern_number_quad` reads 0
-    here."""
+def _rank_one_density(field: KetField, theta, phi, derivative: str) -> np.ndarray:
+    """tr(P [dP/dtheta, dP/dphi]) on the product grid for P = u u+ / N,
+    N = <u|u>, in O(n) per node.  P is hermitian and idempotent by
+    construction, so the pointwise check is N within the norm bounds.  The
+    density is Berry's gauge-invariant curvature of the unnormalised u,
+    2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> / N^2), whose second term is real
+    for a unit ket, as on the exact Hopf route; it does not change under
+    u -> c u, so it is the matrix route's density.  It is purely imaginary:
+    the imaginary-part check of `chern_number_quad` reads 0 here."""
     if derivative == "analytic":
-        w, w_t, w_f = _hopf_ket(ket, theta, phi, derivatives=True)
+        u, u_t, u_f = field.evaluator(theta, phi, derivatives=True)
     else:
-        w, w_t, w_f = _fd_derivatives(functools.partial(_hopf_ket, ket), theta, phi)
-    defect = np.max(np.abs(np.einsum("...j,...j->...", np.conj(w), w) - 1.0))
-    if defect >= IDEMPOTENCY_TOL:
+        u, u_t, u_f = _fd_derivatives(field.evaluator, theta, phi)
+    dot = functools.partial(np.einsum, "...j,...j->...")
+    u_conj, t_conj = np.conj(u), np.conj(u_t)
+    norm = dot(u_conj, u).real
+    lo, hi = field.norm_bounds
+    if not np.all((lo * (1 - IDEMPOTENCY_TOL) < norm) & (norm < hi * (1 + IDEMPOTENCY_TOL))):
         raise QuadratureError(
-            f"pointwise norm defect |<w|w> - 1| {defect:.3e} >= {IDEMPOTENCY_TOL:g}"
+            f"pointwise norm defect: <u|u> in [{np.min(norm):.12g}, {np.max(norm):.12g}], "
+            f"bounds [{lo:.12g}, {hi:.12g}] to within {IDEMPOTENCY_TOL:g}"
         )
-    return 2j * np.imag(np.einsum("...j,...j->...", np.conj(w_t), w_f))
+    return 2j * np.imag(dot(t_conj, u_f) / norm - dot(t_conj, u) * dot(u_conj, u_f) / norm**2)
 
 
 def _matrix_density(P, Pt, Pf) -> np.ndarray:
@@ -231,32 +236,27 @@ def chern_number_quad(
 ) -> float:
     """-(1/2*pi*i) * sum of weights * tr(P [dP/dtheta, dP/dphi]) / sin(theta).
 
-    `p` is a WeightedProjector (analytic or finite-difference derivatives)
-    or a NumericProjectorField (finite differences only).  A projector
-    p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) takes the
-    rank-one route, `_rank_one_density`, on the n components of psi; every
-    other input takes the matrix route on the n x n field.
+    `p` is a KetField or a WeightedProjector.  A KetField, and a projector
+    p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) as the KetField
+    of its Hopf-section ket, take the rank-one route, `_rank_one_density`;
+    every other projector takes the matrix route on the n x n field.
     """
     if grid is None:
         grid = SphereGrid.build()
     theta, phi = grid.axes()
 
-    if isinstance(p, WeightedProjector):
-        if derivative not in DERIVATIVE_MODES:
-            raise ValueError(f"unknown derivative mode {derivative!r}")
-        ket = unit_ket(p)
-        if ket is not None:
-            density = _rank_one_density(ket, theta, phi, derivative)
-        elif derivative == "analytic":
-            density = _matrix_density(*p.evaluate_grid(theta, phi, derivatives=True))
-        else:
-            density = _matrix_density(*_fd_derivatives(p.evaluate_grid, theta, phi))
-    elif isinstance(p, NumericProjectorField):
-        if derivative == "analytic":
-            raise ValueError("numeric projector fields support only finite differences")
-        density = _matrix_density(*_fd_derivatives(p.evaluator, theta, phi))
-    else:
+    if isinstance(p, WeightedProjector) and (ket := unit_ket(p)) is not None:
+        p = KetField(p.dim, functools.partial(_hopf_ket, ket))
+    if not isinstance(p, (KetField, WeightedProjector)):
         raise TypeError(f"unsupported projector type {type(p).__name__}")
+    if derivative not in DERIVATIVE_MODES:
+        raise ValueError(f"unknown derivative mode {derivative!r}")
+    if isinstance(p, KetField):
+        density = _rank_one_density(p, theta, phi, derivative)
+    elif derivative == "analytic":
+        density = _matrix_density(*p.evaluate_grid(theta, phi, derivatives=True))
+    else:
+        density = _matrix_density(*_fd_derivatives(p.evaluate_grid, theta, phi))
 
     st = np.sin(theta)
     weights = grid.dvol_weights()
@@ -269,33 +269,30 @@ def chern_number_quad(
     return float(c1.real) + 0.0  # turns -0.0 into 0.0
 
 
-def gauge_field(k: EquivariantKet, g: np.ndarray) -> NumericProjectorField:
-    """Pointwise evaluator for p^g = <psi|g+g|psi>^{-1} g p g+."""
+def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
+    """The field of p^g = g p g+ / tr(g+ g p) for p = |psi><psi| with
+    <psi|psi> = 1, as the kets u = g w, w the Hopf-section ket of
+    `_hopf_ket`: g p g+ = u u+ and tr(g+ g p) = <u|u>, which lies between
+    the squares of the least and the largest singular value of g."""
     g = np.asarray(g, dtype=complex)
     n = len(k)
     if g.shape != (n, n):
         raise ValueError(f"gauge matrix must be {n}x{n}")
-    cond = float(np.linalg.cond(g))
-    if not np.isfinite(cond) or cond > 1e12:
+    # non-finite entries count as singular
+    sigma = np.linalg.svd(g, compute_uv=False) if np.isfinite(g).all() else np.zeros(n)
+    cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else math.inf
+    if cond > 1e12:
         raise ValueError("gauge matrix is singular or near-singular")
-    base = projector_from_ket(k)
-    first, *rest = (e for row in base.core for e in row)
-    # On the n^2 flattened entries of P, P -> g P g+ is the matrix g (x) conj(g)
-    # and P -> tr(g+g P) the row vec((g+g)^T); P is the core entries scaled
-    # by sqrt(w_j w_k).  Folded into the coefficients, one evaluation gives
-    # the numerators and the denominator.
-    gdg = np.conj(g.T) @ g
-    mix = np.concatenate([np.kron(g, np.conj(g)).T, gdg.T.reshape(n * n, 1)], axis=1)
-    mix *= base.entry_roots()[:, None]
+    # the norm bounds of the result hold for a unit ket only
+    if pairing(k, k) != ZPoly.one():
+        raise ValueError("the ket must satisfy <psi|psi> = 1")
+    g_t = g.T
 
-    def evaluator(theta, phi):
-        mixed = first.evaluate(angles=(theta, phi), also=rest, mix=mix)
-        # tr(g+g P) is real (g+g and P hermitian): one real reciprocal per
-        # point, then a multiply, instead of a complex division per entry
-        out = mixed[..., :-1] * (1.0 / mixed[..., -1:].real)
-        return out.reshape(mixed.shape[:-1] + (n, n))
+    def evaluator(theta, phi, derivatives=False):
+        w = _hopf_ket(k, theta, phi, derivatives)
+        return tuple(f @ g_t for f in w) if derivatives else w @ g_t
 
-    return NumericProjectorField(n, evaluator, "gauge-transformed", cond)
+    return KetField(n, evaluator, (float(sigma[-1]) ** 2, float(sigma[0]) ** 2), cond)
 
 
 MC_MIN_SAMPLES = 10_000

@@ -636,35 +636,30 @@ class TestEvaluatePolys:
             fd = (ahead - behind) / (2.0 * h)
             assert np.all(np.abs(got[k] - fd) <= 1e-7 * scale)
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        st.lists(_wide_xpoly, min_size=1, max_size=4),
-        st.integers(1, 3),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_mix_combines_the_outputs(self, polys, m, seed):
-        """evaluate(..., mix=M) is evaluate(...) @ M on the grid (values
-        alone, and values with d/dtheta and d/dphi) and at scattered points,
-        to 1e-12 of a bound
-        on |outputs| @ |M|: the summed coefficient sizes, times the entry
-        degree (at most 15) for the derivatives."""
-        rng = np.random.default_rng(seed)
-        mix = rng.normal(size=(len(polys), m)) + 1j * rng.normal(size=(len(polys), m))
-        theta = rng.uniform(0.0, math.pi, (3, 1))
-        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 4))
-        bounds = [XPoly({e: abs(c.re) + abs(c.im) for e, c in p.terms.items()}) for p in polys]
-        scale = 16.0 * evaluate_polys(bounds, (1.0, 1.0, 1.0)).real @ np.abs(mix)
-        first, rest = polys[0], polys[1:]
-        for points, grid in (((), {"angles": (theta, phi), "derivatives": True}),
-                             ((), {"angles": (theta, phi)}),
-                             (chart(theta, phi), {})):
-            plain = first.evaluate(*points, also=rest, **grid)
-            mixed = first.evaluate(*points, also=rest, mix=mix, **grid)
-            assert mixed.shape == plain.shape[:-1] + (m,)
-            assert np.all(np.abs(mixed - plain @ mix) <= 1e-12 * scale)
-        # without `also` the last axis runs over the mix's columns as well
-        alone = first.evaluate(angles=(theta, phi), mix=mix[:1])
-        assert alone.shape == (3, 4, m)
+    def test_power_tables_only_for_occurring_variables(self, monkeypatch):
+        """A holomorphic ket builds the power tables of z0 and z1 only, a
+        constant none, and both still match the per-term reference."""
+        from bundle_forge import exact_ring
+
+        tables = []
+
+        def counted(x, top):
+            tables.append(top)
+            return power_table(x, top)
+
+        power_table = exact_ring._power_table
+        monkeypatch.setattr(exact_ring, "_power_table", counted)
+        rng = np.random.default_rng(3)
+        z = tuple(rng.uniform(-1, 1, (3, 5)) + 1j * rng.uniform(-1, 1, (3, 5)) for _ in range(2))
+        variables = z + tuple(np.conjugate(x) for x in z)
+        for polys, used in ((list(monopole_ket("minus", 4).polys), 2), ([ZPoly.one()], 0)):
+            del tables[:]
+            values = polys[0].evaluate(*z, also=polys[1:])
+            assert len(tables) == used
+            assert values.shape == (3, 5, len(polys))
+            for col, p in enumerate(polys):
+                want, size = _naive_evaluate(p, variables)
+                assert np.all(np.abs(values[..., col] - want) <= 1e-12 * size)
 
     def test_rejects_mixed_rings(self):
         with pytest.raises(TypeError):

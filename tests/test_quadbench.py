@@ -41,13 +41,14 @@ from bundle_forge.quadbench import (
     ENTRYWISE_MAX_DIM,
     FD_STEP,
     MAX_GRID_AXIS,
-    NumericProjectorField,
+    KetField,
     QuadratureError,
     SphereGrid,
     chern_number_quad,
     _fd_derivatives,
     _hopf_ket,
     _matmul_points,
+    _matrix_density,
     _rank_one_density,
     gauge_field,
     monte_carlo_integral,
@@ -136,7 +137,9 @@ class TestChernQuad:
             chern_number_quad(p, derivative="symbolic")
         field = gauge_field(monopole_ket("minus", 1), np.eye(2))
         with pytest.raises(ValueError):
-            chern_number_quad(field, derivative="analytic")
+            chern_number_quad(field, derivative="symbolic")
+        # analytic derivatives serve gauge fields as well
+        assert abs(chern_number_quad(field, derivative="analytic") - 1.0) < 1e-9
 
 
 @functools.lru_cache(maxsize=None)
@@ -174,6 +177,11 @@ class TestAnalyticDerivatives:
 def _matrix_route(p):
     """p without its ket, which chern_number_quad serves by the matrix route."""
     return dataclasses.replace(p, ket=None)
+
+
+def _ket_field(k: EquivariantKet) -> KetField:
+    """The Hopf-section ket field of k, as chern_number_quad builds it."""
+    return KetField(len(k), functools.partial(_hopf_ket, k))
 
 
 CHARGES = [c for n in range(1, MAX_CHARGE + 1) for c in (n, -n)]
@@ -255,8 +263,8 @@ class TestRankOneRoute:
         theta, phi = SphereGrid.build(8, 8).axes()
         for derivative in DERIVATIVE_MODES:
             with pytest.raises(QuadratureError, match="norm defect"):
-                _rank_one_density(scaled, theta, phi, derivative)
-            assert np.all(np.isfinite(_rank_one_density(k, theta, phi, derivative)))
+                _rank_one_density(_ket_field(scaled), theta, phi, derivative)
+            assert np.all(np.isfinite(_rank_one_density(_ket_field(k), theta, phi, derivative)))
 
     def test_ket_with_other_pairing_takes_the_matrix_route(self):
         # <psi|psi> = 1 + 1e-9: the matrix route's idempotency check fires
@@ -304,10 +312,10 @@ class TestFiniteDifferences:
         rng = np.random.default_rng(11)
         k = monopole_ket("minus", 2)
         if kind == "projector":
-            evaluator = projector_from_ket(k).evaluate_grid
+            evaluator, trailing = projector_from_ket(k).evaluate_grid, (3, 3)
         else:
             g = np.eye(3) + 0.3 * rng.normal(size=(3, 3)) + 0.3j * rng.normal(size=(3, 3))
-            evaluator = gauge_field(k, g).evaluator
+            evaluator, trailing = gauge_field(k, g).evaluator, (3,)
         theta = rng.uniform(0.1, math.pi - 0.1, (5, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
         calls = []
@@ -323,7 +331,7 @@ class TestFiniteDifferences:
         want_f = (evaluator(theta, phi + h) - evaluator(theta, phi - h)) / (2.0 * h)
         assert np.array_equal(P, evaluator(theta, phi))
         for got, want in ((Pt, want_t), (Pf, want_f)):
-            assert got.shape == want.shape == (5, 7, 3, 3)
+            assert got.shape == want.shape == (5, 7) + trailing
             # the derivatives own their memory: no view keeps a stacked output alive
             assert got.base is None
             assert np.max(np.abs(got - want)) < 1e-16 / (2.0 * h) * 10
@@ -343,6 +351,23 @@ class TestFiniteDifferences:
         assert np.max(np.abs(w_f - want_f)) < 1e-8
 
 
+def _projector_of(u: np.ndarray) -> np.ndarray:
+    """u u+ / <u|u> pointwise, for kets u of shape (..., n)."""
+    norm = np.einsum("...j,...j->...", np.conj(u), u)
+    return np.einsum("...j,...k->...jk", u, np.conj(u)) / norm[..., None, None]
+
+
+def _einsum_gauge(k: EquivariantKet, g: np.ndarray):
+    """The reference field g P g+ / tr(g+ g P) from the dense field P."""
+
+    def evaluator(theta, phi):
+        P = projector_from_ket(k).evaluate(*chart(theta, phi))
+        norm = np.einsum("jk,...kj->...", np.conj(g.T) @ g, P)
+        return np.einsum("jl,...lm,km->...jk", g, P, np.conj(g)) / norm[..., None, None]
+
+    return evaluator
+
+
 class TestGaugeField:
     def test_identity_gauge_matches_base(self):
         k = monopole_ket("minus", 2)
@@ -352,7 +377,7 @@ class TestGaugeField:
         base = projector_from_ket(k)
         st = np.sin(theta)
         P0 = base.evaluate(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
-        assert np.max(np.abs(field.evaluator(theta, phi) - P0)) < 1e-12
+        assert np.max(np.abs(_projector_of(field.evaluator(theta, phi)) - P0)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_einsum_reference(self, n):
@@ -361,12 +386,53 @@ class TestGaugeField:
         g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         theta = rng.uniform(0.0, math.pi, (7, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 9))
-        P = projector_from_ket(k).evaluate(*chart(theta, phi))
-        norm = np.einsum("jk,...kj->...", np.conj(g.T) @ g, P)
-        want = np.einsum("jl,...lm,km->...jk", g, P, np.conj(g)) / norm[..., None, None]
-        got = gauge_field(k, g).evaluator(theta, phi)
+        want = _einsum_gauge(k, g)(theta, phi)
+        u = gauge_field(k, g).evaluator(theta, phi)
+        assert u.shape == (7, 9, n)
+        got = _projector_of(u)
         assert got.shape == want.shape == (7, 9, n, n)
         assert np.max(np.abs(got - want)) < 1e-13
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rank_one_density_matches_the_matrix_density(self, n):
+        """On a grid off the nodes the gauged ket's density against the
+        matrix route's on the einsum reference field, whose derivatives
+        are central differences: within their error, FD_STEP^2 times a
+        third derivative, plus the rounding magnified by 1/FD_STEP."""
+        rng = np.random.default_rng(20 + n)
+        k = monopole_ket("minus", n - 1)
+        g = np.eye(n) + 0.4 * rng.normal(size=(n, n)) + 0.4j * rng.normal(size=(n, n))
+        theta = rng.uniform(0.1, math.pi - 0.1, (6, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 8))
+        reference = _einsum_gauge(k, g)
+        want = _matrix_density(*_fd_derivatives(reference, theta, phi))
+        got = _rank_one_density(gauge_field(k, g), theta, phi, "analytic")
+        assert got.shape == want.shape == (6, 8)
+        assert np.max(np.abs(got - want)) < 1e-7
+
+    @pytest.mark.parametrize("charge", [1, 3, 8, 16])
+    def test_random_gauges_keep_the_charge(self, charge):
+        """Analytic and finite-difference c1 of random-g gauge fields agree
+        and lie within 1e-6 of the charge on the default 64x128 grid."""
+        rng = np.random.default_rng(charge)
+        k = monopole_ket("minus", charge)
+        n = len(k)
+        grid = SphereGrid.build()
+        for _ in range(2):
+            g = np.eye(n) + 0.3 * rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n))
+            field = gauge_field(k, g)
+            analytic = chern_number_quad(field, grid, "analytic")
+            fd = chern_number_quad(field, grid, "finite-difference")
+            assert abs(analytic - fd) < 1e-6
+            assert abs(analytic - charge) < 1e-6 and abs(fd - charge) < 1e-6
+
+    def test_non_unit_ket_rejected(self):
+        # the (1 + 1e-9)-scaled ket of test_norm_defect_raises
+        k = monopole_ket("minus", 3)
+        scale = Fraction(10**9 + 1, 10**9)
+        scaled = EquivariantKet(tuple(w * scale for w in k.weights), k.polys)
+        with pytest.raises(ValueError, match="<psi|psi> = 1"):
+            gauge_field(scaled, np.eye(4))
 
     def test_diagonal_gauge_keeps_charge(self):
         field = gauge_field(monopole_ket("minus", 1), np.diag([2.0, 1.0]))
@@ -504,9 +570,10 @@ class TestEvaluationEntersThroughRings:
         p = projector_from_ket(monopole_ket("minus", 1))
         tangent = tangent_projector()
         grid = SphereGrid.build(8, 8)
+        # a gauge field is a ket field: the rank-one route as well
         field = gauge_field(monopole_ket("minus", 1), np.eye(2))
         for derivative in DERIVATIVE_MODES:
             assert count(ZPoly, lambda: chern_number_quad(p, grid, derivative)) > 0
             assert count(XPoly, lambda: chern_number_quad(tangent, grid, derivative)) > 0
-        assert count(XPoly, lambda: chern_number_quad(field, grid, "finite-difference")) > 0
+            assert count(ZPoly, lambda: chern_number_quad(field, grid, derivative)) > 0
         assert count(XPoly, lambda: monte_carlo_stderr(XPoly.one(), 10_000, 0)) > 0
