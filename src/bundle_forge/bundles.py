@@ -13,6 +13,7 @@ the Hopf lift to S^3.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -59,18 +60,42 @@ class UnsupportedGaugeError(ValueError):
     """The gauge matrix does not preserve the factored representation."""
 
 
-@dataclass(frozen=True)
+def _core_on_first_read(obj) -> tuple:
+    """`obj.source` when it is the core, else the core its function returns."""
+    return obj.source() if callable(obj.source) else obj.source
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedProjector:
     """p = D M D with D = diag(sqrt(weights)) and hermitian core M.
+
+    `source` is the core M, a tuple of rows of XPoly, or a function of no
+    arguments that returns it; `core` calls that function on its first read
+    and keeps the result for the life of this projector.  The ket routes
+    never read it; the readers are `to_json`, `dense`/`entry`, `trace`, the
+    plain axioms, `real_form`, the x-route and the matrix quadrature.
+    Equality and hash compare (weights, core, label) by value.
 
     `ket`, when set, is the equivariant ket psi with p = |psi><psi|: its
     weights are `weights` and projector_from_ket(ket) has this core.  Only
     the constructors that know this set it."""
 
     weights: tuple
-    core: tuple  # tuple of rows of XPoly
+    source: object = field(repr=False)
     label: str = "p"
-    ket: EquivariantKet | None = field(default=None, compare=False, repr=False)
+    ket: EquivariantKet | None = field(default=None, repr=False)
+
+    core = functools.cached_property(_core_on_first_read)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weights, self.label) == (other.weights, other.label) and (
+            self.core == other.core
+        )
+
+    def __hash__(self):
+        return hash((self.weights, self.core, self.label))
 
     @property
     def dim(self) -> int:
@@ -174,16 +199,22 @@ def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:
 def projector_from_ket(k: EquivariantKet, label: str | None = None) -> WeightedProjector:
     """p = |psi><psi| in factored form: M_jk = z_to_x(conj(poly_j) poly_k).
 
-    Only j <= k is converted: z_to_x commutes with conjugation, so
-    M_kj = conj(M_jk)."""
+    The core is converted on its first read, not here: the ket routes of
+    the axioms and of both Chern numbers read only psi.  Only j <= k is
+    converted: z_to_x commutes with conjugation, so M_kj = conj(M_jk)."""
     n = len(k)
-    upper = {
-        (j, kk): z_to_x(k.polys[j].conj() * k.polys[kk]) for j in range(n) for kk in range(j, n)
-    }
-    core = tuple(
-        tuple(upper[j, kk] if j <= kk else upper[kk, j].conj() for kk in range(n))
-        for j in range(n)
-    )
+
+    def core():
+        upper = {
+            (j, kk): z_to_x(k.polys[j].conj() * k.polys[kk])
+            for j in range(n)
+            for kk in range(j, n)
+        }
+        return tuple(
+            tuple(upper[j, kk] if j <= kk else upper[kk, j].conj() for kk in range(n))
+            for j in range(n)
+        )
+
     return WeightedProjector(tuple(k.weights), core, label or "p", k)
 
 
@@ -266,9 +297,10 @@ def verify_axioms(p: WeightedProjector) -> AxiomReport:
 
 def transpose(p: WeightedProjector) -> WeightedProjector:
     """p^t, which for p = |psi><psi| is the projector of the conjugate ket."""
-    core = tuple(
-        tuple(p.core[k][j] for k in range(p.dim)) for j in range(p.dim)
-    )
+
+    def core():
+        return tuple(tuple(p.core[k][j] for k in range(p.dim)) for j in range(p.dim))
+
     ket = None
     if p.ket is not None:
         ket = EquivariantKet(p.ket.weights, tuple(q.conj() for q in p.ket.polys))
@@ -513,13 +545,18 @@ def _is_exact_unitary(s) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PartialIsometry:
-    """v = D_L C D_R with diagonal radical factors on both sides."""
+    """v = D_L C D_R with diagonal radical factors on both sides.
+
+    `source` is the core C or a function of no arguments that returns it,
+    read on first use of `core` as in `WeightedProjector`."""
 
     left_weights: tuple
-    core: tuple
+    source: object = field(repr=False)
     right_weights: tuple
+
+    core = functools.cached_property(_core_on_first_read)
 
     def times_dagger(self) -> WeightedProjector:
         """v v^dagger as a weighted projector candidate."""
@@ -563,21 +600,25 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
             return e if sign > 0 else -e
 
         weights = tuple(p.weights[perm[j]] for j in range(n))
-        core = tuple(
-            tuple(signed(p.core[perm[j]][perm[k]], signs[j] * signs[k]) for k in range(n))
-            for j in range(n)
-        )
+
+        def core():
+            return tuple(
+                tuple(signed(p.core[perm[j]][perm[k]], signs[j] * signs[k]) for k in range(n))
+                for j in range(n)
+            )
+
+        def v_core():
+            return tuple(
+                tuple(signed(p.core[perm[j]][k], signs[j]) for k in range(n))
+                for j in range(n)
+            )
+
         # s is real, so the gauged ket's components are sign_j psi_perm[j]
         ket = None if p.ket is None else EquivariantKet(
             weights, tuple(signed(p.ket.polys[perm[j]], signs[j]) for j in range(n))
         )
         p_s = WeightedProjector(weights, core, f"{p.label}^s", ket)
-        v_core = tuple(
-            tuple(signed(p.core[perm[j]][k], signs[j]) for k in range(n))
-            for j in range(n)
-        )
-        v = PartialIsometry(weights, v_core, p.weights)
-        return p_s, v
+        return p_s, PartialIsometry(weights, v_core, p.weights)
     if len(set(p.weights)) != 1:
         raise UnsupportedGaugeError(
             "non-permutation gauges require uniform projector weights"
@@ -588,10 +629,13 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
     # become constant XPolys so that the kernel always multiplies XPolys
     s_poly = tuple(tuple(XPoly.constant(e) for e in row) for row in s)
     ones = (1,) * n
-    sM = weighted_matmul(s_poly, ones, p.core)
-    core = weighted_matmul(sM, ones, dagger(s_poly))
-    p_s = WeightedProjector(p.weights, core, f"{p.label}^s", _gauged_ket(p.ket, s))
-    v = PartialIsometry(p.weights, sM, p.weights)
+    v = PartialIsometry(p.weights, lambda: weighted_matmul(s_poly, ones, p.core), p.weights)
+    p_s = WeightedProjector(
+        p.weights,
+        lambda: weighted_matmul(v.core, ones, dagger(s_poly)),
+        f"{p.label}^s",
+        _gauged_ket(p.ket, s),
+    )
     return p_s, v
 
 

@@ -167,14 +167,13 @@ def _fd_derivatives(evaluator: Callable, theta, phi):
     return P, Pt, Pf
 
 
-def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
-    """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section
-    sigma(theta, phi) = (cos(theta/2), e^(i phi) sin(theta/2)), which lies
-    over the chart point x(theta, phi) of `z_to_x`'s convention; shape
-    (P, A, n).  Then w w+ is the dense field of projector_from_ket(ket),
-    whose core is M_jk = conj(psi_j) psi_k.  With `derivatives`, the triple
-    (w, dw/dtheta, dw/dphi): psi and its 4n partials come from one
-    `ZPoly.evaluate` call and are combined by the chain rule along sigma."""
+def _hopf_psi(ket: EquivariantKet, theta, phi, derivatives: bool = False):
+    """psi on the Hopf section sigma(theta, phi) = (cos(theta/2),
+    e^(i phi) sin(theta/2)), which lies over the chart point x(theta, phi)
+    of `z_to_x`'s convention; shape (P, A, n).  With `derivatives`, the
+    triple (psi, dpsi/dtheta, dpsi/dphi): psi and its 4n partials come from
+    one `ZPoly.evaluate` call and are combined by the chain rule along
+    sigma.  The arrays are the caller's to overwrite."""
     half = theta / 2.0
     e_phi = np.exp(1j * phi)
     z1 = e_phi * np.sin(half)
@@ -183,9 +182,8 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
         polys += tuple(q.diff(var) for var in range(4) for q in ket.polys)
     first, *rest = polys
     values = first.evaluate(np.cos(half), z1, also=rest)
-    roots = np.sqrt([float(w) for w in ket.weights])
     if not derivatives:
-        return np.conjugate(values, out=values) * roots
+        return values
     psi, d_z0, d_z1, d_zb0, d_zb1 = np.split(values, 5, axis=-1)
     # along sigma, d/dtheta (z0, z1, zb0, zb1) = (-sin(t/2), e^(if) cos(t/2),
     # -sin(t/2), e^(-if) cos(t/2)) / 2 and d/dphi (z0, z1, zb0, zb1) = (0, i z1, 0, -i zb1)
@@ -194,7 +192,19 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
     z1 = z1[..., None]
     d_theta = (d_z0 + d_zb0) * z0_t + d_z1 * z1_t + d_zb1 * np.conj(z1_t)
     d_phi = (d_z1 * z1 - d_zb1 * np.conj(z1)) * 1j
-    return tuple(np.conjugate(f) * roots for f in (psi, d_theta, d_phi))
+    return psi, d_theta, d_phi
+
+
+def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
+    """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section of `_hopf_psi`,
+    shape (P, A, n), or with `derivatives` the triple (w, dw/dtheta,
+    dw/dphi).  Then w w+ is the dense field of projector_from_ket(ket),
+    whose core is M_jk = conj(psi_j) psi_k."""
+    roots = np.sqrt([float(w) for w in ket.weights])
+    if not derivatives:
+        psi = _hopf_psi(ket, theta, phi)
+        return np.conjugate(psi, out=psi) * roots
+    return tuple(np.conjugate(f) * roots for f in _hopf_psi(ket, theta, phi, True))
 
 
 def _rank_one_density(field: KetField, theta, phi, derivative: str) -> np.ndarray:
@@ -286,11 +296,17 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     # the norm bounds of the result hold for a unit ket only
     if pairing(k, k) != ZPoly.one():
         raise ValueError("the ket must satisfy <psi|psi> = 1")
-    g_t = g.T
+    # u = w g^t = conj(psi) (diag(sqrt(weight)) g^t): the scaling of w
+    # rides in the n x n factor instead of a pass over every array
+    scaled_g_t = np.sqrt([float(w) for w in k.weights])[:, None] * g.T
 
     def evaluator(theta, phi, derivatives=False):
-        w = _hopf_ket(k, theta, phi, derivatives)
-        return tuple(f @ g_t for f in w) if derivatives else w @ g_t
+        if not derivatives:
+            psi = _hopf_psi(k, theta, phi)
+            return np.conjugate(psi, out=psi) @ scaled_g_t
+        return tuple(
+            np.conjugate(f, out=f) @ scaled_g_t for f in _hopf_psi(k, theta, phi, True)
+        )
 
     return KetField(n, evaluator, (float(sigma[-1]) ** 2, float(sigma[0]) ** 2), cond)
 

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bundle_forge import bundles
 from bundle_forge.bundles import (
     CROSS_CHECK_MAX_DIM,
     ChernConsistencyError,
@@ -36,6 +37,9 @@ from bundle_forge.exact_ring import (
     X3,
     XPoly,
     ZPoly,
+    dagger,
+    weighted_matmul,
+    z_to_x,
 )
 from bundle_forge.forms import DZ0, DZB0, DZB1, XForm, ZForm
 from bundle_forge.kets import (
@@ -46,7 +50,12 @@ from bundle_forge.kets import (
     named_real_objects,
     tilde_ket2,
 )
-from bundle_forge.quadbench import tangent_frame_check
+from bundle_forge.quadbench import (
+    DERIVATIVE_MODES,
+    SphereGrid,
+    chern_number_quad,
+    tangent_frame_check,
+)
 
 HALF = Fraction(1, 2)
 
@@ -459,6 +468,102 @@ class TestKetRoutes:
         )
         with pytest.raises(ChernConsistencyError):
             chern_number_exact(wrong)
+
+
+def _eager_core(k: EquivariantKet) -> tuple:
+    """M_jk = z_to_x(conj(psi_j) psi_k) for every j and k, converted at once."""
+    return tuple(tuple(z_to_x(a.conj() * b) for b in k.polys) for a in k.polys)
+
+
+def _conjugated(core, s) -> tuple:
+    """s M s+ for a constant matrix s of Gaussian rationals."""
+    s_poly = tuple(tuple(XPoly.constant(e) for e in row) for row in s)
+    ones = (1,) * len(s)
+    return weighted_matmul(weighted_matmul(s_poly, ones, core), ones, dagger(s_poly))
+
+
+def _exact_unitary(n: int) -> tuple:
+    """A rotation by (3/5, 4i/5) in the first two coordinates and the phase
+    (3 + 4i)/5 in the others."""
+    c, s = GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5))
+    rot = ((c, s), (s, c))
+    phase = GaussianRational(Fraction(3, 5), Fraction(4, 5))
+    return tuple(
+        tuple(
+            rot[j][k] if n > 1 and j < 2 and k < 2 else phase if j == k else 0
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+
+
+LAZY_SOURCES = [0, 1, -1, 2, -2, 3, -3, 4, -4, 5, -5, "tilde"]
+
+
+class TestLazyCore:
+    def test_ket_routes_convert_no_core_entry(self, monkeypatch):
+        conversions = []
+        convert = bundles.z_to_x
+        monkeypatch.setattr(bundles, "z_to_x", lambda q: conversions.append(q) or convert(q))
+        grid = SphereGrid.build()
+        swap = _signed_permutation_matrix(range(16, -1, -1), (1, -1) * 8 + (1,))
+        for side in ("minus", "plus"):
+            p = projector_from_ket(monopole_ket(side, 16))
+            assert verify_axioms(p).all_pass
+            # the axioms convert <psi|psi> = 1 for the trace, no core entry
+            assert conversions == [ZPoly.one()]
+            del conversions[:]
+            for mode in DERIVATIVE_MODES:
+                chern_number_quad(p, grid, mode)
+            p_s, v = exact_gauge(p, swap)
+            assert verify_axioms(p_s).all_pass
+            assert conversions == [ZPoly.one()]
+            del conversions[:]
+            assert len(p.core) == 17
+            assert len(conversions) == 17 * 18 // 2
+            del conversions[:]
+            # a second read, and the gauged cores permuted from it, convert nothing
+            assert p.core is p.core
+            assert p_s.core[0][0] == p.core[16][16] and v.core[1][15] == -p.core[15][15]
+            assert conversions == []
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["p", "p^t"])
+    @pytest.mark.parametrize("source", LAZY_SOURCES, ids=str)
+    def test_lazy_cores_match_eager_ones(self, source, transposed):
+        """Each lazy core against one converted from psi at once, and under
+        both gauge branches against s M s+; equal and hashing alike with an
+        eager twin, read first through == and hash."""
+
+        ket = tilde_ket2() if source == "tilde" else monopole_ket(
+            "minus" if source >= 0 else "plus", abs(source)
+        )
+
+        def build():
+            p = projector_from_ket(ket)
+            return transpose(p) if transposed else p
+
+        ref = _eager_core(ket)
+        if transposed:
+            ref = tuple(zip(*ref))
+        p = build()
+        twin = WeightedProjector(p.weights, ref, p.label)
+        assert twin == p and hash(build()) == hash(twin)
+        assert p.core == ref
+        zero = tuple(tuple(XPoly.zero() for _ in row) for row in ref)
+        assert build() != WeightedProjector(p.weights, zero, p.label)
+        n = p.dim
+        cycle = [(j + 1) % n for j in range(n)]
+        gauges = [_signed_permutation_matrix(cycle, [(-1) ** j for j in range(n)])]
+        if len(set(p.weights)) == 1:
+            gauges.append(_exact_unitary(n))
+        for s in gauges:
+            p_s, v = exact_gauge(build(), s)
+            want = _conjugated(ref, s)
+            twin = WeightedProjector(p_s.weights, want, p_s.label)
+            assert hash(p_s) == hash(twin) and p_s == twin
+            assert p_s.core == want
+            assert v.times_dagger().core == want
+            assert exact_gauge(build(), s)[1].dagger_times().core == ref
 
 
 class TestIsometry:
