@@ -161,8 +161,9 @@ class WeightedProjector:
         return WeightedProjector(weights, core, label)
 
     def evaluate(self, x1, x2, x3):
-        """Dense complex matrix field at points of S^2, arrays broadcasting
-        to one shape S: shape S + (n, n)."""
+        """Dense matrix field at points of S^2, arrays broadcasting to one
+        shape S: shape S + (n, n), float64 for a real core at real points
+        and complex otherwise, as `XPoly.evaluate`."""
         return self._field(x1, x2, x3)
 
     def evaluate_grid(self, theta, phi, derivatives: bool = False):

@@ -476,7 +476,10 @@ class XPoly(_BasePoly):
         (P, 1) and phi of shape (1, A), the values on that product grid of
         the chart x = (sin t cos f, sin t sin f, cos t), shape (P, A); with
         `derivatives`, a leading axis of three holds the values, d/dtheta
-        and d/dphi: `evaluate_grid`."""
+        and d/dphi: `evaluate_grid`.
+
+        The values are float64 when every coefficient and every point is
+        real (angles always are), complex otherwise."""
         if angles is None and len(points) != 3:
             raise TypeError(f"XPoly.evaluate takes the points x1, x2, x3, got {len(points)}")
         return self._evaluate(points, also, angles, derivatives)
@@ -537,16 +540,20 @@ EVAL_BLOCK = 1 << 12
 
 def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int) -> tuple:
     """(exponents, C): the union of the monomials of `polys` as a
-    (monomials, nvars) integer array, and the complex coefficient matrix C
-    of shape (monomials, polynomials), read from the stored integers."""
+    (monomials, nvars) integer array, and the coefficient matrix C of shape
+    (monomials, polynomials), read from the stored integers: float64 when
+    the polynomials are XPolys without imaginary parts, complex otherwise."""
     rows: dict = {}
     for p in polys:
         for key in itertools.chain(p.re, p.im):
             rows.setdefault(key, len(rows))
     exponents = np.array([_unpack(key, nvars) for key in rows], dtype=np.intp)
-    coeffs = np.zeros((len(rows), len(polys)), dtype=complex)
+    # a ZPoly is complex-valued whatever its coefficients: its variables include zbar
+    real = all(isinstance(p, XPoly) and not p.im for p in polys)
+    coeffs = np.zeros((len(rows), len(polys)), dtype=float if real else complex)
+    parts = coeffs.real, coeffs.imag  # a real C has a read-only zero .imag, never written
     for col, p in enumerate(polys):
-        for part, numerators in ((coeffs.real, p.re), (coeffs.imag, p.im)):
+        for part, numerators in zip(parts, (p.re, p.im)):
             for key, v in numerators.items():
                 part[rows[key], col] = v / p.den
     return exponents.reshape(len(rows), nvars), coeffs
@@ -562,21 +569,25 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
 
 
 def _matmul_into(out: np.ndarray, left: np.ndarray, coeffs: np.ndarray) -> None:
-    """out = left . coeffs for complex coefficients.  A real `left` is not
-    cast to complex: it multiplies the interleaved real and imaginary parts
-    of `coeffs` in one real GEMM, written into the same view of `out`."""
-    if np.iscomplexobj(left):
-        np.matmul(left, coeffs, out=out)
-    else:
+    """out = left . coeffs, `out` of the dtype of the product: float64 when
+    `left` and `coeffs` are both real, complex otherwise.  Complex
+    coefficients are not cast up for a real `left`: their interleaved real
+    and imaginary parts take one real GEMM, written into the same view of
+    `out`."""
+    if np.iscomplexobj(coeffs) and not np.iscomplexobj(left):
         np.matmul(left, coeffs.view(float), out=out.view(float))
+    else:
+        np.matmul(left, coeffs, out=out)
 
 
 def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     """Numeric values of polynomials of one ring at an array of points.
 
     `coords` are the arguments of the ring's `evaluate` (x1, x2, x3 or
-    z0, z1): scalars or arrays broadcasting to one shape S.  Returns a
-    complex array of shape S + (len(polys),).
+    z0, z1): scalars or arrays broadcasting to one shape S.  Returns an
+    array of shape S + (len(polys),): float64 when the points and every
+    coefficient are real, complex otherwise (always for a ZPoly, whose
+    variables include zbar0 and zbar1).
 
     The polynomials share one coefficient matrix C (monomials x polynomials).
     Per block of EVAL_BLOCK points the powers of each variable that occurs
@@ -596,7 +607,7 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     used = [(np.asarray(a, dtype=dtype).reshape(-1), e)
             for a, e in zip(arrays, exponents.T) if e.any()]
     size = math.prod(shape)
-    out = np.empty((size, coeffs.shape[1]), dtype=complex)
+    out = np.empty((size, coeffs.shape[1]), dtype=np.result_type(dtype, coeffs))
     for lo in range(0, size, EVAL_BLOCK):
         block = slice(lo, min(lo + EVAL_BLOCK, size))
         # the transposed basis, one row per monomial
@@ -612,18 +623,19 @@ def evaluate_grid(
 ) -> np.ndarray:
     """Numeric values of XPolys on the product grid of polar angles theta,
     shape (P, 1), and azimuths phi, shape (1, A), in the chart
-    x = (sin t cos f, sin t sin f, cos t).  Returns a complex array of shape
+    x = (sin t cos f, sin t sin f, cos t).  Returns an array of shape
     (P, A, len(polys)), or with `derivatives` of shape (3, P, A, len(polys))
-    holding the values, d/dtheta and d/dphi.
+    holding the values, d/dtheta and d/dphi: float64 when every coefficient
+    is real, complex otherwise.
 
     Sum factorization: a monomial is x1^a x2^b x3^c =
     (sin^(a+b) t cos^c t) (cos^a f sin^b f), and a canonical XPoly has
     c <= 1.  The coefficients fold into T[t, (a, b)] = sin^(a+b) t
     (C0[a, b] + cos t C1[a, b]), C0 and C1 holding the monomials with c = 0
     and c = 1, and each output is one batched real GEMM of the (A, #(a, b))
-    table of phi-factors with the interleaved real and imaginary parts of a
-    (P, #(a, b), polys) table.  Callers in the package reach it through
-    `XPoly.evaluate` with `angles`.
+    table of phi-factors with a (P, #(a, b), polys) table, or with its
+    interleaved real and imaginary parts when it is complex.  Callers in
+    the package reach it through `XPoly.evaluate` with `angles`.
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 1 or phi.ndim != 2 or phi.shape[0] != 1:
@@ -632,7 +644,7 @@ def evaluate_grid(
     pairs, pair_of = np.unique(exponents[:, :2], axis=0, return_inverse=True)
     a, b = pairs.reshape(-1, 2).T
     s = a + b
-    folded = np.zeros((2, len(s), coeffs.shape[1]), dtype=complex)
+    folded = np.zeros((2, len(s), coeffs.shape[1]), dtype=coeffs.dtype)
     folded[exponents[:, 2], pair_of.reshape(-1)] = coeffs
     del coeffs  # held in `folded` now; freed before the tables are built
     # theta-factors sin^s t (C0 + cos t C1), s = a + b, as (P, #(a, b), polys)
@@ -648,7 +660,7 @@ def evaluate_grid(
     sin_f = _power_table(np.sin(phi[0]), int(b.max(initial=0)) + 1)
     phi_factor = (cos_f[a] * sin_f[b]).T
     shape = (3 if derivatives else 1, len(theta), phi.shape[1], folded.shape[2])
-    out = np.empty(shape, dtype=complex)
+    out = np.empty(shape, dtype=folded.dtype)
     _matmul_into(out[0], phi_factor, table)
     if not derivatives:
         return out[0]

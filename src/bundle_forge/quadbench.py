@@ -96,11 +96,17 @@ class KetField:
 
 # Largest matrix size that `_matmul_points` multiplies entry by entry: for a
 # stack of small matrices np.matmul makes one BLAS call per matrix.  One
-# product on a (64, 128, n, n) complex grid, medians of 41, one BLAS thread,
-# Python 3.11, numpy 2.4, 2-vCPU Linux VM, np.matmul -> entrywise:
-# n = 2 3.8 -> 0.40 ms, n = 3 4.4 -> 3.0 ms, n = 4 4.5 -> 12.6 ms,
-# n = 5 5.5 -> 13.5 ms.
-ENTRYWISE_MAX_DIM = 3
+# product on a (64, 128, n, n) grid, medians of 41 (two runs), one BLAS
+# thread, Python 3.11, numpy 2.4, 2-vCPU Linux VM, np.matmul -> entrywise:
+#   float64  n = 2 0.41-0.54 -> 0.14-0.16 ms, n = 3 0.47-0.57 -> 1.1-2.0 ms,
+#            n = 4 0.54-0.64 -> 6.7-7.6 ms
+#   complex  n = 2 3.4-4.1 -> 0.37-0.40 ms,  n = 3 4.0-4.5 -> 3.0-3.2 ms,
+#            n = 4 3.2-4.9 -> 12.2-12.3 ms
+# The cut follows the float64 rows, the dtype of every built-in field on the
+# matrix route (normal and tangent at n = 3, the real form at n = 6).  Whole
+# quadratures, cut 3 -> 2: tangent 5.3 -> 3.6 ms; a complex n = 3 field (a
+# JSON-loaded monopole of charge 2) 11 -> 15 ms.
+ENTRYWISE_MAX_DIM = 2
 
 
 def _matmul_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -250,6 +256,11 @@ def chern_number_quad(
     p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) as the KetField
     of its Hopf-section ket, take the rank-one route, `_rank_one_density`;
     every other projector takes the matrix route on the n x n field.
+
+    A projector whose core has no imaginary part (the real form, normal,
+    tangent) evaluates to a float64 field, so its density is real and c1's
+    real part is exactly 0: the rounding lands in c1.imag, which is checked
+    against 1e-8 as for every field, after both pointwise checks.
     """
     if grid is None:
         grid = SphereGrid.build()
@@ -315,7 +326,8 @@ MC_MIN_SAMPLES = 10_000
 # Largest sample count: it keeps a mistyped count from allocating without
 # bound.  Measured with Python 3.11 and numpy 2.4 on a 2-vCPU Linux VM,
 # `bundle-forge integrate --monomial 4,2,2 --mc-samples 10000000` peaks at
-# 418 MB RSS (10^6 samples: 75 MB).
+# 342 MB RSS (10^6 samples: 67 MB): the evaluated (samples, 1) array of a
+# real XPoly is float64, beside the three float64 coordinate arrays.
 MC_MAX_SAMPLES = 10**7
 
 
@@ -338,7 +350,7 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     x1 = np.cos(phi, out=phi)
     x1 *= st
     del st  # freed before the evaluation allocates its output
-    vals = np.real(f.evaluate(x1, x2, u))
+    vals = np.real(f.evaluate(x1, x2, u))  # no copy for a real f: its values are float64
     del x1, x2, u, phi  # freed before the mean and the deviation allocate
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))

@@ -31,8 +31,8 @@ from bundle_forge.exact_ring import (
     x_to_z,
     z_to_x,
 )
-from bundle_forge.bundles import projector_from_ket
-from bundle_forge.kets import monopole_ket
+from bundle_forge.bundles import projector_from_ket, real_form
+from bundle_forge.kets import monopole_ket, tilde_ket2
 
 from conftest import chart, random_xpoly, random_zpoly
 
@@ -664,6 +664,51 @@ class TestEvaluatePolys:
     def test_rejects_mixed_rings(self):
         with pytest.raises(TypeError):
             evaluate_polys([X1, Z0], (0.5, 0.5, 0.5))
+
+
+class TestEvaluationDtype:
+    """Real-coefficient XPolys at real points evaluate to float64; any
+    imaginary coefficient, complex point or ZPoly gives complex."""
+
+    def test_real_polynomials_give_float64_equal_to_the_complex_real_part(self):
+        """The 36 core entries of the real form, on the 64x128 grid with
+        derivatives and at 10^4 scattered points: the float64 values are bit
+        for bit the real part of the same polynomials evaluated in one call
+        beside X1 * i."""
+        entries = [e for row in real_form(projector_from_ket(tilde_ket2())).core for e in row]
+        assert len(entries) == 36 and not any(e.im for e in entries)
+        theta = np.linspace(0.01, math.pi - 0.01, 64)[:, None]
+        phi = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)[None, :]
+        grid = entries[0].evaluate(also=entries[1:], angles=(theta, phi), derivatives=True)
+        assert grid.dtype == np.float64
+        mixed = entries[0].evaluate(also=entries[1:] + [X1 * GR_I], angles=(theta, phi),
+                                    derivatives=True)
+        assert mixed.dtype == np.complex128
+        assert np.array_equal(grid, mixed[..., :36].real)
+        rng = np.random.default_rng(13)
+        points = chart(rng.uniform(0.0, math.pi, 10**4), rng.uniform(0.0, 2.0 * math.pi, 10**4))
+        scattered = entries[0].evaluate(*points, also=entries[1:])
+        assert scattered.dtype == np.float64
+        mixed = entries[0].evaluate(*points, also=entries[1:] + [X1 * GR_I])
+        assert mixed.dtype == np.complex128
+        assert np.array_equal(scattered, mixed[..., :36].real)
+        # one polynomial, a scalar point, constants
+        assert (X1 * X2 - X3).evaluate(0.5, -0.5, 0.25).dtype == np.float64
+        assert XPoly.one().evaluate(angles=(theta, phi)).dtype == np.float64
+
+    def test_imaginary_parts_and_zpolys_give_complex(self):
+        theta, phi = np.array([[0.3], [1.2]]), np.array([[0.0, 2.0, 4.0]])
+        x = chart(theta, phi)
+        for polys in ([X1 * GR_I], [X1, X2 + X3 * GR_I], [XPoly.constant(GR_I)]):
+            assert evaluate_polys(polys, x).dtype == np.complex128
+            got = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+            assert got.dtype == np.complex128
+        # real coefficients at a complex point
+        assert X1.evaluate(0.5 + 0.0j, 0.5, 0.5).dtype == np.complex128
+        # a ZPoly: its variables include zbar, complex even at real points
+        for polys in ([Z0 * ZB1], [ZPoly.one()], list(monopole_ket("minus", 2).polys)):
+            assert evaluate_polys(polys, (0.6, 0.8)).dtype == np.complex128
+            assert polys[0].evaluate(0.6, 0.8).dtype == np.complex128
 
 
 class TestMonomialIntegral:

@@ -11,7 +11,9 @@ from hypothesis import given, settings, strategies as st
 from bundle_forge.bundles import (
     WeightedProjector,
     exact_gauge,
+    normal_projector,
     projector_from_ket,
+    real_form,
     tangent_projector,
     transpose,
 )
@@ -114,19 +116,21 @@ class TestChernQuad:
             assert abs(chern_number_quad(p, grid) - chern_number_exact(p)) < 1e-6
 
     def test_axiom_violation_detected(self):
-        from fractions import Fraction
-
-        p = projector_from_ket(monopole_ket("minus", 1))
-        halved = WeightedProjector(
-            p.weights,
-            tuple(tuple(e * Fraction(1, 2) for e in row) for row in p.core),
-        )
-        with pytest.raises(QuadratureError):
-            chern_number_quad(halved, SphereGrid.build(8, 8))
+        # a complex field and a float64 one (the tangent projector)
+        for p in (projector_from_ket(monopole_ket("minus", 1)), tangent_projector()):
+            halved = WeightedProjector(
+                p.weights,
+                tuple(tuple(e * Fraction(1, 2) for e in row) for row in p.core),
+            )
+            for derivative in DERIVATIVE_MODES:
+                with pytest.raises(QuadratureError, match="idempotency defect"):
+                    chern_number_quad(halved, SphereGrid.build(8, 8), derivative)
 
     def test_hermiticity_violation_detected(self):
         # ((1, x1), (0, 0)) is idempotent but not hermitian
         p = WeightedProjector((1, 1), ((XPoly.one(), X1), (XPoly.zero(), XPoly.zero())))
+        # a real field: the check runs on the float64 path
+        assert p.evaluate_grid(*SphereGrid.build(8, 8).axes()).dtype == np.float64
         for derivative in ("analytic", "finite-difference"):
             with pytest.raises(QuadratureError, match="hermiticity"):
                 chern_number_quad(p, SphereGrid.build(8, 8), derivative)
@@ -140,6 +144,26 @@ class TestChernQuad:
             chern_number_quad(field, derivative="symbolic")
         # analytic derivatives serve gauge fields as well
         assert abs(chern_number_quad(field, derivative="analytic") - 1.0) < 1e-9
+
+
+REAL_FIELDS = {
+    "realform": lambda: real_form(projector_from_ket(tilde_ket2(), "p~[-2]")),
+    "tangent": tangent_projector,
+    "normal": normal_projector,
+}
+
+
+class TestRealFields:
+    """Projectors with real cores evaluate to float64 fields, whose c1 is
+    exactly 0.0 (its rounding is checked in c1.imag)."""
+
+    @pytest.mark.parametrize("name", sorted(REAL_FIELDS))
+    def test_float64_field_and_zero_charge(self, name):
+        p = REAL_FIELDS[name]()
+        fields = p.evaluate_grid(*SphereGrid.build(8, 8).axes(), derivatives=True)
+        assert fields.dtype == np.float64
+        for derivative in DERIVATIVE_MODES:
+            assert chern_number_quad(p, derivative=derivative) == 0.0, derivative
 
 
 @functools.lru_cache(maxsize=None)
@@ -282,24 +306,26 @@ class TestMatmulPoints:
         st.tuples(*(st.integers(1, ENTRYWISE_MAX_DIM + 1) for _ in range(3))),
         st.sampled_from([((4, 3), (4, 3)), ((4, 1), (1, 3)), ((2, 4, 3), (4, 3)), ((), (5,))]),
         st.sampled_from(["contiguous", "transposed", "every other column"]),
+        st.sampled_from([1.0, 1j]),
         st.integers(0, 2**32 - 1),
     )
-    def test_matches_matmul(self, dims, grids, layout, seed):
+    def test_matches_matmul(self, dims, grids, layout, unit, seed):
         """Both sides of the entrywise cut against np.matmul, on broadcast
-        grid shapes and strided views, to 1e-13 of |x| @ |y|."""
+        grid shapes and strided views, float64 (unit 1) or complex
+        (unit i), to 1e-13 of |x| @ |y|."""
         rng = np.random.default_rng(seed)
         rows, inner, cols = dims
 
         def stack(grid, r, c):
             shape = {"contiguous": (r, c), "transposed": (c, r), "every other column": (r, 2 * c)}
-            full = rng.normal(size=grid + shape[layout]) + 1j * rng.normal(size=grid + shape[layout])
+            full = rng.normal(size=grid + shape[layout]) + unit * rng.normal(size=grid + shape[layout])
             if layout == "transposed":
                 return np.swapaxes(full, -1, -2)
             return full[..., ::2] if layout == "every other column" else full
 
         x, y = stack(grids[0], rows, inner), stack(grids[1], inner, cols)
         got, want = _matmul_points(x, y), np.matmul(x, y)
-        assert got.shape == want.shape
+        assert got.shape == want.shape and got.dtype == want.dtype
         assert np.all(np.abs(got - want) <= 1e-13 * np.matmul(np.abs(x), np.abs(y)))
 
 
