@@ -392,13 +392,19 @@ def unit_ket(p: WeightedProjector) -> EquivariantKet | None:
 def chern_number_exact(p: WeightedProjector) -> int:
     """c1(p) = -(1/2*pi*i) * integral of tr(p (dp)^2) over S^2, exactly.
 
-    A projector with a normalised ket takes the Hopf route, cross-checked
-    against the x-route up to CROSS_CHECK_MAX_DIM; any other projector
+    A projector with a normalised ket takes the Hopf route, checked at
+    every dimension against the ket's equivariance type, which is its c1,
+    and against the x-route up to CROSS_CHECK_MAX_DIM; any other projector
     takes the x-route.  The result is asserted to be a real integer.
     """
     ket = unit_ket(p)
     if ket is not None:
         c1 = _hopf_c1(ket)
+        ket_type = equivariance_type(ket)
+        if c1 != GaussianRational(ket_type):
+            raise ChernConsistencyError(
+                f"Chern number of {p.label}: Hopf route {c1}, equivariance type {ket_type}"
+            )
         if p.dim <= CROSS_CHECK_MAX_DIM:
             x_c1 = _x_route_c1(p)
             if x_c1 != c1:

@@ -484,6 +484,14 @@ class XPoly(_BasePoly):
             raise TypeError(f"XPoly.evaluate takes the points x1, x2, x3, got {len(points)}")
         return self._evaluate(points, also, angles, derivatives)
 
+    @staticmethod
+    def _grid_factors(exponents: np.ndarray, phi: np.ndarray) -> tuple:
+        """x1^a x2^b x3^c on the chart is cos^c t sin^(a+b) t times
+        cos^a f sin^b f: ((c, a + b, 1), the phi-factor and its derivative)
+        in the form `evaluate_grid` takes."""
+        a, b, c = exponents.T
+        return (c, a + b, 1.0), _cos_sin_powers(phi, a, b)
+
 
 class ZPoly(_BasePoly):
     """Polynomial on S^3 in (z0, z1, zbar0, zbar1), canonical modulo
@@ -526,9 +534,27 @@ class ZPoly(_BasePoly):
     def _variables(z0, z1) -> tuple:
         return z0, z1, np.conjugate(z0), np.conjugate(z1)
 
-    def evaluate(self, z0, z1, *, also=None):
-        """Values at (z0, z1); see `XPoly.evaluate`."""
-        return self._evaluate((z0, z1), also)
+    def evaluate(self, *points, also=None, angles=None, derivatives=False):
+        """Values at the points (z0, z1), as `XPoly.evaluate`.  Given
+        `angles` = (theta, phi), the values on the Hopf section
+        sigma(t, f) = (cos(t/2), e^(if) sin(t/2)) over the chart point
+        x(t, f) of `z_to_x`'s convention, shape (P, A), or with
+        `derivatives` the values, d/dtheta and d/dphi along sigma.  Always
+        complex: the variables include zbar0 and zbar1."""
+        if angles is None and len(points) != 2:
+            raise TypeError(f"ZPoly.evaluate takes the points z0, z1, got {len(points)}")
+        return self._evaluate(points, also, angles, derivatives)
+
+    @staticmethod
+    def _grid_factors(exponents: np.ndarray, phi: np.ndarray) -> tuple:
+        """z0^e0 z1^e1 zb0^f0 zb1^f1 on sigma is cos^(e0+f0)(t/2)
+        sin^(e1+f1)(t/2) times e^(ik f), k = e1 - f1: ((e0 + f0, e1 + f1,
+        1/2), the phi-factor and its derivative) in the form `evaluate_grid`
+        takes."""
+        e0, e1, f0, f1 = exponents.T
+        k = e1 - f1
+        phase = np.exp(1j * np.multiply.outer(phi, k))
+        return (e0 + f0, e1 + f1, 0.5), (phase, phase * (1j * k))
 
 
 # Points per block of `evaluate_polys`.  A block holds about ten float arrays
@@ -543,6 +569,8 @@ def _coefficient_matrix(polys: Sequence[_BasePoly], nvars: int) -> tuple:
     (monomials, nvars) integer array, and the coefficient matrix C of shape
     (monomials, polynomials), read from the stored integers: float64 when
     the polynomials are XPolys without imaginary parts, complex otherwise."""
+    if len({type(p) for p in polys}) > 1:
+        raise TypeError("the numeric evaluators take polynomials of one ring")
     rows: dict = {}
     for p in polys:
         for key in itertools.chain(p.re, p.im):
@@ -566,6 +594,19 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
     for e in range(1, top + 1):
         np.multiply(table[e - 1], x, out=table[e])
     return table
+
+
+def _cos_sin_powers(x: np.ndarray, p: np.ndarray, q: np.ndarray, s: float = 1.0) -> tuple:
+    """cos^p(s x) sin^q(s x) for the exponent arrays p and q, and its
+    derivative in x, s (q cos^(p+1) sin^(q-1) - p cos^(p-1) sin^(q+1)),
+    each of shape (len(x), len(p)), from power tables of cos(s x) and
+    sin(s x)."""
+    cos = _power_table(np.cos(s * x), int(p.max(initial=0)) + 1)
+    sin = _power_table(np.sin(s * x), int(q.max(initial=0)) + 1)
+    derivative = q[:, None] * cos[p + 1] * sin[np.maximum(q - 1, 0)]
+    derivative -= p[:, None] * cos[np.maximum(p - 1, 0)] * sin[q + 1]
+    derivative *= s
+    return (cos[p] * sin[q]).T, derivative.T
 
 
 def _matmul_into(out: np.ndarray, left: np.ndarray, coeffs: np.ndarray) -> None:
@@ -596,8 +637,6 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     the package reach it through the rings' `evaluate` (see
     `_BasePoly._evaluate`).
     """
-    if len({type(p) for p in polys}) > 1:
-        raise TypeError("evaluate_polys takes polynomials of one ring")
     ring = type(polys[0]) if polys else _BasePoly
     arrays = np.broadcast_arrays(*ring._variables(*coords))
     shape = arrays[0].shape
@@ -619,58 +658,41 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
 
 
 def evaluate_grid(
-    polys: Sequence[XPoly], theta, phi, derivatives: bool = False
+    polys: Sequence[_BasePoly], theta, phi, derivatives: bool = False
 ) -> np.ndarray:
-    """Numeric values of XPolys on the product grid of polar angles theta,
-    shape (P, 1), and azimuths phi, shape (1, A), in the chart
-    x = (sin t cos f, sin t sin f, cos t).  Returns an array of shape
-    (P, A, len(polys)), or with `derivatives` of shape (3, P, A, len(polys))
-    holding the values, d/dtheta and d/dphi: float64 when every coefficient
-    is real, complex otherwise.
+    """Numeric values of polynomials of one ring on the product grid of
+    polar angles theta, shape (P, 1), and azimuths phi, shape (1, A): XPolys
+    in the chart x = (sin t cos f, sin t sin f, cos t), ZPolys on the Hopf
+    section sigma(t, f) = (cos(t/2), e^(if) sin(t/2)) over it.  Returns an
+    array of shape (P, A, len(polys)), or with `derivatives` of shape
+    (3, P, A, len(polys)) holding the values, d/dtheta and d/dphi: float64
+    for XPolys whose coefficients are all real, complex otherwise.
 
-    Sum factorization: a monomial is x1^a x2^b x3^c =
-    (sin^(a+b) t cos^c t) (cos^a f sin^b f), and a canonical XPoly has
-    c <= 1.  The coefficients fold into T[t, (a, b)] = sin^(a+b) t
-    (C0[a, b] + cos t C1[a, b]), C0 and C1 holding the monomials with c = 0
-    and c = 1, and each output is one batched real GEMM of the (A, #(a, b))
-    table of phi-factors with a (P, #(a, b), polys) table, or with its
-    interleaved real and imaginary parts when it is complex.  Callers in
-    the package reach it through `XPoly.evaluate` with `angles`.
+    Sum factorization: the ring's `_grid_factors` splits each monomial
+    into a theta-factor cos^p(s t) sin^q(s t) and a phi-factor.  With C the
+    coefficient matrix (monomials x polys), Theta and Phi the tables of
+    theta- and phi-factors (nodes x monomials) and Theta', Phi' their
+    derivatives, the values are Phi . (Theta * C), d/dtheta is
+    Phi . (Theta' * C) and d/dphi is Phi' . (Theta * C): each one batched
+    GEMM over the P polar nodes of an (A, monomials) table with a
+    (P, monomials, polys) table, through `_matmul_into`.  Callers in the
+    package reach it through the rings' `evaluate` with `angles`.
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 1 or phi.ndim != 2 or phi.shape[0] != 1:
         raise ValueError("grid angles must be theta of shape (P, 1) and phi of shape (1, A)")
-    exponents, coeffs = _coefficient_matrix(polys, 3)
-    pairs, pair_of = np.unique(exponents[:, :2], axis=0, return_inverse=True)
-    a, b = pairs.reshape(-1, 2).T
-    s = a + b
-    folded = np.zeros((2, len(s), coeffs.shape[1]), dtype=coeffs.dtype)
-    folded[exponents[:, 2], pair_of.reshape(-1)] = coeffs
-    del coeffs  # held in `folded` now; freed before the tables are built
-    # theta-factors sin^s t (C0 + cos t C1), s = a + b, as (P, #(a, b), polys)
-    sin_t = _power_table(np.sin(theta[:, 0]), int(s.max(initial=0)) + 1)
-    cos_t = np.cos(theta)[:, :, None]
-    inner = folded[1] * cos_t
-    inner += folded[0]
-    # values alone do not need `inner` again: scaled in place, one table fewer
-    sin_s = sin_t[s].T[:, :, None]
-    table = inner * sin_s if derivatives else np.multiply(inner, sin_s, out=inner)
-    # phi-factors cos^a f sin^b f, as (A, #(a, b))
-    cos_f = _power_table(np.cos(phi[0]), int(a.max(initial=0)) + 1)
-    sin_f = _power_table(np.sin(phi[0]), int(b.max(initial=0)) + 1)
-    phi_factor = (cos_f[a] * sin_f[b]).T
-    shape = (3 if derivatives else 1, len(theta), phi.shape[1], folded.shape[2])
-    out = np.empty(shape, dtype=folded.dtype)
+    ring = type(polys[0])
+    exponents, coeffs = _coefficient_matrix(polys, ring.NVARS)
+    (p, q, s), (phi_factor, d_phi) = ring._grid_factors(exponents, phi[0])
+    theta_factor, d_theta = _cos_sin_powers(theta[:, 0], p, q, s)
+    table = theta_factor[:, :, None] * coeffs
+    shape = (3 if derivatives else 1, len(theta), phi.shape[1], len(polys))
+    out = np.empty(shape, dtype=np.result_type(phi_factor, table))
     _matmul_into(out[0], phi_factor, table)
     if not derivatives:
         return out[0]
-    # d/dphi of cos^a f sin^b f = b cos^(a+1) f sin^(b-1) f - a cos^(a-1) f sin^(b+1) f
-    d_phi = b[:, None] * cos_f[a + 1] * sin_f[np.maximum(b - 1, 0)]
-    d_phi -= a[:, None] * cos_f[np.maximum(a - 1, 0)] * sin_f[b + 1]
-    _matmul_into(out[2], d_phi.T, table)
-    # d/dtheta of sin^s t (C0 + cos t C1) = s sin^(s-1) t cos t (C0 + cos t C1) - sin^(s+1) t C1
-    table = (s[:, None] * sin_t[np.maximum(s - 1, 0)]).T[:, :, None] * cos_t * inner
-    table -= sin_t[s + 1].T[:, :, None] * folded[1]
+    _matmul_into(out[2], d_phi, table)
+    np.multiply(d_theta[:, :, None], coeffs, out=table)
     _matmul_into(out[1], phi_factor, table)
     return out
 

@@ -5,7 +5,10 @@ x = (sin(t)cos(f), sin(t)sin(f), cos(t)), by one of two routes chosen from
 the input: a field of kets u (a projector p = |psi><psi| with
 <psi|psi> = 1 on a Hopf section over the chart, or its gauge move by g,
 g times that) integrates the curvature of u u+ / <u|u> in O(n) per node;
-every other projector its n x n entries and their pointwise products.  Also
+every other projector its n x n entries and their pointwise products.  Both
+routes evaluate on the grid through the rings' one product-grid evaluator,
+`exact_ring.evaluate_grid`: the ket components as ZPolys on the Hopf
+section, the matrix entries as XPolys in the chart.  Also
 a Monte-Carlo oracle for the exact monomial integrals, and exact checks of
 the identities that hold modulo the sphere ideal (r, dr): a form is
 contracted in the ring with polynomial vector fields that span every
@@ -85,47 +88,14 @@ class SphereGrid:
 class KetField:
     """The projector field u u+ / <u|u> of kets u on S^2: `evaluator(theta,
     phi, derivatives=False)` maps theta (P, 1), phi (1, A) to u, shape
-    (P, A, n), or to (u, du/dtheta, du/dphi); (lo, hi) = `norm_bounds`
-    bound <u|u>; `condition` is that of the gauge matrix applied."""
+    (P, A, n), or to u, du/dtheta and du/dphi on a leading axis of three;
+    (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of the gauge
+    matrix applied."""
 
     n: int
     evaluator: Callable
     norm_bounds: tuple = (1.0, 1.0)
     condition: float = 1.0
-
-
-# Largest matrix size that `_matmul_points` multiplies entry by entry: for a
-# stack of small matrices np.matmul makes one BLAS call per matrix.  One
-# product on a (64, 128, n, n) grid, medians of 41 (two runs), one BLAS
-# thread, Python 3.11, numpy 2.4, 2-vCPU Linux VM, np.matmul -> entrywise:
-#   float64  n = 2 0.41-0.54 -> 0.14-0.16 ms, n = 3 0.47-0.57 -> 1.1-2.0 ms,
-#            n = 4 0.54-0.64 -> 6.7-7.6 ms
-#   complex  n = 2 3.4-4.1 -> 0.37-0.40 ms,  n = 3 4.0-4.5 -> 3.0-3.2 ms,
-#            n = 4 3.2-4.9 -> 12.2-12.3 ms
-# The cut follows the float64 rows, the dtype of every built-in field on the
-# matrix route (normal and tangent at n = 3, the real form at n = 6).  Whole
-# quadratures, cut 3 -> 2: tangent 5.3 -> 3.6 ms; a complex n = 3 field (a
-# JSON-loaded monopole of charge 2) 11 -> 15 ms.
-ENTRYWISE_MAX_DIM = 2
-
-
-def _matmul_points(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y for stacks of matrices over a grid, broadcasting as np.matmul.
-    When no matrix dimension exceeds ENTRYWISE_MAX_DIM, each entry is the
-    sum over l of x[..., j, l] * y[..., l, k], products of strided views
-    taken over the whole grid at once; otherwise np.matmul."""
-    rows, inner, cols = x.shape[-2], x.shape[-1], y.shape[-1]
-    if max(rows, inner, cols) > ENTRYWISE_MAX_DIM:
-        return np.matmul(x, y)
-    grid = np.broadcast_shapes(x.shape[:-2], y.shape[:-2])
-    out = np.empty(grid + (rows, cols), dtype=np.result_type(x, y))
-    term = np.empty(grid, dtype=out.dtype)
-    for j, k in itertools.product(range(rows), range(cols)):
-        entry = out[..., j, k]
-        np.multiply(x[..., j, 0], y[..., 0, k], out=entry)
-        for l in range(1, inner):
-            entry += np.multiply(x[..., j, l], y[..., l, k], out=term)
-    return out
 
 
 # Largest pointwise defect accepted: |P^2 - P| on the matrix route, the
@@ -135,7 +105,7 @@ DERIVATIVE_MODES = ("analytic", "finite-difference")
 
 
 def _check_pointwise_axioms(P: np.ndarray) -> None:
-    defect = _matmul_points(P, P)
+    defect = P @ P
     defect -= P
     if np.max(np.abs(defect)) >= IDEMPOTENCY_TOL:
         raise QuadratureError(
@@ -173,44 +143,17 @@ def _fd_derivatives(evaluator: Callable, theta, phi):
     return P, Pt, Pf
 
 
-def _hopf_psi(ket: EquivariantKet, theta, phi, derivatives: bool = False):
-    """psi on the Hopf section sigma(theta, phi) = (cos(theta/2),
-    e^(i phi) sin(theta/2)), which lies over the chart point x(theta, phi)
-    of `z_to_x`'s convention; shape (P, A, n).  With `derivatives`, the
-    triple (psi, dpsi/dtheta, dpsi/dphi): psi and its 4n partials come from
-    one `ZPoly.evaluate` call and are combined by the chain rule along
-    sigma.  The arrays are the caller's to overwrite."""
-    half = theta / 2.0
-    e_phi = np.exp(1j * phi)
-    z1 = e_phi * np.sin(half)
-    polys = ket.polys
-    if derivatives:
-        polys += tuple(q.diff(var) for var in range(4) for q in ket.polys)
-    first, *rest = polys
-    values = first.evaluate(np.cos(half), z1, also=rest)
-    if not derivatives:
-        return values
-    psi, d_z0, d_z1, d_zb0, d_zb1 = np.split(values, 5, axis=-1)
-    # along sigma, d/dtheta (z0, z1, zb0, zb1) = (-sin(t/2), e^(if) cos(t/2),
-    # -sin(t/2), e^(-if) cos(t/2)) / 2 and d/dphi (z0, z1, zb0, zb1) = (0, i z1, 0, -i zb1)
-    z1_t = (e_phi * (np.cos(half) / 2.0))[..., None]
-    z0_t = (-np.sin(half) / 2.0)[..., None]
-    z1 = z1[..., None]
-    d_theta = (d_z0 + d_zb0) * z0_t + d_z1 * z1_t + d_zb1 * np.conj(z1_t)
-    d_phi = (d_z1 * z1 - d_zb1 * np.conj(z1)) * 1j
-    return psi, d_theta, d_phi
-
-
 def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
-    """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section of `_hopf_psi`,
-    shape (P, A, n), or with `derivatives` the triple (w, dw/dtheta,
-    dw/dphi).  Then w w+ is the dense field of projector_from_ket(ket),
-    whose core is M_jk = conj(psi_j) psi_k."""
-    roots = np.sqrt([float(w) for w in ket.weights])
-    if not derivatives:
-        psi = _hopf_psi(ket, theta, phi)
-        return np.conjugate(psi, out=psi) * roots
-    return tuple(np.conjugate(f) * roots for f in _hopf_psi(ket, theta, phi, True))
+    """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section sigma(theta, phi)
+    = (cos(theta/2), e^(i phi) sin(theta/2)), which lies over the chart
+    point x(theta, phi) of `z_to_x`'s convention: shape (P, A, n), or with
+    `derivatives` (3, P, A, n) holding w, dw/dtheta and dw/dphi, from one
+    `ZPoly.evaluate` of the conjugate components.  Then w w+ is the dense
+    field of projector_from_ket(ket), whose core is M_jk = conj(psi_j) psi_k."""
+    first, *rest = (q.conj() for q in ket.polys)
+    values = first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives)
+    values *= np.sqrt([float(w) for w in ket.weights])
+    return values
 
 
 def _rank_one_density(field: KetField, theta, phi, derivative: str) -> np.ndarray:
@@ -242,8 +185,8 @@ def _matrix_density(P, Pt, Pf) -> np.ndarray:
     """tr(P [Pt, Pf]) on the grid from the dense field and its derivatives,
     after the pointwise axiom checks of P."""
     _check_pointwise_axioms(P)
-    comm = _matmul_points(Pt, Pf)
-    comm -= _matmul_points(Pf, Pt)
+    comm = Pt @ Pf
+    comm -= Pf @ Pt
     return np.einsum("...jk,...kj->...", P, comm)
 
 
@@ -310,14 +253,10 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     # u = w g^t = conj(psi) (diag(sqrt(weight)) g^t): the scaling of w
     # rides in the n x n factor instead of a pass over every array
     scaled_g_t = np.sqrt([float(w) for w in k.weights])[:, None] * g.T
+    first, *rest = (q.conj() for q in k.polys)
 
     def evaluator(theta, phi, derivatives=False):
-        if not derivatives:
-            psi = _hopf_psi(k, theta, phi)
-            return np.conjugate(psi, out=psi) @ scaled_g_t
-        return tuple(
-            np.conjugate(f, out=f) @ scaled_g_t for f in _hopf_psi(k, theta, phi, True)
-        )
+        return first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives) @ scaled_g_t
 
     return KetField(n, evaluator, (float(sigma[-1]) ** 2, float(sigma[0]) ** 2), cond)
 

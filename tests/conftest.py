@@ -43,6 +43,13 @@ def chart(theta, phi):
     return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
 
 
+def section(theta, phi):
+    """The points sigma(theta, phi) = (cos(theta/2), e^(i phi) sin(theta/2))
+    of S^3 over x(theta, phi), broadcast to one shape."""
+    z0 = np.cos(theta / 2.0) + 0.0 * phi
+    return z0, np.exp(1j * phi) * np.sin(theta / 2.0)
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260823)

@@ -469,6 +469,17 @@ class TestKetRoutes:
         with pytest.raises(ChernConsistencyError):
             chern_number_exact(wrong)
 
+    def test_hopf_route_disagreeing_with_equivariance_type_raises(self, monkeypatch):
+        """Above CROSS_CHECK_MAX_DIM the x-route no longer runs; the ket's
+        equivariance type still checks the Hopf route."""
+        p = projector_from_ket(monopole_ket("minus", 8))
+        assert p.dim > CROSS_CHECK_MAX_DIM
+        assert chern_number_exact(p) == 8
+        hopf_c1 = bundles._hopf_c1
+        monkeypatch.setattr(bundles, "_hopf_c1", lambda k: hopf_c1(k) + 1)
+        with pytest.raises(ChernConsistencyError, match="equivariance type 8"):
+            chern_number_exact(p)
+
 
 def _eager_core(k: EquivariantKet) -> tuple:
     """M_jk = z_to_x(conj(psi_j) psi_k) for every j and k, converted at once."""

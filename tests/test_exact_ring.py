@@ -34,7 +34,7 @@ from bundle_forge.exact_ring import (
 from bundle_forge.bundles import projector_from_ket, real_form
 from bundle_forge.kets import monopole_ket, tilde_ket2
 
-from conftest import chart, random_xpoly, random_zpoly
+from conftest import chart, random_xpoly, section, random_zpoly
 
 
 class TestGaussianRational:
@@ -635,6 +635,56 @@ class TestEvaluatePolys:
             behind = evaluate_polys(polys, chart(theta - step[0], phi - step[1]))
             fd = (ahead - behind) / (2.0 * h)
             assert np.all(np.abs(got[k] - fd) <= 1e-7 * scale)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            st.lists(_small_zpoly, min_size=1, max_size=4),
+            st.sampled_from([[ZPoly.one()], [ZPoly.zero()], [ZPoly.zero(), ZB1 * GR_I - Z0]]),
+            st.integers(-MAX_GRID_CHARGE, MAX_GRID_CHARGE).map(
+                lambda c: list(monopole_ket("minus" if c >= 0 else "plus", abs(c)).polys)
+            ),
+        ),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_section_grid_matches_points(self, polys, polar, azimuthal, seed):
+        """ZPolys on the Hopf section sigma over the product grid against the
+        scattered path at the points sigma(theta, phi), with the bounds of
+        `test_grid_matches_points`: |z0|, |z1| <= 1 on S^3."""
+        rng = np.random.default_rng(seed)
+        theta = rng.uniform(0.0, math.pi, (polar, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, azimuthal))
+        got = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+        assert got.shape == (3, polar, azimuthal, len(polys))
+        assert got.dtype == np.complex128
+        bounds = [ZPoly({m: abs(c.re) + abs(c.im) for m, c in p.terms.items()}) for p in polys]
+        points = section(theta, phi)
+        size = evaluate_polys(bounds, tuple(np.abs(z) for z in points)).real
+        want = polys[0].evaluate(*points, also=polys[1:])
+        assert np.all(np.abs(got[0] - want) <= 1e-12 * size)
+        scale = evaluate_polys(bounds, (1.0, 1.0)).real
+        h = 1e-5
+        for k, step in ((1, (h, 0.0)), (2, (0.0, h))):
+            ahead = evaluate_polys(polys, section(theta + step[0], phi + step[1]))
+            behind = evaluate_polys(polys, section(theta - step[0], phi - step[1]))
+            fd = (ahead - behind) / (2.0 * h)
+            assert np.all(np.abs(got[k] - fd) <= 1e-7 * scale)
+
+    def test_zpoly_evaluate_takes_two_points_or_angles(self):
+        z = (0.6 + 0.0j, 0.8j)
+        theta, phi = np.array([[0.3], [1.2]]), np.array([[0.0, 2.0, 4.0]])
+        with pytest.raises(TypeError):
+            Z0.evaluate(z[0])
+        with pytest.raises(TypeError):
+            Z0.evaluate(*z, z[1])
+        with pytest.raises(TypeError):
+            Z0.evaluate(*z, angles=(theta, phi))
+        with pytest.raises(ValueError):
+            Z0.evaluate(*z, derivatives=True)
+        with pytest.raises(TypeError):
+            Z0.evaluate(also=[X1], angles=(theta, phi))
 
     def test_power_tables_only_for_occurring_variables(self, monkeypatch):
         """A holomorphic ket builds the power tables of z0 and z1 only, a

@@ -40,7 +40,6 @@ from bundle_forge.kets import (
 )
 from bundle_forge.quadbench import (
     DERIVATIVE_MODES,
-    ENTRYWISE_MAX_DIM,
     FD_STEP,
     MAX_GRID_AXIS,
     KetField,
@@ -49,7 +48,6 @@ from bundle_forge.quadbench import (
     chern_number_quad,
     _fd_derivatives,
     _hopf_ket,
-    _matmul_points,
     _matrix_density,
     _rank_one_density,
     gauge_field,
@@ -298,35 +296,6 @@ class TestRankOneRoute:
         for derivative in DERIVATIVE_MODES:
             with pytest.raises(QuadratureError, match="idempotency defect"):
                 chern_number_quad(p, SphereGrid.build(8, 8), derivative)
-
-
-class TestMatmulPoints:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.tuples(*(st.integers(1, ENTRYWISE_MAX_DIM + 1) for _ in range(3))),
-        st.sampled_from([((4, 3), (4, 3)), ((4, 1), (1, 3)), ((2, 4, 3), (4, 3)), ((), (5,))]),
-        st.sampled_from(["contiguous", "transposed", "every other column"]),
-        st.sampled_from([1.0, 1j]),
-        st.integers(0, 2**32 - 1),
-    )
-    def test_matches_matmul(self, dims, grids, layout, unit, seed):
-        """Both sides of the entrywise cut against np.matmul, on broadcast
-        grid shapes and strided views, float64 (unit 1) or complex
-        (unit i), to 1e-13 of |x| @ |y|."""
-        rng = np.random.default_rng(seed)
-        rows, inner, cols = dims
-
-        def stack(grid, r, c):
-            shape = {"contiguous": (r, c), "transposed": (c, r), "every other column": (r, 2 * c)}
-            full = rng.normal(size=grid + shape[layout]) + unit * rng.normal(size=grid + shape[layout])
-            if layout == "transposed":
-                return np.swapaxes(full, -1, -2)
-            return full[..., ::2] if layout == "every other column" else full
-
-        x, y = stack(grids[0], rows, inner), stack(grids[1], inner, cols)
-        got, want = _matmul_points(x, y), np.matmul(x, y)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.all(np.abs(got - want) <= 1e-13 * np.matmul(np.abs(x), np.abs(y)))
 
 
 class TestFiniteDifferences:
