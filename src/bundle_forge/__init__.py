@@ -21,13 +21,10 @@ from .forms import (
 )
 from .kets import (
     EquivariantKet,
-    ScaledXMatrix,
-    ScaledXVector,
     connection_form,
     curvature_scalar,
     equivariance_type,
     monopole_ket,
-    named_real_objects,
     pairing,
     tilde_ket2,
 )
@@ -40,11 +37,11 @@ from .bundles import (
     covariant_derivative,
     exact_gauge,
     isometry_verify,
+    named_real_objects,
     normal_projector,
     projector_from_ket,
     real_form,
     section_pairing,
-    sum_of_dyads,
     tangent_projector,
     transpose,
     verify_axioms,

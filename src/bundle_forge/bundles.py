@@ -17,7 +17,6 @@ import functools
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .exact_ring import (
 from .forms import S3_FRAME, SphereTwoForm, XForm, ZForm, integrate_s2, restrict_to_sphere
 from .kets import (
     EquivariantKet,
-    ScaledXMatrix,
-    ScaledXVector,
     connection_form,
     curvature_scalar,
     equivariance_type,
@@ -73,7 +70,8 @@ class WeightedProjector:
     arguments that returns it; `core` calls that function on its first read
     and keeps the result for the life of this projector.  The ket routes
     never read it; the readers are `to_json`, `dense`/`entry`, `trace`, the
-    plain axioms, `real_form`, the x-route and the matrix quadrature.
+    plain axioms, `real_form`, the x-route, the matrix quadrature and
+    `isometry_verify`.
     Equality and hash compare (weights, core, label) by value.
 
     `ket`, when set, is the equivariant ket psi with p = |psi><psi|: its
@@ -241,18 +239,6 @@ def tangent_projector() -> WeightedProjector:
     return WeightedProjector((Fraction(1),) * 3, tuple(core), "p_tan")
 
 
-def sum_of_dyads(vectors: Sequence[ScaledXVector], label: str = "dyads") -> WeightedProjector:
-    """sum_l |v_l><v_l| with each vector's squared scale folded in."""
-    if not vectors:
-        raise ValueError("need at least one vector")
-    n = len(vectors[0])
-    if any(len(v) != n for v in vectors):
-        raise ValueError("vectors must have equal length")
-    stacked = tuple(zip(*(v.comps for v in vectors)))  # column l is vectors[l]
-    core = weighted_matmul(stacked, [v.scale for v in vectors], dagger(stacked))
-    return WeightedProjector((Fraction(1),) * n, core, label)
-
-
 @dataclass(frozen=True)
 class AxiomReport:
     idempotent: bool
@@ -316,8 +302,8 @@ def real_form(p: WeightedProjector) -> WeightedProjector:
     for j in range(n):
         for k in range(n):
             e = p.core[j][k]
-            a = XPoly({m: GaussianRational(c.re) for m, c in e.terms.items()})
-            b = XPoly({m: GaussianRational(c.im) for m, c in e.terms.items()})
+            a = XPoly._from_integers(e.den, e.re, {})
+            b = XPoly._from_integers(e.den, e.im, {})
             core[2 * j][2 * k] = a
             core[2 * j][2 * k + 1] = -b
             core[2 * j + 1][2 * k] = b
@@ -565,15 +551,84 @@ class PartialIsometry:
 
     core = functools.cached_property(_core_on_first_read)
 
+    def __matmul__(self, other: "PartialIsometry") -> "PartialIsometry":
+        """The product D_L C D_R . D_R C' D_R' = D_L (C W C') D_R', with W the
+        shared inner weights; other left weights raise ValueError."""
+        if tuple(self.right_weights) != tuple(other.left_weights):
+            raise ValueError("inner weights of the product do not agree")
+        core = weighted_matmul(self.core, self.right_weights, other.core)
+        return PartialIsometry(self.left_weights, core, other.right_weights)
+
+    def adjoint(self) -> "PartialIsometry":
+        """v^dagger = D_R C^dagger D_L."""
+        return PartialIsometry(self.right_weights, dagger(self.core), self.left_weights)
+
     def times_dagger(self) -> WeightedProjector:
         """v v^dagger as a weighted projector candidate."""
-        core = weighted_matmul(self.core, self.right_weights, dagger(self.core))
-        return WeightedProjector(self.left_weights, core, "vv+")
+        vvd = self @ self.adjoint()
+        return WeightedProjector(vvd.left_weights, vvd.core, "vv+")
 
     def dagger_times(self) -> WeightedProjector:
         """v^dagger v as a weighted projector candidate."""
-        core = weighted_matmul(dagger(self.core), self.left_weights, self.core)
-        return WeightedProjector(self.right_weights, core, "v+v")
+        vdv = self.adjoint() @ self
+        return WeightedProjector(vdv.left_weights, vdv.core, "v+v")
+
+
+@dataclass(frozen=True)
+class RealGeometry:
+    """The named real objects of the tangent-bundle story as partial
+    isometries: the normal row x (1x3), the rotation fields V_l = e_l x x
+    as the columns of V (3x3), their 6-component partners W_l as the
+    columns of W (6x3) and the 6x3 intertwiner u.  W and u carry the left
+    weights 1/2, the radical 1/sqrt2 of their entries."""
+
+    psi_nor: PartialIsometry
+    V: PartialIsometry
+    W: PartialIsometry
+    u: PartialIsometry
+
+
+def named_real_objects() -> RealGeometry:
+    """Exact transcription of the normal row, the three rotation fields V_l,
+    their 6-component partners W_l and the 6x3 intertwiner u."""
+    ones = (Fraction(1),) * 3
+    halves = (Fraction(1, 2),) * 6
+    zero = XPoly.zero()
+
+    psi_nor = PartialIsometry(ones[:1], ((X1, X2, X3),), ones)
+
+    V_columns = (
+        (zero, -X3, X2),
+        (X3, zero, -X1),
+        (-X2, X1, zero),
+    )
+
+    one_m_x1sq = XPoly.one() - X1 * X1
+    one_m_x2sq = XPoly.one() - X2 * X2
+    one_m_x3sq = XPoly.one() - X3 * X3
+    x1x2, x1x3, x2x3 = X1 * X2, X1 * X3, X2 * X3
+
+    W_columns = (
+        (one_m_x1sq, zero, -X3, x1x2, -x1x3, X2),
+        (-x1x2, X3, zero, -one_m_x2sq, -x2x3, -X1),
+        (-x1x3, -X2, X1, x2x3, one_m_x3sq, zero),
+    )
+
+    u_rows = (
+        (zero, -X3, X2),
+        (one_m_x1sq, -x1x2, -x1x3),
+        (-x1x2, one_m_x2sq, -x2x3),
+        (-X3, zero, X1),
+        (-X2, X1, zero),
+        (-x1x3, -x2x3, one_m_x3sq),
+    )
+
+    return RealGeometry(
+        psi_nor=psi_nor,
+        V=PartialIsometry(ones, tuple(zip(*V_columns)), ones),
+        W=PartialIsometry(halves, tuple(zip(*W_columns)), ones),
+        u=PartialIsometry(halves, u_rows, ones),
+    )
 
 
 def _gauged_ket(k: EquivariantKet | None, s) -> EquivariantKet | None:
@@ -657,20 +712,16 @@ class IsometryReport:
 
 
 def isometry_verify(
-    u: ScaledXMatrix, src: WeightedProjector, dst: WeightedProjector
+    v: PartialIsometry, src: WeightedProjector, dst: WeightedProjector
 ) -> IsometryReport:
-    """Exact entrywise check that u^dagger u = src and u u^dagger = dst."""
-    nrow, ncol = u.shape
-    if ncol != src.dim or nrow != dst.dim:
+    """Exact check that v^dagger v = src and v v^dagger = dst, each by equal
+    weights and equal cores, so that weights such as (1, 2, 1), whose dense
+    entries are irrational, stay factored (D M D = D M' D iff M = M'; a
+    product with other weights but the same dense matrix fails)."""
+    if len(v.right_weights) != src.dim or len(v.left_weights) != dst.dim:
         raise ValueError("dimension mismatch between isometry and projectors")
-    src_dense = src.dense()
-    dst_dense = dst.dense()
-    gram = u.gram()
-    cogram = u.cogram()
-    ok_src = all(
-        gram[j][k] == src_dense[j][k] for j in range(ncol) for k in range(ncol)
+    vdv, vvd = v.dagger_times(), v.times_dagger()
+    return IsometryReport(
+        vdv.weights == src.weights and vdv.core == src.core,
+        vvd.weights == dst.weights and vvd.core == dst.core,
     )
-    ok_dst = all(
-        cogram[j][k] == dst_dense[j][k] for j in range(nrow) for k in range(nrow)
-    )
-    return IsometryReport(ok_src, ok_dst)

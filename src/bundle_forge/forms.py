@@ -15,7 +15,6 @@ from typing import Mapping
 
 from .exact_ring import (
     GR_I,
-    GR_ZERO,
     GaussianRational,
     VolumeUnits,
     XPoly,

@@ -3,9 +3,8 @@
 The monopole families are rows of weighted monomials in (z0, z1): square
 roots of binomial coefficients are never expanded, only their squares (the
 "weights") are stored, and every pairing combines weights in pairs so that
-all computed scalars stay Gaussian-rational.  The real geometric objects of
-the tangent/normal story (the rotation fields, their 6-component partners
-and the 6x3 intertwiner) carry a single squared scale factor instead.
+all computed scalars stay Gaussian-rational.  The real objects of the
+tangent/normal story are partial isometries in `bundles`.
 """
 
 from __future__ import annotations
@@ -13,21 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exact_ring import (
-    GR_I,
-    GR_ONE,
-    GaussianRational,
-    X1,
-    X2,
-    X3,
-    XPoly,
-    ZPoly,
-    dagger,
-    rational_sqrt,
-    weighted_matmul,
-)
+from .exact_ring import ZPoly, rational_sqrt
 from .forms import ZForm
 
 
@@ -164,112 +150,3 @@ def equivariance_type(k: EquivariantKet) -> int:
     if len(types) > 1:
         raise ValueError(f"components carry mixed equivariance types {sorted(types)}")
     return types.pop() if types else 0
-
-
-@dataclass(frozen=True)
-class ScaledXVector:
-    """A real vector-valued function sqrt(scale) * (f_1, ..., f_N) on S^2."""
-
-    scale: Fraction
-    comps: tuple
-
-    def __len__(self) -> int:
-        return len(self.comps)
-
-
-@dataclass(frozen=True)
-class ScaledXMatrix:
-    """A matrix-valued function sqrt(scale) * (m_jk) on S^2."""
-
-    scale: Fraction
-    rows: tuple
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]))
-
-    def apply(self, v: ScaledXVector) -> ScaledXVector:
-        nrow, ncol = self.shape
-        if ncol != len(v):
-            raise ValueError("dimension mismatch")
-        comps = []
-        for row in self.rows:
-            acc = XPoly.zero()
-            for m, c in zip(row, v.comps):
-                acc = acc + m * c
-            comps.append(acc)
-        return ScaledXVector(self.scale * v.scale, tuple(comps))
-
-    def gram(self):
-        """u^dagger u with the radical scale squared away; XPoly entries."""
-        return weighted_matmul(dagger(self.rows), (self.scale,) * len(self.rows), self.rows)
-
-    def cogram(self):
-        """u u^dagger with the radical scale squared away; XPoly entries."""
-        return weighted_matmul(self.rows, (self.scale,) * len(self.rows[0]), dagger(self.rows))
-
-
-def x_vector_pairing(a: ScaledXVector, b: ScaledXVector) -> XPoly:
-    """<a|b> = sqrt(scale_a scale_b) sum_k a_k conj(b_k)."""
-    if len(a) != len(b):
-        raise ValueError("vectors must have equal length")
-    root = rational_sqrt(a.scale * b.scale)
-    if root is None:
-        raise WeightMismatchError(
-            f"scale product {a.scale}*{b.scale} has no rational square root"
-        )
-    acc = XPoly.zero()
-    for pa, pb in zip(a.comps, b.comps):
-        acc = acc + pa * pb.conj()
-    return acc * root
-
-
-@dataclass(frozen=True)
-class RealGeometry:
-    """The named real objects of the tangent-bundle story."""
-
-    psi_nor: ScaledXVector
-    V: tuple
-    W: tuple
-    u: ScaledXMatrix
-
-
-def named_real_objects() -> RealGeometry:
-    """Exact transcription of the normal row, the three rotation fields V_l,
-    their 6-component partners W_l and the 6x3 intertwiner u."""
-    one = Fraction(1)
-    half = Fraction(1, 2)
-    zero = XPoly.zero()
-
-    psi_nor = ScaledXVector(one, (X1, X2, X3))
-
-    V = (
-        ScaledXVector(one, (zero, -X3, X2)),
-        ScaledXVector(one, (X3, zero, -X1)),
-        ScaledXVector(one, (-X2, X1, zero)),
-    )
-
-    one_m_x1sq = XPoly.one() - X1 * X1
-    one_m_x2sq = XPoly.one() - X2 * X2
-    one_m_x3sq = XPoly.one() - X3 * X3
-    x1x2, x1x3, x2x3 = X1 * X2, X1 * X3, X2 * X3
-
-    W = (
-        ScaledXVector(half, (one_m_x1sq, zero, -X3, x1x2, -x1x3, X2)),
-        ScaledXVector(half, (-x1x2, X3, zero, -one_m_x2sq, -x2x3, -X1)),
-        ScaledXVector(half, (-x1x3, -X2, X1, x2x3, one_m_x3sq, zero)),
-    )
-
-    u = ScaledXMatrix(
-        half,
-        (
-            (zero, -X3, X2),
-            (one_m_x1sq, -x1x2, -x1x3),
-            (-x1x2, one_m_x2sq, -x2x3),
-            (-X3, zero, X1),
-            (-X2, X1, zero),
-            (-x1x3, -x2x3, one_m_x3sq),
-        ),
-    )
-
-    return RealGeometry(psi_nor=psi_nor, V=V, W=W, u=u)

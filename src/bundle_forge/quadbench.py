@@ -26,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from .bundles import WeightedProjector, unit_ket
+from .bundles import WeightedProjector, named_real_objects, unit_ket
 from .exact_ring import XPoly, ZPoly
 from .forms import S3_FRAME, XForm, ZForm
-from .kets import EquivariantKet, named_real_objects, pairing
+from .kets import EquivariantKet, pairing
 
 
 class QuadratureError(RuntimeError):
@@ -316,7 +316,7 @@ def _vanishes(form, frame: tuple) -> bool:
 def s2_tangent_frame_check(omega: XForm, expected: XForm) -> bool:
     """Whether two XForms agree on S^2, i.e. modulo the sphere ideal (r, dr),
     by contracting their difference with the rotation fields V_l = e_l x x."""
-    return _vanishes(omega - expected, tuple(v.comps for v in named_real_objects().V))
+    return _vanishes(omega - expected, tuple(zip(*named_real_objects().V.core)))
 
 
 def tangent_frame_check(omega: ZForm, expected: ZForm) -> bool:

@@ -7,6 +7,7 @@ from bundle_forge import bundles
 from bundle_forge.bundles import (
     CROSS_CHECK_MAX_DIM,
     ChernConsistencyError,
+    PartialIsometry,
     Section,
     UnsupportedGaugeError,
     WeightedProjector,
@@ -18,11 +19,11 @@ from bundle_forge.bundles import (
     dense_equal,
     exact_gauge,
     isometry_verify,
+    named_real_objects,
     normal_projector,
     projector_from_ket,
     real_form,
     section_pairing,
-    sum_of_dyads,
     tangent_projector,
     transpose,
     verify_axioms,
@@ -44,10 +45,8 @@ from bundle_forge.exact_ring import (
 from bundle_forge.forms import DZ0, DZB0, DZB1, XForm, ZForm
 from bundle_forge.kets import (
     EquivariantKet,
-    ScaledXVector,
     connection_form,
     monopole_ket,
-    named_real_objects,
     tilde_ket2,
 )
 from bundle_forge.quadbench import (
@@ -271,26 +270,28 @@ class TestChernExact:
 
 
 class TestDyads:
+    # sum_l |v_l><v_l| over the columns v_l of v is v v^dagger
     def test_tangent_from_rotation_fields(self):
         geo = named_real_objects()
-        assert dense_equal(sum_of_dyads(geo.V), tangent_projector())
+        assert dense_equal(geo.V.times_dagger(), tangent_projector())
 
     def test_real_form_from_w_fields(self):
         geo = named_real_objects()
-        assert dense_equal(sum_of_dyads(geo.W), real_form(tilde_projector()))
+        assert dense_equal(geo.W.times_dagger(), real_form(tilde_projector()))
 
     def test_tangent_entries_are_v_pairings(self):
-        from bundle_forge.kets import x_vector_pairing
-
+        # <V_j|V_k> is entry (j, k) of V^dagger V
         geo = named_real_objects()
+        pairings = geo.V.dagger_times().dense()
         dense = tangent_projector().dense()
         for j in range(3):
             for k in range(3):
-                assert x_vector_pairing(geo.V[j], geo.V[k]) == dense[j][k]
+                assert pairings[j][k] == dense[j][k]
 
     def test_single_basis_vector(self):
-        e1 = ScaledXVector(Fraction(1), (XPoly.one(), XPoly.zero(), XPoly.zero()))
-        dense = sum_of_dyads([e1]).dense()
+        ones = (Fraction(1),) * 3
+        e1 = PartialIsometry(ones, ((XPoly.one(),), (XPoly.zero(),), (XPoly.zero(),)), ones[:1])
+        dense = e1.times_dagger().dense()
         assert dense[0][0] == XPoly.one()
         assert all(
             dense[j][k].is_zero() for j in range(3) for k in range(3) if (j, k) != (0, 0)
@@ -584,14 +585,14 @@ class TestIsometry:
         assert rep.all_pass
 
     def test_negative_control(self):
-        from bundle_forge.kets import ScaledXMatrix
-
-        eye = ScaledXMatrix(
-            Fraction(1),
+        ones = (Fraction(1),) * 3
+        eye = PartialIsometry(
+            ones,
             tuple(
                 tuple(XPoly.one() if j == k else XPoly.zero() for k in range(3))
                 for j in range(3)
             ),
+            ones,
         )
         rep = isometry_verify(eye, normal_projector(), normal_projector())
         assert not rep.all_pass

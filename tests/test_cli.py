@@ -113,11 +113,16 @@ class TestBuildCommand:
 
 class TestVerifyCommand:
     def test_isometry_suite(self, capsys):
+        # the whole text: five verdicts, so a dropped or renamed check shows
         code, out, _ = invoke(capsys, "verify", "--suite", "isometry")
         assert code == 0
-        assert "u+u = p_tan: PASS" in out
-        assert "uu+ = (p~[-2])^R: PASS" in out
-        assert "ALL PASS" in out
+        assert out == (
+            "u+u = p_tan: PASS; uu+ = (p~[-2])^R: PASS\n"
+            "u V_1 = W_1: PASS\n"
+            "u V_2 = W_2: PASS\n"
+            "u V_3 = W_3: PASS\n"
+            "ALL PASS\n"
+        )
 
     def test_axioms_suite(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "axioms", "--max-charge", "2")
@@ -134,9 +139,18 @@ class TestVerifyCommand:
         assert lines[-1] == "ALL PASS"
 
     def test_tangent_suite(self, capsys):
+        # the whole text: six verdicts, so a dropped or renamed check shows
         code, out, _ = invoke(capsys, "verify", "--suite", "tangent")
         assert code == 0
-        assert "Chern form of p_tan is 0: PASS" in out
+        assert out == (
+            "tangent p_tan = 1 - p_nor (by construction, axioms): PASS\n"
+            "tangent p_tan = sum |V_l><V_l|: PASS\n"
+            "tangent (p~[-2])^R = sum |W_l><W_l|: PASS\n"
+            "tangent (p_tan)_kl = <V_k|V_l>: PASS\n"
+            "tangent Chern form of p_nor is 0: PASS\n"
+            "tangent Chern form of p_tan is 0: PASS\n"
+            "ALL PASS\n"
+        )
 
     def test_gauge_suite(self, capsys):
         code, out, _ = invoke(capsys, "verify", "--suite", "gauge", "--seed", "1")

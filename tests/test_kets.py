@@ -2,21 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from bundle_forge.cli import MAX_CHARGE
+from bundle_forge.bundles import PartialIsometry, named_real_objects
+from bundle_forge.cli import MAX_CHARGE, _column
 from bundle_forge.exact_ring import X1, X2, X3, XPoly, ZPoly
 from bundle_forge.forms import DZ0, DZ1, DZB0, DZB1, ZForm
 from bundle_forge.kets import (
     EquivariantKet,
-    ScaledXVector,
     WeightMismatchError,
     connection_form,
     curvature_scalar,
     equivariance_type,
     monopole_ket,
-    named_real_objects,
     pairing,
     tilde_ket2,
-    x_vector_pairing,
 )
 from bundle_forge.quadbench import tangent_frame_check
 
@@ -163,51 +161,51 @@ class TestCurvatureScalar:
 class TestRealObjects:
     def test_v1_components(self):
         geo = named_real_objects()
-        assert geo.V[0].comps == (XPoly.zero(), -X3, X2)
-        assert geo.V[0].scale == 1
+        assert _column(geo.V, 0) == ((1, 1, 1), 1, (XPoly.zero(), -X3, X2))
 
     def test_w3_components(self):
         geo = named_real_objects()
-        w3 = geo.W[2]
-        assert w3.scale == Fraction(1, 2)
-        assert w3.comps == (
-            -(X1 * X3),
-            -X2,
-            X1,
-            X2 * X3,
-            XPoly.one() - X3 * X3,
-            XPoly.zero(),
+        assert _column(geo.W, 2) == (
+            (Fraction(1, 2),) * 6,
+            1,
+            (-(X1 * X3), -X2, X1, X2 * X3, XPoly.one() - X3 * X3, XPoly.zero()),
         )
 
     def test_radial_combinations_vanish(self):
-        # sum_l x_l V_l = 0 and sum_l x_l W_l = 0
+        # sum_l x_l V_l = 0 and sum_l x_l W_l = 0: V and W times the column x
         geo = named_real_objects()
-        xs = (X1, X2, X3)
+        x = geo.psi_nor.adjoint()
         for family in (geo.V, geo.W):
-            dim = len(family[0])
-            for j in range(dim):
-                acc = XPoly.zero()
-                for xl, vl in zip(xs, family):
-                    acc = acc + xl * vl.comps[j]
-                assert acc.is_zero()
+            assert all(e.is_zero() for row in (family @ x).core for e in row)
 
     def test_normal_orthogonal_to_rotations(self):
+        # <x|V_l> is entry l of the row x times V
         geo = named_real_objects()
-        for vl in geo.V:
-            assert x_vector_pairing(geo.psi_nor, vl).is_zero()
+        assert all(e.is_zero() for e in (geo.psi_nor @ geo.V).core[0])
 
     def test_u_maps_v_to_w(self):
         geo = named_real_objects()
-        for vl, wl in zip(geo.V, geo.W):
-            image = geo.u.apply(vl)
-            assert image.scale == wl.scale
-            assert image.comps == wl.comps
+        uv = geo.u @ geo.V
+        for l in range(3):
+            assert _column(uv, l) == _column(geo.W, l)
 
-    def test_scale_mismatch_pairing_rejected(self):
-        a = ScaledXVector(Fraction(1, 2), (X1,))
-        b = ScaledXVector(Fraction(1), (X1,))
-        with pytest.raises(WeightMismatchError):
-            x_vector_pairing(a, b)
+    def test_one_changed_column_fails_only_itself(self):
+        geo = named_real_objects()
+        uv = geo.u @ geo.V
+        for changed in range(3):
+            core = tuple(
+                tuple(e + X1 if (j, l) == (0, changed) else e for l, e in enumerate(row))
+                for j, row in enumerate(geo.W.core)
+            )
+            mutant = PartialIsometry(geo.W.left_weights, core, geo.W.right_weights)
+            matches = [_column(uv, l) == _column(mutant, l) for l in range(3)]
+            assert matches == [l != changed for l in range(3)]
+
+    def test_inner_weight_mismatch_rejected(self):
+        geo = named_real_objects()
+        halved = PartialIsometry((Fraction(1, 2),) * 3, geo.V.core, geo.V.right_weights)
+        with pytest.raises(ValueError, match="inner weights"):
+            geo.u @ halved
 
 
 class TestSerialization:
