@@ -30,18 +30,15 @@ from .kets import (
 )
 from .bundles import (
     ChernReport,
-    Section,
     WeightedProjector,
     chern_form_exact,
     chern_number_exact,
-    covariant_derivative,
     exact_gauge,
     isometry_verify,
     named_real_objects,
     normal_projector,
     projector_from_ket,
     real_form,
-    section_pairing,
     tangent_projector,
     transpose,
     verify_axioms,

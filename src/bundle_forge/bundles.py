@@ -14,7 +14,6 @@ the Hopf lift to S^3.
 from __future__ import annotations
 
 import functools
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,18 +33,10 @@ from .exact_ring import (
     integrate_xpoly,
     rational_sqrt,
     weighted_matmul,
-    x_to_z,
     z_to_x,
 )
-from .forms import S3_FRAME, SphereTwoForm, XForm, ZForm, integrate_s2, restrict_to_sphere
-from .kets import (
-    EquivariantKet,
-    connection_form,
-    curvature_scalar,
-    equivariance_type,
-    pairing,
-    poly_equivariance_type,
-)
+from .forms import S3_FRAME, SphereTwoForm, XForm, integrate_s2, restrict_to_sphere
+from .kets import EquivariantKet, curvature_scalar, equivariance_type, pairing
 
 
 class ChernConsistencyError(ArithmeticError):
@@ -147,7 +138,10 @@ class WeightedProjector:
 
     @staticmethod
     def from_json(data: dict, label: str = "p") -> "WeightedProjector":
-        weights = tuple(Fraction(w) for w in data["weights"])
+        weights = data["weights"]
+        if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):
+            raise ValueError("weights must be a list of strings, as to_json writes them")
+        weights = tuple(Fraction(w) for w in weights)
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive rationals")
         n = len(weights)
@@ -411,85 +405,17 @@ class ChernReport:
     object_id: str
     backend: str  # "exact" | "quad"
     c1: object  # int for exact, float for quad
-    axioms: AxiomReport | None
-    ms: float
+    axioms: AxiomReport
+    ms: float  # verify_axioms plus the backend's c1
 
     def to_json(self) -> dict:
         return {
             "object": self.object_id,
             "backend": self.backend,
             "c1": str(self.c1) if self.backend == "exact" else self.c1,
-            "axioms": self.axioms.to_json() if self.axioms else None,
+            "axioms": self.axioms.to_json(),
             "ms": self.ms,
         }
-
-
-def chern_report_exact(p: WeightedProjector) -> ChernReport:
-    start = time.perf_counter()
-    axioms = verify_axioms(p)
-    c1 = chern_number_exact(p)
-    ms = (time.perf_counter() - start) * 1000.0
-    return ChernReport(p.label, "exact", c1, axioms, ms)
-
-
-@dataclass(frozen=True)
-class Section:
-    """An element of the free module (A_C)^N: a column of XPoly coefficients."""
-
-    comps: tuple
-
-    def __len__(self) -> int:
-        return len(self.comps)
-
-
-@dataclass(frozen=True)
-class WeightedZSum:
-    """sum_k sqrt(w_k) * q_k with q_k in ZPoly; radicals kept factored.
-
-    Terms with equal weight are coalesced, so e.g. a plain polynomial shows
-    up as the single term (1, q)."""
-
-    terms: tuple  # of (Fraction weight, ZPoly)
-
-    def equivariance_type(self) -> int:
-        types = {
-            poly_equivariance_type(q) for _, q in self.terms if not q.is_zero()
-        }
-        if len(types) > 1:
-            raise ValueError(f"mixed equivariance types {sorted(types)}")
-        return types.pop() if types else 0
-
-    def is_zero(self) -> bool:
-        return all(q.is_zero() for _, q in self.terms)
-
-    def __str__(self) -> str:
-        parts = [
-            (f"({q})" if w == 1 else f"sqrt({w})*({q})")
-            for w, q in self.terms
-            if not q.is_zero()
-        ]
-        return " + ".join(parts) if parts else "0"
-
-
-def section_pairing(k: EquivariantKet, f: Section) -> WeightedZSum:
-    """The equivariant function <psi | f> = sum_k sqrt(w_k) poly_k f_k."""
-    if len(k) != len(f):
-        raise ValueError("section length must match ket length")
-    acc: dict = {}
-    for w, p, fk in zip(k.weights, k.polys, f.comps):
-        q = p * x_to_z(fk)
-        if q.is_zero():
-            continue
-        acc[w] = acc[w] + q if w in acc else q
-    terms = tuple(sorted(acc.items(), key=lambda t: t[0]))
-    return WeightedZSum(terms if terms else ((Fraction(1), ZPoly.zero()),))
-
-
-def covariant_derivative(k: EquivariantKet, phi: ZPoly) -> ZForm:
-    """nabla phi = d phi + <psi|d psi> phi for an equivariant function phi."""
-    if poly_equivariance_type(phi) != equivariance_type(k):
-        raise ValueError("equivariance type of phi does not match the ket")
-    return ZForm.from_poly(phi).d() + connection_form(k) * phi
 
 
 # ---------------------------------------------------------------------------

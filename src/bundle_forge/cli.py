@@ -15,9 +15,11 @@ import argparse
 import cmath
 import json
 import sys
+import time
 
 from . import bundles, quadbench
 from .bundles import (
+    ChernReport,
     WeightedProjector,
     chern_number_exact,
     exact_gauge,
@@ -116,17 +118,17 @@ def _cmd_chern(args) -> int:
     p = build_projector(args.family, args.charge)
     if args.family == "monopole" and not args.json:
         print(_charge_mapping_line(args.charge))
-    if args.backend == "exact":
-        report = bundles.chern_report_exact(p)
-    else:
+    if args.backend == "quad":
         grid = _parse_grid(args.grid)
         mode = "finite-difference" if args.fd else "analytic"
-        import time
-
-        start = time.perf_counter()
+    start = time.perf_counter()
+    axioms = verify_axioms(p)
+    if args.backend == "exact":
+        c1 = chern_number_exact(p)
+    else:
         c1 = chern_number_quad(p, grid, mode)
-        ms = (time.perf_counter() - start) * 1000.0
-        report = bundles.ChernReport(p.label, "quad", c1, verify_axioms(p), ms)
+    ms = (time.perf_counter() - start) * 1000.0
+    report = ChernReport(p.label, args.backend, c1, axioms, ms)
     if args.json:
         data = report.to_json()
         if args.family == "monopole":
@@ -149,7 +151,9 @@ def _cmd_gauge(args) -> int:
     try:
         with open(args.g_file) as fh:
             data = json.load(fh)
-        n = int(data["n"])
+        n = data["n"]
+        if type(n) is not int:  # bool is a subclass of int
+            raise ValueError(f"n must be a JSON integer, got {n!r}")
         entries = [
             [complex(float(e["re"]), float(e.get("im", 0.0))) for e in row]
             for row in data["entries"]

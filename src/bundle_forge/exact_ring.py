@@ -435,9 +435,15 @@ class _BasePoly:
             )
         terms: dict = {}
         for t in data["terms"]:
-            m = tuple(int(e) for e in t["exp"])
-            c = GaussianRational.from_strings(t["re"], t.get("im", "0"))
-            terms[m] = terms.get(m, GR_ZERO) + c
+            exp, re, im = t["exp"], t["re"], t.get("im", "0")
+            # what to_json writes: exponents as JSON integers (bool is an
+            # int subclass), coefficient parts as strings of exact rationals
+            if not isinstance(exp, list) or any(type(e) is not int for e in exp):
+                raise ValueError(f"exponents must be JSON integers, got {exp!r}")
+            if not isinstance(re, str) or not isinstance(im, str):
+                raise ValueError(f"coefficient parts must be strings, got {re!r}, {im!r}")
+            m = tuple(exp)
+            terms[m] = terms.get(m, GR_ZERO) + GaussianRational.from_strings(re, im)
         return cls(terms)
 
 
@@ -792,9 +798,6 @@ class VolumeUnits:
     """An exact integral over S^2, stored in units of 4*pi."""
 
     value: GaussianRational
-
-    def __add__(self, other: "VolumeUnits") -> "VolumeUnits":
-        return VolumeUnits(self.value + other.value)
 
     def __float__(self) -> float:
         if self.value.im != 0:

@@ -17,6 +17,9 @@ from .exact_ring import (
     GR_I,
     GaussianRational,
     VolumeUnits,
+    X1,
+    X2,
+    X3,
     XPoly,
     Z0,
     Z1,
@@ -196,18 +199,6 @@ class _BaseForm:
 
     __repr__ = __str__
 
-    def to_json(self) -> list:
-        out = []
-        for idx in sorted(self.terms, key=lambda i: (len(i), i)):
-            out.append(
-                {
-                    "deg": len(idx),
-                    "basis": "^".join(self.BASIS_NAMES[k] for k in idx),
-                    "coeff": self.terms[idx].to_json(),
-                }
-            )
-        return out
-
 
 class XForm(_BaseForm):
     POLY = XPoly
@@ -255,8 +246,6 @@ S3_FRAME = (
 )
 
 # dvol(S^2) = x1 dx2 dx3 + x2 dx3 dx1 + x3 dx1 dx2, total integral 4*pi
-from .exact_ring import X1, X2, X3  # noqa: E402
-
 VOLUME_FORM = (
     DX2.wedge(DX3) * X1 + DX3.wedge(DX1) * X2 + DX1.wedge(DX2) * X3
 )
@@ -270,9 +259,6 @@ class SphereTwoForm:
 
     def is_zero(self) -> bool:
         return self.coeff.is_zero()
-
-    def __add__(self, other: "SphereTwoForm") -> "SphereTwoForm":
-        return SphereTwoForm(self.coeff + other.coeff)
 
     def __str__(self) -> str:
         return f"({self.coeff}) * dvol(S2)"

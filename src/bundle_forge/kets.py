@@ -43,25 +43,6 @@ class EquivariantKet:
     def __len__(self) -> int:
         return len(self.polys)
 
-    def to_json(self) -> dict:
-        return {
-            "weights": [str(w) for w in self.weights],
-            "components": [p.to_json() for p in self.polys],
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "EquivariantKet":
-        weights = tuple(Fraction(w) for w in data["weights"])
-        polys = tuple(ZPoly.from_json(p) for p in data["components"])
-        return EquivariantKet(weights, polys)
-
-    def evaluate(self, z0: complex, z1: complex):
-        """Numeric component row sqrt(w_k) * poly_k(z)."""
-        return [
-            math.sqrt(float(w)) * p.evaluate(z0, z1)
-            for w, p in zip(self.weights, self.polys)
-        ]
-
 
 def monopole_ket(sign: str, n: int) -> EquivariantKet:
     """The (n+1)-component monopole row for representation type -n ("minus",

@@ -8,13 +8,10 @@ from bundle_forge.bundles import (
     CROSS_CHECK_MAX_DIM,
     ChernConsistencyError,
     PartialIsometry,
-    Section,
     UnsupportedGaugeError,
     WeightedProjector,
     chern_form_exact,
     chern_number_exact,
-    chern_report_exact,
-    covariant_derivative,
     curvature_trace_form,
     dense_equal,
     exact_gauge,
@@ -23,7 +20,6 @@ from bundle_forge.bundles import (
     normal_projector,
     projector_from_ket,
     real_form,
-    section_pairing,
     tangent_projector,
     transpose,
     verify_axioms,
@@ -42,7 +38,7 @@ from bundle_forge.exact_ring import (
     weighted_matmul,
     z_to_x,
 )
-from bundle_forge.forms import DZ0, DZB0, DZB1, XForm, ZForm
+from bundle_forge.forms import XForm, ZForm
 from bundle_forge.kets import (
     EquivariantKet,
     connection_form,
@@ -261,13 +257,6 @@ class TestChernExact:
         with pytest.raises(ChernConsistencyError):
             chern_number_exact(halved)
 
-    def test_report_json(self):
-        rep = chern_report_exact(tilde_projector())
-        data = rep.to_json()
-        assert data["c1"] == "2"
-        assert data["backend"] == "exact"
-        assert data["axioms"]["idempotent"] is True
-
 
 class TestDyads:
     # sum_l |v_l><v_l| over the columns v_l of v is v v^dagger
@@ -296,57 +285,6 @@ class TestDyads:
         assert all(
             dense[j][k].is_zero() for j in range(3) for k in range(3) if (j, k) != (0, 0)
         )
-
-
-class TestSections:
-    def test_first_basis_section(self):
-        k = monopole_ket("minus", 2)
-        got = section_pairing(k, Section((XPoly.one(), XPoly.zero(), XPoly.zero())))
-        assert got.terms == ((Fraction(1), ZPoly.monomial((2, 0, 0, 0))),)
-
-    def test_middle_section_keeps_radical(self):
-        k = monopole_ket("minus", 2)
-        got = section_pairing(k, Section((XPoly.zero(), XPoly.one(), XPoly.zero())))
-        assert got.terms == ((Fraction(2), ZPoly.monomial((1, 1, 0, 0))),)
-        assert str(got) == "sqrt(2)*(z0*z1)"
-        assert got.equivariance_type() == 2
-
-    def test_zero_section(self):
-        k = monopole_ket("minus", 2)
-        got = section_pairing(k, Section((XPoly.zero(),) * 3))
-        assert got.is_zero()
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            section_pairing(monopole_ket("minus", 1), Section((XPoly.one(),)))
-
-
-class TestCovariantDerivative:
-    def test_constant_ket(self):
-        got = covariant_derivative(monopole_ket("minus", 0), ZPoly.one())
-        assert got.is_zero()
-
-    def test_charge_one_oracle(self):
-        # oracle assembled directly: nabla z0 = dz0 + (z0 dzb0 + z1 dzb1) z0
-        z0 = ZPoly.monomial((1, 0, 0, 0))
-        z1 = ZPoly.monomial((0, 1, 0, 0))
-        expected = DZ0 + (DZB0 * z0 + DZB1 * z1) * z0
-        assert covariant_derivative(monopole_ket("minus", 1), z0) == expected
-
-    def test_leibniz_with_invariant_factor(self):
-        # nabla(phi a) = (nabla phi) a + phi da for invariant a = x3
-        from bundle_forge.exact_ring import x_to_z
-
-        k = monopole_ket("minus", 1)
-        phi = ZPoly.monomial((1, 0, 0, 0))
-        a = x_to_z(X3)
-        lhs = covariant_derivative(k, phi * a)
-        rhs = covariant_derivative(k, phi) * a + ZForm.from_poly(a).d() * phi
-        assert tangent_frame_check(lhs, rhs)
-
-    def test_type_mismatch(self):
-        with pytest.raises(ValueError):
-            covariant_derivative(monopole_ket("minus", 1), ZPoly.monomial((0, 0, 1, 0)))
 
 
 class TestExactGauge:
@@ -619,12 +557,32 @@ class TestSerialization:
 
     def test_malformed_projectors_rejected(self):
         one = XPoly.one().to_json()
+
+        def entry(**changes):
+            # x3 with one field of its only term replaced
+            return {"vars": ["x1", "x2", "x3"],
+                    "terms": [{"re": "1", "im": "0", "exp": [0, 0, 1], **changes}]}
+
         for weights, core in (
             (["1", "2"], [[one], [one, one]]),          # ragged core
             (["1", "2"], [[one, one, one]] * 2),        # core not square
             (["1", "2"], [[one] * 3] * 3),              # core size != weight count
             (["-1", "2"], [[one, one], [one, one]]),    # negative weight
             (["0", "2"], [[one, one], [one, one]]),     # zero weight
+            ([1, 2], [[one, one], [one, one]]),         # weights not strings
+            ([0.5, "2"], [[one, one], [one, one]]),
+            ("12", [[one, one], [one, one]]),           # weights not a list
+        ) + tuple(
+            (["1", "2"], [[one, bad], [one, one]])
+            for bad in (
+                entry(exp=[0, 0, 2.5]),                  # non-integer exponent
+                entry(exp=[0, 0, True]),                 # boolean exponent
+                entry(exp=[0, 0, "3"]),                  # exponent as a string
+                entry(exp="001"),                        # exponents not a list
+                entry(re=0.1),                           # coefficient as a float
+                entry(re=1),                             # coefficient as an int
+                entry(im=0),
+            )
         ):
             with pytest.raises(ValueError):
                 WeightedProjector.from_json({"weights": weights, "core": core})

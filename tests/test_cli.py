@@ -87,6 +87,14 @@ class TestChernCommand:
         code, _, _ = invoke(capsys, "chern", "--family", "monopole", "--wat")
         assert code == 2
 
+    def test_report_json(self, capsys):
+        code, out, _ = invoke(capsys, "chern", "--family", "tilde", "--json")
+        assert code == 0
+        data = json.loads(out)
+        assert data["c1"] == "2"
+        assert data["backend"] == "exact"
+        assert data["axioms"]["idempotent"] is True
+
 
 class TestBuildCommand:
     def test_json_round_trip(self, capsys):
@@ -200,11 +208,16 @@ class TestGaugeCommand:
         assert abs(float(line.split("=")[1]) - 1.0) < 1e-4
 
     def test_malformed_file(self, capsys, tmp_path):
+        # "n": 2.9 used to be read as 2 and "n": true as 1
         g_file = tmp_path / "g.json"
-        g_file.write_text("{not json")
-        code, _, err = invoke(capsys, "gauge", "--charge", "1", "--g-file", str(g_file))
-        assert code == 2
-        assert "malformed" in err
+        entries = [[{"re": 1.0}, {"re": 0.0}], [{"re": 0.0}, {"re": 1.0}]]
+        for text in ["{not json"] + [
+            json.dumps({"n": n, "entries": entries}) for n in (2.9, "2", True)
+        ]:
+            g_file.write_text(text)
+            code, out, err = invoke(capsys, "gauge", "--charge", "1", "--g-file", str(g_file))
+            assert code == 2 and not out, text
+            assert err.startswith("error: malformed gauge file"), text
 
     def test_dimension_mismatch(self, capsys, tmp_path):
         g_file = tmp_path / "g.json"

@@ -206,19 +206,3 @@ class TestRealObjects:
         halved = PartialIsometry((Fraction(1, 2),) * 3, geo.V.core, geo.V.right_weights)
         with pytest.raises(ValueError, match="inner weights"):
             geo.u @ halved
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        for k in (monopole_ket("minus", 3), monopole_ket("plus", 2), tilde_ket2()):
-            assert EquivariantKet.from_json(k.to_json()) == k
-
-    def test_evaluate_is_normalized(self):
-        import math
-
-        k = monopole_ket("minus", 3)
-        z0 = complex(0.6, 0.0)
-        z1 = complex(0.0, 0.8)
-        row = k.evaluate(z0, z1)
-        norm = sum(abs(c) ** 2 for c in row)
-        assert math.isclose(norm, 1.0, rel_tol=1e-12)
