@@ -35,7 +35,7 @@ from .exact_ring import (
     weighted_matmul,
     z_to_x,
 )
-from .forms import S3_FRAME, SphereTwoForm, XForm, integrate_s2, restrict_to_sphere
+from .forms import S3_FRAME, SphereTwoForm, integrate_s2
 from .kets import EquivariantKet, curvature_scalar, equivariance_type, pairing
 
 
@@ -138,18 +138,24 @@ class WeightedProjector:
 
     @staticmethod
     def from_json(data: dict, label: str = "p") -> "WeightedProjector":
-        weights = data["weights"]
+        """The projector `to_json` writes; ValueError for any other input."""
+        if not isinstance(data, dict):
+            raise ValueError("a projector must be an object with weights and core")
+        weights, rows = data.get("weights"), data.get("core")
         if not isinstance(weights, list) or not all(isinstance(w, str) for w in weights):
             raise ValueError("weights must be a list of strings, as to_json writes them")
-        weights = tuple(Fraction(w) for w in weights)
+        try:
+            weights = tuple(Fraction(w) for w in weights)
+        except ZeroDivisionError as exc:
+            raise ValueError(f"a weight divides by zero: {exc}") from exc
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive rationals")
         n = len(weights)
-        if len(data["core"]) != n or any(len(row) != n for row in data["core"]):
+        if not isinstance(rows, list) or len(rows) != n or any(
+            not isinstance(row, list) or len(row) != n for row in rows
+        ):
             raise ValueError(f"core must be a square {n}x{n} matrix, one row per weight")
-        core = tuple(
-            tuple(XPoly.from_json(e) for e in row) for row in data["core"]
-        )
+        core = tuple(tuple(XPoly.from_json(e) for e in row) for row in rows)
         return WeightedProjector(weights, core, label)
 
     def evaluate(self, x1, x2, x3):
@@ -307,25 +313,39 @@ def real_form(p: WeightedProjector) -> WeightedProjector:
     )
 
 
-def curvature_trace_form(p: WeightedProjector) -> XForm:
-    """tr(p (dp)^2) in the factored representation: tr(M W dM W dM W).
+def _cross_x(v: tuple) -> tuple:
+    """The components of x cross v for a vector v of three XPolys; for
+    v = grad a they are the rotation derivatives L_i a."""
+    x = (X1, X2, X3)
+    return tuple(
+        XPoly.sum_of_products(((1, x[i - 2], v[i - 1]), (-1, x[i - 1], v[i - 2])))
+        for i in range(3)
+    )
 
-    The weight is contracted first: sum_l w_l dM_kl ^ dM_lj is formed once
-    per nonzero M_jk and multiplied by M_jk w_j w_k once."""
-    n = p.dim
-    w = p.weights
-    dM = [[XForm.from_poly(p.core[j][k]).d() for k in range(n)] for j in range(n)]
-    total = XForm.zero()
-    for k in range(n):
-        weighted_row = [dM[k][l] * w[l] for l in range(n)]
-        for j in range(n):
-            if p.core[j][k].is_zero():
+
+def curvature_trace_form(p: WeightedProjector) -> XPoly:
+    """The coefficient g of tr(p (dp)^2) = g dvol on S^2, in the factored
+    representation tr(M W dM W dM W).
+
+    On S^2, da ^ db restricts to {a, b} dvol with the Poisson bracket
+    {a, b} = x . (grad a cross grad b) = sum_i (L_i a)(d_i b), with
+    L_i a = (x cross grad a)_i.  L_i and d_i of each core entry are formed
+    once; then B_jk = sum_l,i w_l (L_i M_kl)(d_i M_lj) for each nonzero
+    M_jk and g = sum_jk w_j w_k M_jk B_jk are each one fused sum of
+    products.  No ambient 2-form is built."""
+    n, w, core = p.dim, p.weights, p.core
+    grads = [[tuple(e.diff(i) for i in range(3)) for e in row] for row in core]
+    rotated = [[_cross_x(grad) for grad in row] for row in grads]
+    terms = []
+    for j in range(n):
+        for k in range(n):
+            if core[j][k].is_zero():
                 continue
-            contracted = XForm.zero()
-            for l in range(n):
-                contracted = contracted + weighted_row[l].wedge(dM[l][j])
-            total = total + contracted * (p.core[j][k] * (w[j] * w[k]))
-    return total
+            b = XPoly.sum_of_products(
+                (w[l], rotated[k][l][i], grads[l][j][i]) for l in range(n) for i in range(3)
+            )
+            terms.append((w[j] * w[k], core[j][k], b))
+    return XPoly.sum_of_products(terms)
 
 
 def chern_form_exact(p: WeightedProjector) -> SphereTwoForm:
@@ -335,7 +355,7 @@ def chern_form_exact(p: WeightedProjector) -> SphereTwoForm:
     factor is applied only in chern_number_exact so the coefficient stays
     Gaussian-rational.
     """
-    return restrict_to_sphere(curvature_trace_form(p))
+    return SphereTwoForm(curvature_trace_form(p))
 
 
 # Up to this dimension (the monopoles up to charge 4 and tilde) a projector

@@ -12,8 +12,8 @@ Exit codes: 0 success / all pass, 1 verification failure, 2 invalid input.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
+import math
 import sys
 import time
 
@@ -146,6 +146,16 @@ def _cmd_connection(args) -> int:
     return 0
 
 
+def _gauge_entry(e) -> complex:
+    """An entry {"re": x, "im": y} of a gauge file, "im" optional: x and y
+    must be finite JSON numbers, and a JSON true or false is not one."""
+    parts = e["re"], e.get("im", 0.0)
+    # bool is a subclass of int, so the type is compared exactly
+    if not all(type(v) in (int, float) and math.isfinite(v) for v in parts):
+        raise ValueError(f"re and im must be finite JSON numbers, got {e!r}")
+    return complex(*parts)
+
+
 def _cmd_gauge(args) -> int:
     k = _monopole_ket_for_charge(args.charge)
     try:
@@ -154,13 +164,8 @@ def _cmd_gauge(args) -> int:
         n = data["n"]
         if type(n) is not int:  # bool is a subclass of int
             raise ValueError(f"n must be a JSON integer, got {n!r}")
-        entries = [
-            [complex(float(e["re"]), float(e.get("im", 0.0))) for e in row]
-            for row in data["entries"]
-        ]
-        if not all(cmath.isfinite(e) for row in entries for e in row):
-            raise ValueError("entries must be finite numbers")
-    except (OSError, KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
+        entries = [[_gauge_entry(e) for e in row] for row in data["entries"]]
+    except (OSError, KeyError, ValueError, TypeError, OverflowError) as exc:
         raise CliInputError(f"malformed gauge file {args.g_file!r}: {exc}") from exc
     if n != len(k) or len(entries) != n or any(len(r) != n for r in entries):
         raise CliInputError(

@@ -176,11 +176,13 @@ def _unpack(key: int, nvars: int) -> tuple:
     return tuple(key >> _WIDTH * v & _FIELD for v in reversed(range(nvars)))
 
 
-def _convolve(acc: dict, left, right, sign: int) -> None:
-    """acc += sign * left * right for integer polynomials as (key, int) pairs."""
+def _convolve(acc: dict, left: dict, right: dict, scale: int) -> None:
+    """acc += scale * left * right for integer polynomials as dicts from
+    packed monomial to int."""
     get = acc.get
-    for k1, a in left:
-        a *= sign
+    right = right.items()
+    for k1, a in left.items():
+        a *= scale
         for k2, b in right:
             k = k1 + k2
             acc[k] = get(k, 0) + a * b
@@ -337,24 +339,45 @@ class _BasePoly:
             self.den, {k: -v for k, v in self.re.items()}, {k: -v for k, v in self.im.items()}
         )
 
-    def __mul__(self, other):
-        """Product in the ring on the stored ints: re*re - im*im and
-        re*im + im*re convolved, both reduced in the ring, over den1 * den2.
-        An exact scalar is multiplied as a constant polynomial."""
-        other = self._coerce_poly(other)
-        re1, im1, re2, im2 = self.re.items(), self.im.items(), other.re.items(), other.im.items()
+    @classmethod
+    def sum_of_products(cls, terms):
+        """The sum of c * a * b over the triples (c, a, b) of `terms`, c an
+        int or Fraction and a, b polynomials of this ring: every product is
+        convolved on the stored ints, re*re - im*im and re*im + im*re, into
+        one pair of numerator dicts over the common denominator
+        lcm(c.den * a.den * b.den), each scaled by an int.  The sum is
+        reduced in the ring, stored and checked against MAX_DEGREE once,
+        not once per product; reduction is a ring homomorphism, so the
+        result is the canonical form of the plain sum."""
+        scaled = []
+        for c, a, b in terms:
+            if not isinstance(c, (int, Fraction)) or type(a) is not cls or type(b) is not cls:
+                raise TypeError(f"{cls.__name__}.sum_of_products takes (rational, "
+                                f"{cls.__name__}, {cls.__name__}) triples")
+            if c and (a.re or a.im) and (b.re or b.im):
+                scaled.append((c.numerator, c.denominator * a.den * b.den, a, b))
+        den = math.lcm(1, *(d for _, d, _, _ in scaled))
         re, im = {}, {}
-        _convolve(re, re1, re2, 1)
-        _convolve(re, im1, im2, -1)
-        _convolve(im, re1, im2, 1)
-        _convolve(im, im1, re2, 1)
-        product = self._from_integers(
-            self.den * other.den, self._reduce_integers(re), self._reduce_integers(im)
-        )
+        for num, d, a, b in scaled:
+            s = num * (den // d)
+            if a.re and b.re:
+                _convolve(re, a.re, b.re, s)
+            if a.im and b.im:
+                _convolve(re, a.im, b.im, -s)
+            if a.re and b.im:
+                _convolve(im, a.re, b.im, s)
+            if a.im and b.re:
+                _convolve(im, a.im, b.re, s)
+        total = cls._from_integers(den, cls._reduce_integers(re), cls._reduce_integers(im))
         # a key of degree below _FIELD is its degree modulo _FIELD = 2^_WIDTH - 1
-        if any(key % _FIELD > MAX_DEGREE for key in itertools.chain(product.re, product.im)):
+        if any(key % _FIELD > MAX_DEGREE for key in itertools.chain(total.re, total.im)):
             raise DegreeBoundError(f"product has degree above {MAX_DEGREE}")
-        return product
+        return total
+
+    def __mul__(self, other):
+        """Product in the ring: the one-term `sum_of_products`.  An exact
+        scalar is multiplied as a constant polynomial."""
+        return self.sum_of_products(((1, self, self._coerce_poly(other)),))
 
     __rmul__ = __mul__
 
@@ -429,12 +452,15 @@ class _BasePoly:
 
     @classmethod
     def from_json(cls, data: dict):
-        if list(data.get("vars", [])) != list(cls.VAR_NAMES):
-            raise ValueError(
-                f"expected vars {list(cls.VAR_NAMES)}, got {data.get('vars')}"
-            )
+        """The polynomial `to_json` writes; ValueError for any other input."""
+        if not isinstance(data, dict) or data.get("vars") != list(cls.VAR_NAMES):
+            raise ValueError(f"expected an object with vars {list(cls.VAR_NAMES)}")
+        if not isinstance(data.get("terms"), list):
+            raise ValueError("terms must be a list")
         terms: dict = {}
         for t in data["terms"]:
+            if not isinstance(t, dict) or "exp" not in t or "re" not in t:
+                raise ValueError(f"a term must be an object with exp and re, got {t!r}")
             exp, re, im = t["exp"], t["re"], t.get("im", "0")
             # what to_json writes: exponents as JSON integers (bool is an
             # int subclass), coefficient parts as strings of exact rationals
@@ -442,8 +468,12 @@ class _BasePoly:
                 raise ValueError(f"exponents must be JSON integers, got {exp!r}")
             if not isinstance(re, str) or not isinstance(im, str):
                 raise ValueError(f"coefficient parts must be strings, got {re!r}, {im!r}")
+            try:
+                c = GaussianRational.from_strings(re, im)
+            except ZeroDivisionError as exc:
+                raise ValueError(f"coefficient {re!r}, {im!r} divides by zero") from exc
             m = tuple(exp)
-            terms[m] = terms.get(m, GR_ZERO) + GaussianRational.from_strings(re, im)
+            terms[m] = terms.get(m, GR_ZERO) + c
         return cls(terms)
 
 
@@ -778,19 +808,19 @@ def weighted_matmul(a, weights, b) -> tuple:
 
     A projector stored as p = D M D with D = diag(sqrt(w)) multiplies as
     (D M D)(D N D) = D (M W N) D, so every exact product of factored
-    matrices is this one kernel and the radicals never appear.
+    matrices is this one kernel and the radicals never appear.  Each entry
+    sum_l w_l a_jl b_lk is one fused `sum_of_products`.
     """
     if len(b) != len(weights) or any(len(row) != len(weights) for row in a):
         raise ValueError("inner dimensions of the weighted product do not match")
     columns = range(len(b[0]) if b else 0)
-    out = []
-    for row in a:
-        scaled = [e * w for e, w in zip(row, weights)]
-        out.append(tuple(
-            sum((s * b_row[k] for s, b_row in zip(scaled, b)), XPoly.zero())
+    return tuple(
+        tuple(
+            XPoly.sum_of_products(zip(weights, row, (b_row[k] for b_row in b)))
             for k in columns
-        ))
-    return tuple(out)
+        )
+        for row in a
+    )
 
 
 @dataclass(frozen=True)

@@ -72,22 +72,22 @@ def tilde_ket2() -> EquivariantKet:
 
 
 def pairing(a: EquivariantKet, b: EquivariantKet) -> ZPoly:
-    """<a|b> = sum_k sqrt(w^a_k w^b_k) a_k conj(b_k), reduced canonically.
+    """<a|b> = sum_k sqrt(w^a_k w^b_k) a_k conj(b_k), one fused sum of products.
 
     Rejected when a componentwise weight product is not a perfect square,
     since the scalar would leave the Gaussian rationals.
     """
     if len(a) != len(b):
         raise ValueError("kets must have equal length")
-    total = ZPoly.zero()
+    terms = []
     for wa, wb, pa, pb in zip(a.weights, b.weights, a.polys, b.polys):
         root = rational_sqrt(wa * wb)
         if root is None:
             raise WeightMismatchError(
                 f"weight product {wa}*{wb} has no rational square root"
             )
-        total = total + pa * pb.conj() * root
-    return total
+        terms.append((root, pa, pb.conj()))
+    return ZPoly.sum_of_products(terms)
 
 
 def connection_form(k: EquivariantKet) -> ZForm:

@@ -38,7 +38,7 @@ from bundle_forge.exact_ring import (
     weighted_matmul,
     z_to_x,
 )
-from bundle_forge.forms import XForm, ZForm
+from bundle_forge.forms import XForm, ZForm, restrict_to_sphere
 from bundle_forge.kets import (
     EquivariantKet,
     connection_form,
@@ -206,7 +206,8 @@ class TestTransposeAndRealForm:
 
 def _triple_sum_curvature(p: WeightedProjector) -> XForm:
     """Reference for curvature_trace_form: tr(M W dM W dM W) as the plain
-    triple sum over (j, k, l), each wedge piece times M_jk and w_j w_k w_l."""
+    triple sum over (j, k, l) of ambient 2-forms, each wedge piece times
+    M_jk and w_j w_k w_l."""
     n, w = p.dim, p.weights
     dM = [[XForm.from_poly(p.core[j][k]).d() for k in range(n)] for j in range(n)]
     total = XForm.zero()
@@ -220,16 +221,22 @@ def _triple_sum_curvature(p: WeightedProjector) -> XForm:
 
 class TestChernExact:
     def test_weight_first_contraction_matches_triple_sum(self):
+        # the Poisson-bracket density against the wedge products of the
+        # ambient forms, restricted to S^2 afterwards
         swap = ((0, 0, 0, -1), (1, 0, 0, 0), (0, 0, 1, 0), (0, -1, 0, 0))
         gauged, _ = exact_gauge(projector_from_ket(monopole_ket("minus", 3)), swap)
         projectors = [
             projector_from_ket(monopole_ket(sign, n), f"{sign}{n}")
             for sign in ("minus", "plus")
-            for n in (1, 2, 3)
+            for n in range(1, 7)
         ]
-        projectors += [tilde_projector(), tangent_projector(), real_form(tilde_projector()), gauged]
+        projectors += [
+            tilde_projector(), normal_projector(), tangent_projector(),
+            real_form(tilde_projector()), gauged,
+        ]
         for p in projectors:
-            assert curvature_trace_form(p) == _triple_sum_curvature(p), p.label
+            reference = restrict_to_sphere(_triple_sum_curvature(p)).coeff
+            assert curvature_trace_form(p) == reference, p.label
 
     def test_monopoles(self):
         for n in range(4):
@@ -582,7 +589,27 @@ class TestSerialization:
                 entry(re=0.1),                           # coefficient as a float
                 entry(re=1),                             # coefficient as an int
                 entry(im=0),
+                entry(re="1/0"),                         # zero denominator
+                entry(im="2/0"),
+                {"vars": ["x1", "x2", "x3"], "terms": [{"re": "1"}]},  # term without exp
+                {"vars": ["x1", "x2", "x3"], "terms": [{"exp": [0, 0, 1]}]},  # without re
+                {"vars": ["x1", "x2", "x3"], "terms": ["x3"]},  # term not an object
+                {"vars": ["x1", "x2", "x3"], "terms": [[0, 0, 1]]},
+                {"vars": ["x1", "x2", "x3"]},             # no terms
+                {"vars": ["x1", "x2", "x3"], "terms": "x3"},  # terms not a list
+                "x3",                                    # entry not an object
             )
         ):
             with pytest.raises(ValueError):
                 WeightedProjector.from_json({"weights": weights, "core": core})
+        square = [[one, one], [one, one]]
+        for data in (
+            {"core": square},                            # no weights
+            {"weights": ["1", "2"]},                     # no core
+            {"weights": ["1/0", "2"], "core": square},   # weight with zero denominator
+            {"weights": ["1", "2"], "core": "11"},       # core not a list of lists
+            {"weights": ["1", "2"], "core": ["ab", "cd"]},
+            [["1", "2"], square],                        # not an object
+        ):
+            with pytest.raises(ValueError):
+                WeightedProjector.from_json(data)

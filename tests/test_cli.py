@@ -208,12 +208,21 @@ class TestGaugeCommand:
         assert abs(float(line.split("=")[1]) - 1.0) < 1e-4
 
     def test_malformed_file(self, capsys, tmp_path):
-        # "n": 2.9 used to be read as 2 and "n": true as 1
+        # "n": 2.9 used to be read as 2 and "n": true as 1; an entry
+        # {"re": true} used to be read as 1 and {"re": "1e0"} as 1.0
         g_file = tmp_path / "g.json"
         entries = [[{"re": 1.0}, {"re": 0.0}], [{"re": 0.0}, {"re": 1.0}]]
+        bad_entries = [
+            [[bad, {"re": 0.0}], [{"re": 0.0}, {"re": 1.0}]]
+            for bad in (
+                {"re": True}, {"re": False}, {"re": "1e0"}, {"re": 1.0, "im": True},
+                {"re": "1e0", "im": True}, {"re": None}, {"re": [1.0]}, {"im": 1.0},
+                {"re": 10**400}, [1.0, 0.0], 1.0,
+            )
+        ]
         for text in ["{not json"] + [
             json.dumps({"n": n, "entries": entries}) for n in (2.9, "2", True)
-        ]:
+        ] + [json.dumps({"n": 2, "entries": e}) for e in bad_entries]:
             g_file.write_text(text)
             code, out, err = invoke(capsys, "gauge", "--charge", "1", "--g-file", str(g_file))
             assert code == 2 and not out, text

@@ -370,6 +370,65 @@ class TestIntegerKernel:
         assert (X1 + X2) * (X1 - X2) == XPoly({(2, 0, 0): 1, (0, 2, 0): -1})
 
 
+# the rational scales of sum_of_products: ints, zero among them, and
+# Fractions of several denominators
+_kernel_scale = st.one_of(st.integers(-5, 5), _mixed_rational)
+
+
+@st.composite
+def _product_sums(draw):
+    """(ring, [(c, a, b), ...]) with up to three products of the ring, any
+    of them with a zero scale or a zero polynomial."""
+    ring = draw(st.sampled_from((XPoly, ZPoly)))
+    polys = (_kernel_xterms if ring is XPoly else _kernel_zterms).map(ring)
+    return ring, draw(st.lists(st.tuples(_kernel_scale, polys, polys), max_size=3))
+
+
+class TestSumOfProducts:
+    @settings(max_examples=80, deadline=None)
+    @given(_product_sums(), st.booleans())
+    def test_matches_sum_of_scaled_products(self, case, cancel):
+        ring, terms = case
+        if cancel:
+            # every product again with one sign flipped: the sum is zero
+            terms += [(c, -a, b) if i % 2 else (-c, a, b) for i, (c, a, b) in enumerate(terms)]
+        total = ring.sum_of_products(iter(terms))
+        assert total == sum((c * a * b for c, a, b in terms), ring.zero())
+        naive: dict = {}
+        for c, a, b in terms:
+            for m, v in _naive_mul(a, b).items():
+                naive[m] = naive.get(m, GaussianRational(0)) + v * c
+        assert total.terms == {m: v for m, v in naive.items() if v}
+        _assert_canonical_coefficients(total)
+        if cancel:
+            zero = ring.zero()
+            assert (total.den, total.re, total.im) == (zero.den, zero.re, zero.im)
+
+    def test_empty_and_zero_inputs(self):
+        for ring in (XPoly, ZPoly):
+            zero, one = ring.zero(), ring.one()
+            for terms in ((), [(0, one, one)], [(3, zero, one), (Fraction(1, 2), one, zero)]):
+                total = ring.sum_of_products(terms)
+                assert (total.den, total.re, total.im) == (zero.den, zero.re, zero.im)
+
+    def test_degree_bound(self):
+        half = XPoly.monomial((0, 64, 0))
+        with pytest.raises(DegreeBoundError):
+            XPoly.sum_of_products([(1, X1, X2), (Fraction(1, 3), half, half)])
+        with pytest.raises(DegreeBoundError):
+            ZPoly.sum_of_products([(2, ZPoly.monomial((0, 0, 0, 127)), ZB1)])
+
+    def test_rejects_other_operands(self):
+        for terms in (
+            [(GR_I, X1, X2)],                    # a complex scale
+            [(0.5, X1, X2)],                     # a float scale
+            [(1, X1, Z0)],                       # two rings
+            [(1, X1, 2)],                        # a scalar operand
+        ):
+            with pytest.raises(TypeError):
+                XPoly.sum_of_products(terms)
+
+
 def _naive_sum(p, q, sign: int) -> dict:
     """Per-term Fraction reference of p + sign * q."""
     out = dict(p.terms)
