@@ -265,14 +265,32 @@ MC_MIN_SAMPLES = 10_000
 # Largest sample count: it keeps a mistyped count from allocating without
 # bound.  Measured with Python 3.11 and numpy 2.4 on a 2-vCPU Linux VM,
 # `bundle-forge integrate --monomial 4,2,2 --mc-samples 10000000` peaks at
-# 342 MB RSS (10^6 samples: 67 MB): the evaluated (samples, 1) array of a
-# real XPoly is float64, beside the three float64 coordinate arrays.
+# 268 MB RSS (10^6 samples: 63 MB): the draws u and phi and the values are
+# three float64 arrays of the sample count, the coordinates one block.
 MC_MAX_SAMPLES = 10**7
+# Points per block of coordinates and values in `monte_carlo_stderr`.  On
+# the same VM a 10^6-sample integral of x1^4 x2^2 x3^2 takes about 49 ms
+# (medians of 25 calls) with blocks of 2^12 to 2^16 points, 55 ms with 2^17,
+# 63 ms with 2^18 and 76 ms with 2^20: 2^16 is the largest block on that
+# floor, so the fewest evaluator calls.
+MC_BLOCK = 1 << 16
 
 
 def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     """(estimate, standard error) of (4*pi / samples) * sum of f over
-    uniform random points of S^2."""
+    uniform random points of S^2, for a real XPoly f.
+
+    Archimedes' sampler: x3 = u uniform on [-1, 1] and the azimuth phi
+    uniform on [0, 2*pi), drawn from `default_rng(seed)` as all of u, then
+    all of phi.  The azimuthal part comes from t = tan(phi/2) by the
+    half-angle identities cos(phi) = (1 - t^2)/(1 + t^2) and
+    sin(phi) = 2t/(1 + t^2): x1 = r(1 - t^2), x2 = 2rt with
+    r = sqrt(1 - u^2)/(1 + t^2).  The points are those of sin and cos of
+    the same draws, to rounding; numpy 2.4 evaluates float64 tan in SIMD,
+    and sin and cos one element at a time.  Coordinates and values are built
+    MC_BLOCK points at a time."""
+    if f.im:
+        raise ValueError("the Monte-Carlo oracle integrates real XPolys; f has an imaginary part")
     if samples < MC_MIN_SAMPLES:
         raise ValueError(f"need at least {MC_MIN_SAMPLES} Monte-Carlo samples, got {samples}")
     if samples > MC_MAX_SAMPLES:
@@ -280,17 +298,15 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     rng = np.random.default_rng(seed)
     u = rng.uniform(-1.0, 1.0, samples)
     phi = rng.uniform(0.0, 2.0 * math.pi, samples)
-    # x1, x2 built in place from the draws: sqrt(1 - u^2) (cos(phi), sin(phi))
-    st = np.multiply(u, u)
-    np.subtract(1.0, st, out=st)
-    np.sqrt(st, out=st)
-    x2 = np.sin(phi)
-    x2 *= st
-    x1 = np.cos(phi, out=phi)
-    x1 *= st
-    del st  # freed before the evaluation allocates its output
-    vals = np.real(f.evaluate(x1, x2, u))  # no copy for a real f: its values are float64
-    del x1, x2, u, phi  # freed before the mean and the deviation allocate
+    vals = np.empty(samples)
+    for lo in range(0, samples, MC_BLOCK):
+        block = slice(lo, lo + MC_BLOCK)
+        x3 = u[block]
+        t = np.tan(0.5 * phi[block])
+        t2 = t * t
+        r = np.sqrt(1.0 - x3 * x3) / (1.0 + t2)
+        vals[block] = f.evaluate(r * (1.0 - t2), 2.0 * r * t, x3)
+    del u, phi  # freed before the mean and the deviation allocate
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return 4.0 * math.pi * mean, 4.0 * math.pi * stderr

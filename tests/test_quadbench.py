@@ -42,6 +42,7 @@ from bundle_forge.quadbench import (
     DERIVATIVE_MODES,
     FD_STEP,
     MAX_GRID_AXIS,
+    MC_BLOCK,
     KetField,
     QuadratureError,
     SphereGrid,
@@ -505,6 +506,29 @@ class TestMonteCarlo:
         for samples in (10**12, 10**18):
             with pytest.raises(ValueError, match="at most"):
                 monte_carlo_stderr(XPoly.one(), samples, seed=0)
+
+    def test_complex_integrand_rejected(self):
+        with pytest.raises(ValueError, match="imaginary"):
+            monte_carlo_stderr(XPoly.one() + X3 * X3 * GR_I, 10_000, 0)
+
+    @pytest.mark.parametrize(
+        "samples", [MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7, 10**6]
+    )
+    def test_matches_sin_cos_reference(self, samples):
+        # the same default_rng(seed) draws, all of u then all of phi, with
+        # x1, x2 from np.cos and np.sin; sample counts around the block size
+        seed = samples % 97
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-1.0, 1.0, samples)
+        phi = rng.uniform(0.0, 2.0 * math.pi, samples)
+        s = np.sqrt(1.0 - u * u)
+        points = (s * np.cos(phi), s * np.sin(phi), u)
+        for f in (X1, X2, X1 * X2 * X3, X1 * X1 * X1, X2 * X2 * X2 * X2 * X2):
+            vals = f.evaluate(*points)
+            want = (4.0 * math.pi * np.mean(vals),
+                    4.0 * math.pi * np.std(vals, ddof=1) / math.sqrt(samples))
+            got = monte_carlo_stderr(f, samples, seed)
+            assert got == pytest.approx(want, rel=0, abs=1e-12), (f, samples)
 
 
 class TestTangentFrameCheck:
