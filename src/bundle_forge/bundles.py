@@ -329,23 +329,37 @@ def curvature_trace_form(p: WeightedProjector) -> XPoly:
 
     On S^2, da ^ db restricts to {a, b} dvol with the Poisson bracket
     {a, b} = x . (grad a cross grad b) = sum_i (L_i a)(d_i b), with
-    L_i a = (x cross grad a)_i.  L_i and d_i of each core entry are formed
-    once; then B_jk = sum_l,i w_l (L_i M_kl)(d_i M_lj) for each nonzero
-    M_jk and g = sum_jk w_j w_k M_jk B_jk are each one fused sum of
-    products.  No ambient 2-form is built."""
+    L_i a = (x cross grad a)_i.  The core is hermitian and L_i, d_i are
+    real, so the derivatives of M_kj are the conjugates of those of M_jk
+    and are formed for j <= k only.  B_jk = sum_l w_l {M_kl, M_lj} then
+    satisfies conj(B_jk) = -B_kj, so with
+    s = sum_{j <= k} w_j w_k M_jk B_jk, halved on the diagonal, the
+    density is g = s - conj(s).  Each B_jk and s is one fused sum of
+    products.  No ambient 2-form is built.  A core that is not hermitian
+    raises ValueError."""
+    if not p.is_hermitian():
+        raise ValueError(f"{p.label}: the curvature density needs a hermitian core")
     n, w, core = p.dim, p.weights, p.core
-    grads = [[tuple(e.diff(i) for i in range(3)) for e in row] for row in core]
-    rotated = [[_cross_x(grad) for grad in row] for row in grads]
+    grads, rotated = {}, {}
+    for j in range(n):
+        for k in range(j, n):
+            grad = grads[j, k] = tuple(core[j][k].diff(i) for i in range(3))
+            rotated[j, k] = _cross_x(grad)
+            if j < k:
+                grads[k, j], rotated[k, j] = (
+                    tuple(e.conj() for e in v) for v in (grad, rotated[j, k])
+                )
     terms = []
     for j in range(n):
-        for k in range(n):
+        for k in range(j, n):
             if core[j][k].is_zero():
                 continue
             b = XPoly.sum_of_products(
-                (w[l], rotated[k][l][i], grads[l][j][i]) for l in range(n) for i in range(3)
+                (w[l], rotated[k, l][i], grads[l, j][i]) for l in range(n) for i in range(3)
             )
-            terms.append((w[j] * w[k], core[j][k], b))
-    return XPoly.sum_of_products(terms)
+            terms.append((Fraction(w[j] * w[k], 2 if j == k else 1), core[j][k], b))
+    s = XPoly.sum_of_products(terms)
+    return s - s.conj()
 
 
 def chern_form_exact(p: WeightedProjector) -> SphereTwoForm:

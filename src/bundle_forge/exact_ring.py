@@ -562,10 +562,6 @@ class ZPoly(_BasePoly):
         im = {(k & low) << half | k >> half: -v for k, v in self.im.items()}
         return ZPoly._from_integers(self.den, re, im)
 
-    def bidegree_map(self):
-        """Per-monomial (holomorphic, antiholomorphic) degrees."""
-        return {m: (m[0] + m[1], m[2] + m[3]) for m in self.terms}
-
     @staticmethod
     def _variables(z0, z1) -> tuple:
         return z0, z1, np.conjugate(z0), np.conjugate(z1)
@@ -760,11 +756,16 @@ def z_to_x(p: ZPoly) -> XPoly:
 
     Each monomial is factored greedily (in variable order) into the four
     invariant pair generators z0*zb0, z0*zb1, z1*zb0, z1*zb1; the result is
-    independent of the pairing choice modulo the sphere ideal.  The powers of
-    the generators are cached, so a monomial costs at most three products.
+    independent of the pairing choice modulo the sphere ideal.  Monomials
+    with the same z0 zb0, z0 zb1 and z1 zb0 counts share the factor G of
+    those generator powers.  Per G, the cached powers of z1 zb1, reduced
+    already, are added in one linear pass: each coefficient's numerators
+    times the power's, into one pair of numerator dicts over a common
+    denominator.  The result is one fused `sum_of_products` over the G.
     """
-    result = XPoly.zero()
-    for (e0, e1, f0, f1), coeff in p.terms.items():
+    groups: dict = {}
+    for key in {**p.re, **p.im}:
+        e0, e1, f0, f1 = _unpack(key, 4)
         if e0 + e1 != f0 + f1:
             raise NonInvariantMonomialError(
                 f"monomial z0^{e0} z1^{e1} zb0^{f0} zb1^{f1} is not U(1)-invariant"
@@ -774,9 +775,26 @@ def z_to_x(p: ZPoly) -> XPoly:
         b = min(e0 - a, f1)      # z0 zb1 pairs
         c = min(e1, f0 - a)      # z1 zb0 pairs
         d = e1 - c               # z1 zb1 pairs
-        factors = [_pair_power(g, power) for g, power in enumerate((a, b, c, d)) if power]
-        result = result + functools.reduce(operator.mul, factors or [XPoly.one()]) * coeff
-    return result
+        groups.setdefault((a, b, c), []).append(
+            (p.re.get(key, 0), p.im.get(key, 0), _pair_power(3, d))
+        )
+    terms = []
+    for pairs, addends in groups.items():
+        den = math.lcm(*(power.den for _, _, power in addends))
+        re, im = {}, {}
+        # z1 zb1 is the real (1 - x3) / 2: its powers have no im numerators
+        for u, v, power in addends:
+            scale = den // power.den
+            for out, n in ((re, u), (im, v)):
+                if n:
+                    n *= scale
+                    get = out.get
+                    for key, s in power.re.items():
+                        out[key] = get(key, 0) + n * s
+        factors = [_pair_power(g, count) for g, count in enumerate(pairs) if count]
+        shared = functools.reduce(operator.mul, factors) if factors else XPoly.one()
+        terms.append((1, shared, XPoly._from_integers(den * p.den, re, im)))
+    return XPoly.sum_of_products(terms)
 
 
 _X_IN_Z = (

@@ -26,8 +26,8 @@ class WeightMismatchError(ValueError):
 class EquivariantKet:
     """A bra-row of components sqrt(w_k) * poly_k with poly_k in ZPoly.
 
-    Each component is homogeneous in bidegree and all components share the
-    same (holomorphic - antiholomorphic) degree, the equivariance type.
+    Every monomial of every component has the same (holomorphic -
+    antiholomorphic) degree, the equivariance type.
     """
 
     weights: tuple
@@ -119,15 +119,12 @@ def poly_equivariance_type(p: ZPoly) -> int:
 
 
 def equivariance_type(k: EquivariantKet) -> int:
-    """The integer m with phi(p.w) = w^m phi(p), uniform across components."""
-    types = set()
-    for p in k.polys:
-        if p.is_zero():
-            continue
-        bidegs = set(p.bidegree_map().values())
-        if len(bidegs) > 1:
-            raise ValueError(f"component {p} is not bidegree-homogeneous")
-        types.add(poly_equivariance_type(p))
+    """The integer m with phi(p.w) = w^m phi(p), uniform across components.
+
+    Each component needs one (holomorphic - antiholomorphic) degree, not
+    one bidegree: the sphere reduction z0 zb0 -> 1 - z1 zb1 keeps the
+    first and breaks the second."""
+    types = {poly_equivariance_type(p) for p in k.polys if not p.is_zero()}
     if len(types) > 1:
         raise ValueError(f"components carry mixed equivariance types {sorted(types)}")
     return types.pop() if types else 0

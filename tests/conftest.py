@@ -4,7 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bundle_forge.exact_ring import GaussianRational, XPoly, ZPoly
+from bundle_forge.exact_ring import Z0, Z1, ZB0, ZB1, GaussianRational, XPoly, ZPoly
+from bundle_forge.kets import EquivariantKet
 
 
 def random_coeff(rng: random.Random) -> GaussianRational:
@@ -35,6 +36,22 @@ def random_zpoly(rng: random.Random, max_degree: int = 4, nterms: int = 4) -> ZP
             remaining -= e
         terms[tuple(expo)] = random_coeff(rng)
     return ZPoly(terms)
+
+
+def type_zero_ket() -> EquivariantKet:
+    """a = (z0 zb0, z1 zb1, sqrt2 z0 zb1): a unit ket of equivariance type 0
+    with a non-constant Chern density.  The ring stores z0 zb0 as
+    1 - z1 zb1, so its first component is not bidegree-homogeneous."""
+    one = Fraction(1)
+    return EquivariantKet((one, one, 2 * one), (Z0 * ZB0, Z1 * ZB1, Z0 * ZB1))
+
+
+def tensor_ket(a: EquivariantKet, b: EquivariantKet) -> EquivariantKet:
+    """a (x) b, components a_j b_k in row-major order, weights multiplied."""
+    return EquivariantKet(
+        tuple(v * w for v in a.weights for w in b.weights),
+        tuple(p * q for p in a.polys for q in b.polys),
+    )
 
 
 def chart(theta, phi):

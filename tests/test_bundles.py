@@ -52,6 +52,8 @@ from bundle_forge.quadbench import (
     tangent_frame_check,
 )
 
+from conftest import tensor_ket, type_zero_ket
+
 HALF = Fraction(1, 2)
 
 
@@ -233,10 +235,29 @@ class TestChernExact:
         projectors += [
             tilde_projector(), normal_projector(), tangent_projector(),
             real_form(tilde_projector()), gauged,
+            # a non-constant density, alone and in a tensor product
+            projector_from_ket(type_zero_ket(), "a"),
+            projector_from_ket(tensor_ket(monopole_ket("minus", 1), type_zero_ket()), "psi1 a"),
         ]
+        # exact-unitary gauges give complex off-diagonal cores
+        for p in (charge_one_projector(), tilde_projector(), tangent_projector(),
+                  real_form(tilde_projector())):
+            projectors.append(exact_gauge(p, _exact_unitary(p.dim))[0])
         for p in projectors:
             reference = restrict_to_sphere(_triple_sum_curvature(p)).coeff
             assert curvature_trace_form(p) == reference, p.label
+
+    def test_non_hermitian_core_rejected(self):
+        # the density reads half the core, so it must refuse M != M+
+        # rather than return the density of another matrix
+        p = charge_one_projector()
+        (m00, m01), (m10, m11) = p.core
+        for core in (((m00, m01 * 2), (m10, m11)), ((m00 + X3 * GR_I, m01), (m10, m11))):
+            bad = WeightedProjector(p.weights, core, "bad")
+            with pytest.raises(ValueError, match="hermitian"):
+                curvature_trace_form(bad)
+            with pytest.raises(ValueError, match="hermitian"):
+                chern_number_exact(bad)
 
     def test_monopoles(self):
         for n in range(4):
@@ -245,6 +266,19 @@ class TestChernExact:
 
     def test_tilde(self):
         assert chern_number_exact(tilde_projector()) == 2
+
+    def test_sphere_reduced_components(self):
+        # the ring stores z0 zb0 as 1 - z1 zb1, so these kets have
+        # components of mixed bidegree and one equivariance type
+        a = projector_from_ket(type_zero_ket(), "a")
+        assert not curvature_trace_form(a).is_constant()
+        # dim 3: the Hopf route and the x-route both run
+        assert chern_number_exact(a) == 0 and _x_route_c1(a) == GaussianRational(0)
+        p = projector_from_ket(tensor_ket(monopole_ket("minus", 1), type_zero_ket()), "psi1 a")
+        assert p.dim > CROSS_CHECK_MAX_DIM
+        assert verify_axioms(p).all_pass
+        assert chern_number_exact(p) == 1 and _x_route_c1(p) == GaussianRational(1)
+        assert chern_number_exact(transpose(p)) == -1
 
     def test_trivial_families(self):
         assert chern_form_exact(normal_projector()).coeff.is_zero()

@@ -450,6 +450,50 @@ def _naive_diff(p, v: int) -> dict:
     }
 
 
+_PAIR_IMAGES = (
+    (XPoly.one() + X3) * Fraction(1, 2),    # z0 zb0
+    (X1 - X2 * GR_I) * Fraction(1, 2),      # z0 zb1
+    (X1 + X2 * GR_I) * Fraction(1, 2),      # z1 zb0
+    (XPoly.one() - X3) * Fraction(1, 2),    # z1 zb1
+)
+
+
+def _z_to_x_per_monomial(p: ZPoly) -> XPoly:
+    """Reference for z_to_x: each monomial factored greedily into the pair
+    generators, its image multiplied out factor by factor and added to a
+    running sum with `+`."""
+    result = XPoly.zero()
+    for (e0, e1, f0, f1), coeff in p.terms.items():
+        a = min(e0, f0)
+        b = min(e0 - a, f1)
+        c = min(e1, f0 - a)
+        image = XPoly.one()
+        for generator, power in zip(_PAIR_IMAGES, (a, b, c, e1 - c)):
+            for _ in range(power):
+                image = image * generator
+        result = result + image * coeff
+    return result
+
+
+# U(1)-invariant monomials z0^e0 z1^(n-e0) zb0^f0 zb1^(n-f0) up to n = 8
+_invariant_monomial = st.integers(0, 8).flatmap(
+    lambda n: st.tuples(st.integers(0, n), st.integers(0, n)).map(
+        lambda e: (e[0], n - e[0], e[1], n - e[1])
+    )
+)
+
+
+class TestZToXReference:
+    @settings(max_examples=120, deadline=None)
+    @given(st.dictionaries(_invariant_monomial, _kernel_coefficient, max_size=8), st.booleans())
+    def test_matches_per_monomial_loop(self, terms, raw):
+        # `raw` stores the monomials unreduced, so that z0 also pairs with zb0
+        p = ZPoly(terms, _reduced=raw)
+        result = z_to_x(p)
+        assert result == _z_to_x_per_monomial(p)
+        _assert_canonical_coefficients(result)
+
+
 class TestIntegerStorage:
     @settings(max_examples=150, deadline=None)
     @given(_kernel_terms, st.booleans())

@@ -18,6 +18,8 @@ from bundle_forge.kets import (
 )
 from bundle_forge.quadbench import tangent_frame_check
 
+from conftest import tensor_ket, type_zero_ket
+
 KAHLER = DZ0.wedge(DZB0) + DZ1.wedge(DZB1)
 
 
@@ -106,6 +108,14 @@ class TestEquivarianceType:
         )
         with pytest.raises(ValueError):
             equivariance_type(bad)
+
+    def test_sphere_reduced_components_accepted(self):
+        # z0 zb0 is stored as 1 - z1 zb1: bidegrees (1, 1) and (0, 0), type 0
+        a = type_zero_ket()
+        assert len({(m[0] + m[1], m[2] + m[3]) for m in a.polys[0].terms}) == 2
+        assert equivariance_type(a) == 0
+        assert equivariance_type(tensor_ket(monopole_ket("minus", 1), a)) == 1
+        assert equivariance_type(tensor_ket(monopole_ket("plus", 3), a)) == -3
 
     def test_inhomogeneous_component_rejected(self):
         bad = EquivariantKet(
