@@ -177,14 +177,9 @@ class WeightedProjector:
         n = self.dim
         first, *rest = (e for row in self.core for e in row)
         values = first.evaluate(*points, also=rest, **grid)
-        values *= self.entry_roots()
-        return values.reshape(values.shape[:-1] + (n, n))
-
-    def entry_roots(self) -> np.ndarray:
-        """sqrt(w_j w_k) for the n*n entries in row-major order: the dense
-        field is these times the core entries."""
         roots = np.sqrt([float(w) for w in self.weights])
-        return np.outer(roots, roots).reshape(-1)
+        values *= np.outer(roots, roots).reshape(-1)
+        return values.reshape(values.shape[:-1] + (n, n))
 
 
 def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:

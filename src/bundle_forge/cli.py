@@ -115,12 +115,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_chern(args) -> int:
+    if args.backend == "quad":
+        grid = _parse_grid("64x128" if args.grid is None else args.grid)
+        mode = "finite-difference" if args.fd else "analytic"
+    elif args.fd or args.grid is not None:
+        raise CliInputError("--fd and --grid apply only to --backend quad")
     p = build_projector(args.family, args.charge)
     if args.family == "monopole" and not args.json:
         print(_charge_mapping_line(args.charge))
-    if args.backend == "quad":
-        grid = _parse_grid(args.grid)
-        mode = "finite-difference" if args.fd else "analytic"
     start = time.perf_counter()
     axioms = verify_axioms(p)
     if args.backend == "exact":
@@ -356,7 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_chern = sub.add_parser("chern", help="compute a Chern number")
     add_family(p_chern)
     p_chern.add_argument("--backend", choices=("exact", "quad"), default="exact")
-    p_chern.add_argument("--grid", default="64x128")
+    p_chern.add_argument("--grid", default=None,
+                         help="quadrature grid PxA of the quad backend (default 64x128)")
     p_chern.add_argument("--fd", action="store_true",
                          help="use finite differences in the quad backend")
     p_chern.add_argument("--json", action="store_true")

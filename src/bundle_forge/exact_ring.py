@@ -641,18 +641,6 @@ def _cos_sin_powers(x: np.ndarray, p: np.ndarray, q: np.ndarray, s: float = 1.0)
     return (cos[p] * sin[q]).T, derivative.T
 
 
-def _matmul_into(out: np.ndarray, left: np.ndarray, coeffs: np.ndarray) -> None:
-    """out = left . coeffs, `out` of the dtype of the product: float64 when
-    `left` and `coeffs` are both real, complex otherwise.  Complex
-    coefficients are not cast up for a real `left`: their interleaved real
-    and imaginary parts take one real GEMM, written into the same view of
-    `out`."""
-    if np.iscomplexobj(coeffs) and not np.iscomplexobj(left):
-        np.matmul(left, coeffs.view(float), out=out.view(float))
-    else:
-        np.matmul(left, coeffs, out=out)
-
-
 def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     """Numeric values of polynomials of one ring at an array of points.
 
@@ -685,7 +673,7 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
         basis = functools.reduce(np.multiply, [
             _power_table(x[block], int(e.max()))[e] for x, e in used
         ] or [np.ones((len(exponents), block.stop - lo))])
-        _matmul_into(out[block], basis.T, coeffs)
+        np.matmul(basis.T, coeffs, out=out[block])
     return out.reshape(shape + (coeffs.shape[1],))
 
 
@@ -707,8 +695,8 @@ def evaluate_grid(
     derivatives, the values are Phi . (Theta * C), d/dtheta is
     Phi . (Theta' * C) and d/dphi is Phi' . (Theta * C): each one batched
     GEMM over the P polar nodes of an (A, monomials) table with a
-    (P, monomials, polys) table, through `_matmul_into`.  Callers in the
-    package reach it through the rings' `evaluate` with `angles`.
+    (P, monomials, polys) table.  Callers in the package reach it through
+    the rings' `evaluate` with `angles`.
     """
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 1 or phi.ndim != 2 or phi.shape[0] != 1:
@@ -720,12 +708,12 @@ def evaluate_grid(
     table = theta_factor[:, :, None] * coeffs
     shape = (3 if derivatives else 1, len(theta), phi.shape[1], len(polys))
     out = np.empty(shape, dtype=np.result_type(phi_factor, table))
-    _matmul_into(out[0], phi_factor, table)
+    np.matmul(phi_factor, table, out=out[0])
     if not derivatives:
         return out[0]
-    _matmul_into(out[2], d_phi, table)
+    np.matmul(d_phi, table, out=out[2])
     np.multiply(d_theta[:, :, None], coeffs, out=table)
-    _matmul_into(out[1], phi_factor, table)
+    np.matmul(phi_factor, table, out=out[1])
     return out
 
 

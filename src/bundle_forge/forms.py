@@ -206,9 +206,6 @@ class XForm(_BaseForm):
     MAX_DEGREE = 3
     BASIS_NAMES = ("dx1", "dx2", "dx3")
 
-    def conj(self) -> "XForm":
-        return XForm({i: p.conj() for i, p in self.terms.items()})
-
 
 class ZForm(_BaseForm):
     POLY = ZPoly

@@ -92,7 +92,6 @@ class KetField:
     (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of the gauge
     matrix applied."""
 
-    n: int
     evaluator: Callable
     norm_bounds: tuple = (1.0, 1.0)
     condition: float = 1.0
@@ -156,23 +155,20 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
     return values
 
 
-def _rank_one_density(field: KetField, theta, phi, derivative: str) -> np.ndarray:
+def _rank_one_density(u, u_t, u_f, norm_bounds: tuple) -> np.ndarray:
     """tr(P [dP/dtheta, dP/dphi]) on the product grid for P = u u+ / N,
-    N = <u|u>, in O(n) per node.  P is hermitian and idempotent by
-    construction, so the pointwise check is N within the norm bounds.  The
-    density is Berry's gauge-invariant curvature of the unnormalised u,
-    2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> / N^2), whose second term is real
-    for a unit ket, as on the exact Hopf route; it does not change under
-    u -> c u, so it is the matrix route's density.  It is purely imaginary:
-    the imaginary-part check of `chern_number_quad` reads 0 here."""
-    if derivative == "analytic":
-        u, u_t, u_f = field.evaluator(theta, phi, derivatives=True)
-    else:
-        u, u_t, u_f = _fd_derivatives(field.evaluator, theta, phi)
+    N = <u|u>, from the kets u and their derivatives, in O(n) per node.  P
+    is hermitian and idempotent by construction, so the pointwise check is N
+    within `norm_bounds`.  The density is Berry's gauge-invariant curvature
+    of the unnormalised u, 2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> / N^2),
+    whose second term is real for a unit ket, as on the exact Hopf route; it
+    does not change under u -> c u, so it is the matrix route's density.  It
+    is purely imaginary: the imaginary-part check of `chern_number_quad`
+    reads 0 here."""
     dot = functools.partial(np.einsum, "...j,...j->...")
     u_conj, t_conj = np.conj(u), np.conj(u_t)
     norm = dot(u_conj, u).real
-    lo, hi = field.norm_bounds
+    lo, hi = norm_bounds
     if not np.all((lo * (1 - IDEMPOTENCY_TOL) < norm) & (norm < hi * (1 + IDEMPOTENCY_TOL))):
         raise QuadratureError(
             f"pointwise norm defect: <u|u> in [{np.min(norm):.12g}, {np.max(norm):.12g}], "
@@ -198,7 +194,10 @@ def chern_number_quad(
     `p` is a KetField or a WeightedProjector.  A KetField, and a projector
     p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) as the KetField
     of its Hopf-section ket, take the rank-one route, `_rank_one_density`;
-    every other projector takes the matrix route on the n x n field.
+    every other projector takes the matrix route on the n x n field.  Three
+    stages: the field's evaluator, then its values and both derivatives
+    from one analytic call or the `_fd_derivatives` stencil, then the
+    route's contraction.
 
     A projector whose core has no imaginary part (the real form, normal,
     tangent) evaluates to a float64 field, so its density is real and c1's
@@ -210,17 +209,23 @@ def chern_number_quad(
     theta, phi = grid.axes()
 
     if isinstance(p, WeightedProjector) and (ket := unit_ket(p)) is not None:
-        p = KetField(p.dim, functools.partial(_hopf_ket, ket))
-    if not isinstance(p, (KetField, WeightedProjector)):
+        p = KetField(functools.partial(_hopf_ket, ket))
+    if isinstance(p, KetField):
+        evaluator = p.evaluator
+    elif isinstance(p, WeightedProjector):
+        evaluator = p.evaluate_grid
+    else:
         raise TypeError(f"unsupported projector type {type(p).__name__}")
     if derivative not in DERIVATIVE_MODES:
         raise ValueError(f"unknown derivative mode {derivative!r}")
-    if isinstance(p, KetField):
-        density = _rank_one_density(p, theta, phi, derivative)
-    elif derivative == "analytic":
-        density = _matrix_density(*p.evaluate_grid(theta, phi, derivatives=True))
+    if derivative == "analytic":
+        values = evaluator(theta, phi, derivatives=True)
     else:
-        density = _matrix_density(*_fd_derivatives(p.evaluate_grid, theta, phi))
+        values = _fd_derivatives(evaluator, theta, phi)
+    if isinstance(p, KetField):
+        density = _rank_one_density(*values, p.norm_bounds)
+    else:
+        density = _matrix_density(*values)
 
     st = np.sin(theta)
     weights = grid.dvol_weights()
@@ -258,7 +263,7 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     def evaluator(theta, phi, derivatives=False):
         return first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives) @ scaled_g_t
 
-    return KetField(n, evaluator, (float(sigma[-1]) ** 2, float(sigma[0]) ** 2), cond)
+    return KetField(evaluator, (float(sigma[-1]) ** 2, float(sigma[0]) ** 2), cond)
 
 
 MC_MIN_SAMPLES = 10_000

@@ -54,6 +54,31 @@ def tensor_ket(a: EquivariantKet, b: EquivariantKet) -> EquivariantKet:
     )
 
 
+def su2_move(k: EquivariantKet, alpha: GaussianRational, beta: GaussianRational) -> EquivariantKet:
+    """psi o U for U = [[alpha, beta], [-conj(beta), conj(alpha)]] acting on
+    (z0, z1), |alpha|^2 + |beta|^2 = 1: each component with z0 and z1
+    replaced by alpha z0 + beta z1 and -conj(beta) z0 + conj(alpha) z1, and
+    zb0, zb1 by their conjugates.  U is in SU(2), so it keeps S^3, the
+    pairing and the equivariance type; on S^2 it is a rotation, about the
+    x3-axis only when beta = 0."""
+    if alpha * alpha.conj() + beta * beta.conj() != GaussianRational(1):
+        raise ValueError("|alpha|^2 + |beta|^2 must be 1")
+    images = (Z0 * alpha + Z1 * beta, Z1 * alpha.conj() - Z0 * beta.conj())
+    images += tuple(w.conj() for w in images)
+
+    def moved(q: ZPoly) -> ZPoly:
+        out = ZPoly.zero()
+        for mono, c in q.terms.items():
+            term = ZPoly.constant(c)
+            for w, e in zip(images, mono):
+                for _ in range(e):
+                    term = term * w
+            out = out + term
+        return out
+
+    return EquivariantKet(k.weights, tuple(moved(q) for q in k.polys))
+
+
 def chart(theta, phi):
     """The points x(theta, phi) of S^2, broadcast to one shape."""
     st = np.sin(theta)

@@ -47,11 +47,11 @@ class TestChernCommand:
         assert "charge out of range" in err
 
     def test_bad_grid(self, capsys):
-        code, _, err = invoke(
+        code, out, err = invoke(
             capsys, "chern", "--family", "monopole", "--charge", "1",
             "--backend", "quad", "--grid", "huge",
         )
-        assert code == 2
+        assert code == 2 and not out
         assert "grid" in err
 
     def test_charge_is_monopole_only(self, capsys):
@@ -86,6 +86,16 @@ class TestChernCommand:
     def test_unknown_flag(self, capsys):
         code, _, _ = invoke(capsys, "chern", "--family", "monopole", "--wat")
         assert code == 2
+
+    def test_fd_is_quad_only(self, capsys):
+        code, out, err = invoke(capsys, "chern", "--family", "tilde", "--fd")
+        assert code == 2 and not out
+        assert "error: --fd and --grid apply only to --backend quad" in err
+
+    def test_grid_is_quad_only(self, capsys):
+        code, out, err = invoke(capsys, "chern", "--family", "tilde", "--grid", "8x8", "--json")
+        assert code == 2 and not out
+        assert "error: --fd and --grid apply only to --backend quad" in err
 
     def test_report_json(self, capsys):
         code, out, _ = invoke(capsys, "chern", "--family", "tilde", "--json")

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from bundle_forge.bundles import (
     WeightedProjector,
+    chern_number_exact,
     exact_gauge,
     normal_projector,
     projector_from_ket,
@@ -18,7 +19,16 @@ from bundle_forge.bundles import (
     transpose,
 )
 from bundle_forge.cli import MAX_CHARGE
-from bundle_forge.exact_ring import GR_I, X1, X2, X3, XPoly, ZPoly, monomial_integral
+from bundle_forge.exact_ring import (
+    GR_I,
+    X1,
+    X2,
+    X3,
+    GaussianRational,
+    XPoly,
+    ZPoly,
+    monomial_integral,
+)
 from bundle_forge.forms import (
     DX1,
     DX2,
@@ -36,6 +46,7 @@ from bundle_forge.kets import (
     connection_form,
     curvature_scalar,
     monopole_ket,
+    pairing,
     tilde_ket2,
 )
 from bundle_forge.quadbench import (
@@ -43,7 +54,6 @@ from bundle_forge.quadbench import (
     FD_STEP,
     MAX_GRID_AXIS,
     MC_BLOCK,
-    KetField,
     QuadratureError,
     SphereGrid,
     chern_number_quad,
@@ -58,7 +68,7 @@ from bundle_forge.quadbench import (
     tangent_frame_check,
 )
 
-from conftest import chart
+from conftest import chart, su2_move, tensor_ket, type_zero_ket
 
 KAHLER = DZ0.wedge(DZB0) + DZ1.wedge(DZB1)
 
@@ -202,11 +212,6 @@ def _matrix_route(p):
     return dataclasses.replace(p, ket=None)
 
 
-def _ket_field(k: EquivariantKet) -> KetField:
-    """The Hopf-section ket field of k, as chern_number_quad builds it."""
-    return KetField(len(k), functools.partial(_hopf_ket, k))
-
-
 CHARGES = [c for n in range(1, MAX_CHARGE + 1) for c in (n, -n)]
 # Exact for entry degree up to 16 (Gauss-Legendre: 2*25 - 1 >= 3*16;
 # trapezoid: 49 > 3*16), so the routes differ by rounding only.
@@ -264,9 +269,10 @@ class TestRankOneRoute:
         assert np.max(np.abs(outer(w_f, w) + outer(w, w_f) - Pf)) < 1e-12
 
     def test_one_ket_evaluation_per_stencil_point(self, monkeypatch):
-        """The rank-one route never evaluates the n x n core: one
-        ZPoly.evaluate call for analytic derivatives, three for the
-        finite-difference stencil."""
+        """Each field is evaluated at one call site: one evaluate call of
+        its ring for analytic derivatives, three for the finite-difference
+        stencil.  The rank-one route never evaluates the n x n core, and
+        the matrix route never the ket."""
         calls = {XPoly: 0, ZPoly: 0}
         for ring in calls:
             def counted(self, *args, _original=ring.evaluate, _ring=ring, **kwargs):
@@ -274,20 +280,25 @@ class TestRankOneRoute:
                 return _original(self, *args, **kwargs)
             monkeypatch.setattr(ring, "evaluate", counted)
         p = _projector(-4)
-        for derivative, evaluations in zip(DERIVATIVE_MODES, (1, 3)):
-            calls.update({XPoly: 0, ZPoly: 0})
-            chern_number_quad(p, SphereGrid.build(8, 8), derivative)
-            assert calls == {XPoly: 0, ZPoly: evaluations}, derivative
+        gauged = gauge_field(p.ket, np.eye(p.dim) + 0.25j * np.ones((p.dim, p.dim)))
+        for field, ring in ((p, ZPoly), (_matrix_route(p), XPoly), (gauged, ZPoly)):
+            for derivative, evaluations in zip(DERIVATIVE_MODES, (1, 3)):
+                calls.update({XPoly: 0, ZPoly: 0})
+                chern_number_quad(field, SphereGrid.build(8, 8), derivative)
+                assert calls == {XPoly: 0, ZPoly: 0, ring: evaluations}, (field, derivative)
 
     def test_norm_defect_raises(self):
         k = monopole_ket("minus", 3)
         scale = Fraction(10**9 + 1, 10**9)
         scaled = EquivariantKet(tuple(w * scale for w in k.weights), k.polys)
         theta, phi = SphereGrid.build(8, 8).axes()
-        for derivative in DERIVATIVE_MODES:
+        for values in (
+            lambda k: _hopf_ket(k, theta, phi, derivatives=True),
+            lambda k: _fd_derivatives(functools.partial(_hopf_ket, k), theta, phi),
+        ):
             with pytest.raises(QuadratureError, match="norm defect"):
-                _rank_one_density(_ket_field(scaled), theta, phi, derivative)
-            assert np.all(np.isfinite(_rank_one_density(_ket_field(k), theta, phi, derivative)))
+                _rank_one_density(*values(scaled), (1.0, 1.0))
+            assert np.all(np.isfinite(_rank_one_density(*values(k), (1.0, 1.0))))
 
     def test_ket_with_other_pairing_takes_the_matrix_route(self):
         # <psi|psi> = 1 + 1e-9: the matrix route's idempotency check fires
@@ -297,6 +308,60 @@ class TestRankOneRoute:
         for derivative in DERIVATIVE_MODES:
             with pytest.raises(QuadratureError, match="idempotency defect"):
                 chern_number_quad(p, SphereGrid.build(8, 8), derivative)
+
+
+# (alpha, beta) of U = [[alpha, beta], [-conj(beta), conj(alpha)]] in SU(2)
+SU2_MOVES = [
+    (GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5))),
+    (GaussianRational(Fraction(5, 13)), GaussianRational(Fraction(12, 13))),
+]
+# (label, ket, c1): the type-0 ket a, two tensor products with it,
+# monopoles and tilde
+MOVED_KETS = [
+    ("a", type_zero_ket(), 0),
+    ("psi1 a", tensor_ket(monopole_ket("minus", 1), type_zero_ket()), 1),
+    ("psibar2 a", tensor_ket(monopole_ket("plus", 2), type_zero_ket()), -2),
+    ("psi1", monopole_ket("minus", 1), 1),
+    ("psibar1", monopole_ket("plus", 1), -1),
+    ("psi2", monopole_ket("minus", 2), 2),
+    ("psibar2", monopole_ket("plus", 2), -2),
+    ("tilde", tilde_ket2(), 2),
+]
+
+
+def _density_over_sin(k: EquivariantKet, grid: SphereGrid) -> np.ndarray:
+    """Im tr(P [dP/dtheta, dP/dphi]) / sin(theta) of the Hopf-section
+    field of k on the grid: -2 pi times the c1 density per unit area."""
+    theta, phi = grid.axes()
+    values = _hopf_ket(k, theta, phi, derivatives=True)
+    return _rank_one_density(*values, (1.0, 1.0)).imag / np.sin(theta)
+
+
+class TestSU2Moves:
+    """psi -> psi o U for U in SU(2) rotates the density off the x3-axis:
+    every quadrature check elsewhere runs on a density that does not depend
+    on phi."""
+
+    @pytest.mark.parametrize("alpha, beta", SU2_MOVES)
+    @pytest.mark.parametrize("label, ket, c1", MOVED_KETS, ids=[m[0] for m in MOVED_KETS])
+    def test_moved_kets_keep_the_charge(self, label, ket, c1, alpha, beta):
+        k = su2_move(ket, alpha, beta)
+        assert pairing(k, k) == ZPoly.one()
+        p = projector_from_ket(k, label)
+        assert chern_number_exact(p) == c1
+        if p.dim <= 6:
+            assert chern_number_exact(_matrix_route(p)) == c1
+        assert chern_number_exact(transpose(p)) == -c1
+        got = chern_number_quad(p, EXACT_GRID)
+        assert abs(got - chern_number_quad(_matrix_route(p), EXACT_GRID)) < 1e-12
+        assert abs(got - c1) < 1e-9
+
+    @pytest.mark.parametrize("alpha, beta", SU2_MOVES)
+    def test_moved_type_zero_density_depends_on_phi(self, alpha, beta):
+        a = type_zero_ket()
+        assert np.max(np.ptp(_density_over_sin(a, EXACT_GRID), axis=1)) < 1e-12
+        moved = _density_over_sin(su2_move(a, alpha, beta), EXACT_GRID)
+        assert np.max(np.ptp(moved, axis=1)) > 0.1
 
 
 class TestFiniteDifferences:
@@ -402,7 +467,8 @@ class TestGaugeField:
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 8))
         reference = _einsum_gauge(k, g)
         want = _matrix_density(*_fd_derivatives(reference, theta, phi))
-        got = _rank_one_density(gauge_field(k, g), theta, phi, "analytic")
+        field = gauge_field(k, g)
+        got = _rank_one_density(*field.evaluator(theta, phi, derivatives=True), field.norm_bounds)
         assert got.shape == want.shape == (6, 8)
         assert np.max(np.abs(got - want)) < 1e-7
 
