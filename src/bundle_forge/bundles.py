@@ -164,11 +164,11 @@ class WeightedProjector:
         and complex otherwise, as `XPoly.evaluate`."""
         return self._field(x1, x2, x3)
 
-    def evaluate_grid(self, theta, phi, derivatives: bool = False):
+    def evaluate_grid(self, theta, phi, derivatives: bool | str = False):
         """The dense field on the product grid of theta, shape (P, 1), and
-        phi, shape (1, A): shape (P, A, n, n), or with `derivatives`
-        (3, P, A, n, n) holding P, dP/dtheta and dP/dphi (see
-        `exact_ring.evaluate_grid`)."""
+        phi, shape (1, A): shape (P, A, n, n), or with `derivatives` (True,
+        or "finite-difference" for central differences) (3, P, A, n, n)
+        holding P, dP/dtheta and dP/dphi (see `exact_ring.evaluate_grid`)."""
         return self._field(angles=(theta, phi), derivatives=derivatives)
 
     def _field(self, *points, **grid):

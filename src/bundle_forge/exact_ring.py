@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -511,7 +511,8 @@ class XPoly(_BasePoly):
         Given `angles` = (theta, phi) in place of points, theta of shape
         (P, 1) and phi of shape (1, A), the values on that product grid of
         the chart x = (sin t cos f, sin t sin f, cos t), shape (P, A); with
-        `derivatives`, a leading axis of three holds the values, d/dtheta
+        `derivatives` (True, or "finite-difference" for central
+        differences), a leading axis of three holds the values, d/dtheta
         and d/dphi: `evaluate_grid`.
 
         The values are float64 when every coefficient and every point is
@@ -677,8 +678,23 @@ def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
     return out.reshape(shape + (coeffs.shape[1],))
 
 
+# Step of the finite-difference derivatives of `evaluate_grid`.  A central
+# difference is off by FD_STEP^2 times a third derivative, plus the rounding
+# of the values magnified by 1/(2 FD_STEP).
+FD_STEP = 1e-5
+
+
+def _central_difference(table: Callable, x: np.ndarray) -> np.ndarray:
+    """(table(x + FD_STEP) - table(x - FD_STEP)) / (2 FD_STEP): the
+    derivative in x of a table of factors by central differences."""
+    out = table(x + FD_STEP)
+    out -= table(x - FD_STEP)
+    out /= 2.0 * FD_STEP
+    return out
+
+
 def evaluate_grid(
-    polys: Sequence[_BasePoly], theta, phi, derivatives: bool = False
+    polys: Sequence[_BasePoly], theta, phi, derivatives: bool | str = False
 ) -> np.ndarray:
     """Numeric values of polynomials of one ring on the product grid of
     polar angles theta, shape (P, 1), and azimuths phi, shape (1, A): XPolys
@@ -687,6 +703,8 @@ def evaluate_grid(
     array of shape (P, A, len(polys)), or with `derivatives` of shape
     (3, P, A, len(polys)) holding the values, d/dtheta and d/dphi: float64
     for XPolys whose coefficients are all real, complex otherwise.
+    `derivatives` is False, True (analytic derivatives) or
+    "finite-difference".
 
     Sum factorization: the ring's `_grid_factors` splits each monomial
     into a theta-factor cos^p(s t) sin^q(s t) and a phi-factor.  With C the
@@ -695,9 +713,14 @@ def evaluate_grid(
     derivatives, the values are Phi . (Theta * C), d/dtheta is
     Phi . (Theta' * C) and d/dphi is Phi' . (Theta * C): each one batched
     GEMM over the P polar nodes of an (A, monomials) table with a
-    (P, monomials, polys) table.  Callers in the package reach it through
-    the rings' `evaluate` with `angles`.
+    (P, monomials, polys) table.  With "finite-difference", Theta' and Phi'
+    are central differences, step FD_STEP, of the factor tables at t +- h
+    and f +- h: by linearity the same GEMMs give the central differences of
+    the values, and no derivative formula is read.  Callers in the package
+    reach it through the rings' `evaluate` with `angles`.
     """
+    if derivatives not in (False, True, "finite-difference"):
+        raise ValueError(f"unknown derivatives {derivatives!r}")
     theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
     if theta.ndim != 2 or theta.shape[1] != 1 or phi.ndim != 2 or phi.shape[0] != 1:
         raise ValueError("grid angles must be theta of shape (P, 1) and phi of shape (1, A)")
@@ -705,6 +728,9 @@ def evaluate_grid(
     exponents, coeffs = _coefficient_matrix(polys, ring.NVARS)
     (p, q, s), (phi_factor, d_phi) = ring._grid_factors(exponents, phi[0])
     theta_factor, d_theta = _cos_sin_powers(theta[:, 0], p, q, s)
+    if derivatives == "finite-difference":
+        d_theta = _central_difference(lambda t: _cos_sin_powers(t, p, q, s)[0], theta[:, 0])
+        d_phi = _central_difference(lambda f: ring._grid_factors(exponents, f)[1][0], phi[0])
     table = theta_factor[:, :, None] * coeffs
     shape = (3 if derivatives else 1, len(theta), phi.shape[1], len(polys))
     out = np.empty(shape, dtype=np.result_type(phi_factor, table))

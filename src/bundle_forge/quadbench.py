@@ -88,9 +88,10 @@ class SphereGrid:
 class KetField:
     """The projector field u u+ / <u|u> of kets u on S^2: `evaluator(theta,
     phi, derivatives=False)` maps theta (P, 1), phi (1, A) to u, shape
-    (P, A, n), or to u, du/dtheta and du/dphi on a leading axis of three;
-    (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of the gauge
-    matrix applied."""
+    (P, A, n), or with derivatives=True or "finite-difference" (as
+    `exact_ring.evaluate_grid`) to u, du/dtheta and du/dphi on a leading
+    axis of three; (lo, hi) = `norm_bounds` bound <u|u>; `condition` is
+    that of the gauge matrix applied."""
 
     evaluator: Callable
     norm_bounds: tuple = (1.0, 1.0)
@@ -100,55 +101,40 @@ class KetField:
 # Largest pointwise defect accepted: |P^2 - P| on the matrix route, the
 # relative excursion of <u|u> past the norm bounds on the rank-one route.
 IDEMPOTENCY_TOL = 1e-10
-DERIVATIVE_MODES = ("analytic", "finite-difference")
+# chern_number_quad's derivative modes, each with the `derivatives` argument
+# it gives the field's evaluator
+DERIVATIVE_MODES = {"analytic": True, "finite-difference": "finite-difference"}
 
 
-def _check_pointwise_axioms(P: np.ndarray) -> None:
-    defect = P @ P
+def _max_abs(a: np.ndarray) -> float:
+    """max |a|, in place for a float64 `a` (it is a scratch buffer)."""
+    return float(np.max(np.abs(a, out=a) if a.dtype == np.float64 else np.abs(a)))
+
+
+def _check_pointwise_axioms(P: np.ndarray, scratch: np.ndarray) -> None:
+    """|P^2 - P| < IDEMPOTENCY_TOL and |P - P+| < 1e-12 at every node, both
+    formed in `scratch`, an array of P's shape and dtype: the evaluated
+    fields dominate the memory."""
+    defect = np.matmul(P, P, out=scratch)
     defect -= P
-    if np.max(np.abs(defect)) >= IDEMPOTENCY_TOL:
+    if (worst := _max_abs(defect)) >= IDEMPOTENCY_TOL:
         raise QuadratureError(
-            f"pointwise idempotency defect {np.max(np.abs(defect)):.3e} >= {IDEMPOTENCY_TOL:g}"
+            f"pointwise idempotency defect {worst:.3e} >= {IDEMPOTENCY_TOL:g}"
         )
-    # P - P^+ in the same buffer: the evaluated fields dominate the memory
-    herm = np.conjugate(np.swapaxes(P, -1, -2), out=defect)
+    herm = np.conjugate(np.swapaxes(P, -1, -2), out=scratch)
     np.subtract(P, herm, out=herm)
-    if np.max(np.abs(herm)) >= 1e-12:
-        raise QuadratureError(
-            f"pointwise hermiticity defect {np.max(np.abs(herm)):.3e} >= 1e-12"
-        )
+    if (worst := _max_abs(herm)) >= 1e-12:
+        raise QuadratureError(f"pointwise hermiticity defect {worst:.3e} >= 1e-12")
 
 
-FD_STEP = 1e-5
-
-
-def _fd_derivatives(evaluator: Callable, theta, phi):
-    """F, dF/dtheta and dF/dphi of the field `evaluator` by central
-    differences.  The evaluator maps theta (P, 1) and phi (1, A) to an array
-    of shape (P, A) + any trailing shape: (n, n) for a projector field, (n,)
-    for a ket.  Three calls: the centre, then both theta-neighbours on one
-    stacked theta axis, then both phi-neighbours on one stacked phi axis.
-    Each stacked output is dropped once its difference is formed, so at most
-    one is alive beside F and the derivatives."""
-    P = evaluator(theta, phi)
-    polar, azimuthal = theta.shape[0], phi.shape[1]
-    pair = evaluator(np.concatenate([theta - FD_STEP, theta + FD_STEP]), phi)
-    Pt = pair[polar:] - pair[:polar]
-    del pair
-    pair = evaluator(theta, np.concatenate([phi - FD_STEP, phi + FD_STEP], axis=1))
-    Pf = pair[:, azimuthal:] - pair[:, :azimuthal]
-    Pt /= 2.0 * FD_STEP
-    Pf /= 2.0 * FD_STEP
-    return P, Pt, Pf
-
-
-def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool = False):
+def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool | str = False):
     """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section sigma(theta, phi)
     = (cos(theta/2), e^(i phi) sin(theta/2)), which lies over the chart
     point x(theta, phi) of `z_to_x`'s convention: shape (P, A, n), or with
-    `derivatives` (3, P, A, n) holding w, dw/dtheta and dw/dphi, from one
-    `ZPoly.evaluate` of the conjugate components.  Then w w+ is the dense
-    field of projector_from_ket(ket), whose core is M_jk = conj(psi_j) psi_k."""
+    `derivatives` (True, or "finite-difference") (3, P, A, n) holding w,
+    dw/dtheta and dw/dphi, from one `ZPoly.evaluate` of the conjugate
+    components.  Then w w+ is the dense field of projector_from_ket(ket),
+    whose core is M_jk = conj(psi_j) psi_k."""
     first, *rest = (q.conj() for q in ket.polys)
     values = first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives)
     values *= np.sqrt([float(w) for w in ket.weights])
@@ -179,10 +165,12 @@ def _rank_one_density(u, u_t, u_f, norm_bounds: tuple) -> np.ndarray:
 
 def _matrix_density(P, Pt, Pf) -> np.ndarray:
     """tr(P [Pt, Pf]) on the grid from the dense field and its derivatives,
-    after the pointwise axiom checks of P."""
-    _check_pointwise_axioms(P)
+    after the pointwise axiom checks of P.  The checks and Pf . Pt share one
+    scratch array of P's shape."""
+    scratch = np.empty_like(P)
+    _check_pointwise_axioms(P, scratch)
     comm = Pt @ Pf
-    comm -= Pf @ Pt
+    comm -= np.matmul(Pf, Pt, out=scratch)
     return np.einsum("...jk,...kj->...", P, comm)
 
 
@@ -196,8 +184,9 @@ def chern_number_quad(
     of its Hopf-section ket, take the rank-one route, `_rank_one_density`;
     every other projector takes the matrix route on the n x n field.  Three
     stages: the field's evaluator, then its values and both derivatives
-    from one analytic call or the `_fd_derivatives` stencil, then the
-    route's contraction.
+    from one evaluator call, analytic or by central differences of the
+    factor tables (`exact_ring.evaluate_grid`), then the route's
+    contraction.
 
     A projector whose core has no imaginary part (the real form, normal,
     tangent) evaluates to a float64 field, so its density is real and c1's
@@ -218,10 +207,7 @@ def chern_number_quad(
         raise TypeError(f"unsupported projector type {type(p).__name__}")
     if derivative not in DERIVATIVE_MODES:
         raise ValueError(f"unknown derivative mode {derivative!r}")
-    if derivative == "analytic":
-        values = evaluator(theta, phi, derivatives=True)
-    else:
-        values = _fd_derivatives(evaluator, theta, phi)
+    values = evaluator(theta, phi, derivatives=DERIVATIVE_MODES[derivative])
     if isinstance(p, KetField):
         density = _rank_one_density(*values, p.norm_bounds)
     else:

@@ -20,6 +20,7 @@ from bundle_forge.bundles import (
 )
 from bundle_forge.cli import MAX_CHARGE
 from bundle_forge.exact_ring import (
+    FD_STEP,
     GR_I,
     X1,
     X2,
@@ -51,13 +52,11 @@ from bundle_forge.kets import (
 )
 from bundle_forge.quadbench import (
     DERIVATIVE_MODES,
-    FD_STEP,
     MAX_GRID_AXIS,
     MC_BLOCK,
     QuadratureError,
     SphereGrid,
     chern_number_quad,
-    _fd_derivatives,
     _hopf_ket,
     _matrix_density,
     _rank_one_density,
@@ -270,9 +269,9 @@ class TestRankOneRoute:
 
     def test_one_ket_evaluation_per_stencil_point(self, monkeypatch):
         """Each field is evaluated at one call site: one evaluate call of
-        its ring for analytic derivatives, three for the finite-difference
-        stencil.  The rank-one route never evaluates the n x n core, and
-        the matrix route never the ket."""
+        its ring, with analytic or with finite-difference derivatives.  The
+        rank-one route never evaluates the n x n core, and the matrix route
+        never the ket."""
         calls = {XPoly: 0, ZPoly: 0}
         for ring in calls:
             def counted(self, *args, _original=ring.evaluate, _ring=ring, **kwargs):
@@ -282,10 +281,10 @@ class TestRankOneRoute:
         p = _projector(-4)
         gauged = gauge_field(p.ket, np.eye(p.dim) + 0.25j * np.ones((p.dim, p.dim)))
         for field, ring in ((p, ZPoly), (_matrix_route(p), XPoly), (gauged, ZPoly)):
-            for derivative, evaluations in zip(DERIVATIVE_MODES, (1, 3)):
+            for derivative in DERIVATIVE_MODES:
                 calls.update({XPoly: 0, ZPoly: 0})
                 chern_number_quad(field, SphereGrid.build(8, 8), derivative)
-                assert calls == {XPoly: 0, ZPoly: 0, ring: evaluations}, (field, derivative)
+                assert calls == {XPoly: 0, ZPoly: 0, ring: 1}, (field, derivative)
 
     def test_norm_defect_raises(self):
         k = monopole_ket("minus", 3)
@@ -294,7 +293,7 @@ class TestRankOneRoute:
         theta, phi = SphereGrid.build(8, 8).axes()
         for values in (
             lambda k: _hopf_ket(k, theta, phi, derivatives=True),
-            lambda k: _fd_derivatives(functools.partial(_hopf_ket, k), theta, phi),
+            lambda k: _hopf_ket(k, theta, phi, derivatives="finite-difference"),
         ):
             with pytest.raises(QuadratureError, match="norm defect"):
                 _rank_one_density(*values(scaled), (1.0, 1.0))
@@ -355,6 +354,9 @@ class TestSU2Moves:
         got = chern_number_quad(p, EXACT_GRID)
         assert abs(got - chern_number_quad(_matrix_route(p), EXACT_GRID)) < 1e-12
         assert abs(got - c1) < 1e-9
+        # the density varies along phi, so a wrong phi-difference shows here
+        for q in (p, _matrix_route(p)):
+            assert abs(chern_number_quad(q, EXACT_GRID, "finite-difference") - got) < 1e-8
 
     @pytest.mark.parametrize("alpha, beta", SU2_MOVES)
     def test_moved_type_zero_density_depends_on_phi(self, alpha, beta):
@@ -364,52 +366,67 @@ class TestSU2Moves:
         assert np.max(np.ptp(moved, axis=1)) > 0.1
 
 
+def _five_point_fd(evaluator, theta, phi) -> tuple:
+    """The reference stencil: F, dF/dtheta and dF/dphi of the field
+    `evaluator` by central differences of its values, from five calls."""
+    h = FD_STEP
+    return (
+        evaluator(theta, phi),
+        (evaluator(theta + h, phi) - evaluator(theta - h, phi)) / (2.0 * h),
+        (evaluator(theta, phi + h) - evaluator(theta, phi - h)) / (2.0 * h),
+    )
+
+
+def _gauged_ket_evaluator():
+    rng = np.random.default_rng(11)
+    g = np.eye(3) + 0.3 * rng.normal(size=(3, 3)) + 0.3j * rng.normal(size=(3, 3))
+    return gauge_field(monopole_ket("minus", 2), g).evaluator
+
+
+# (evaluator, dtype, trailing shape) of a complex projector field, a
+# float64 one, a unit ket and a gauge field
+FD_FIELDS = {
+    "projector": (
+        lambda: projector_from_ket(monopole_ket("minus", 2)).evaluate_grid,
+        np.complex128, (3, 3),
+    ),
+    "real": (lambda: REAL_FIELDS["realform"]().evaluate_grid, np.float64, (6, 6)),
+    "ket": (lambda: functools.partial(_hopf_ket, monopole_ket("plus", 2)), np.complex128, (3,)),
+    "gauge": (_gauged_ket_evaluator, np.complex128, (3,)),
+}
+
+
 class TestFiniteDifferences:
-    @pytest.mark.parametrize("kind", ["projector", "gauge"])
-    def test_three_calls_match_the_five_call_formula(self, kind):
-        """The stacked stencil evaluates the same points as the five-call
-        central differences: values equal, derivatives within the rounding
-        of the values (1e-16) magnified by 1/(2 FD_STEP)."""
-        rng = np.random.default_rng(11)
-        k = monopole_ket("minus", 2)
-        if kind == "projector":
-            evaluator, trailing = projector_from_ket(k).evaluate_grid, (3, 3)
-        else:
-            g = np.eye(3) + 0.3 * rng.normal(size=(3, 3)) + 0.3j * rng.normal(size=(3, 3))
-            evaluator, trailing = gauge_field(k, g).evaluator, (3,)
-        theta = rng.uniform(0.1, math.pi - 0.1, (5, 1))
-        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
-        calls = []
-
-        def counted(t, f):
-            calls.append((t.shape, f.shape))
-            return evaluator(t, f)
-
-        P, Pt, Pf = _fd_derivatives(counted, theta, phi)
-        assert calls == [((5, 1), (1, 7)), ((10, 1), (1, 7)), ((5, 1), (1, 14))]
-        h = FD_STEP
-        want_t = (evaluator(theta + h, phi) - evaluator(theta - h, phi)) / (2.0 * h)
-        want_f = (evaluator(theta, phi + h) - evaluator(theta, phi - h)) / (2.0 * h)
-        assert np.array_equal(P, evaluator(theta, phi))
-        for got, want in ((Pt, want_t), (Pf, want_f)):
-            assert got.shape == want.shape == (5, 7) + trailing
-            # the derivatives own their memory: no view keeps a stacked output alive
-            assert got.base is None
-            assert np.max(np.abs(got - want)) < 1e-16 / (2.0 * h) * 10
-
-
-    def test_ket_trailing_shape(self):
-        """The stencil takes any trailing shape: a ket field is (P, A, n)."""
-        k = monopole_ket("plus", 2)
-        evaluator = functools.partial(_hopf_ket, k)
+    @pytest.mark.parametrize("kind", sorted(FD_FIELDS))
+    def test_table_differences_match_the_field_stencil(self, kind):
+        """One evaluator call with derivatives="finite-difference", whose
+        derivatives are the central differences of the factor tables,
+        against the five-call central differences of the field: the values
+        bit for bit (they are the analytic call's), the derivatives within
+        the rounding of the values magnified by 1/(2 FD_STEP), and within
+        1e-8 of the analytic derivatives.  A grid of 5 x 7 nodes, so that a
+        theta-table in place of a phi-table cannot broadcast."""
+        make, dtype, trailing = FD_FIELDS[kind]
+        evaluator = make()
         rng = np.random.default_rng(12)
         theta = rng.uniform(0.1, math.pi - 0.1, (5, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
-        w, w_t, w_f = _fd_derivatives(evaluator, theta, phi)
-        _, want_t, want_f = _hopf_ket(k, theta, phi, derivatives=True)
-        assert w.shape == w_t.shape == w_f.shape == (5, 7, 3)
-        assert np.max(np.abs(w_t - want_t)) < 1e-8
-        assert np.max(np.abs(w_f - want_f)) < 1e-8
+        got = evaluator(theta, phi, derivatives="finite-difference")
+        assert got.shape == (3, 5, 7) + trailing and got.dtype == dtype
+        analytic = evaluator(theta, phi, derivatives=True)
+        want = _five_point_fd(evaluator, theta, phi)
+        assert np.array_equal(got[0], analytic[0]) and np.array_equal(got[0], want[0])
+        rounding = np.finfo(float).eps * max(1.0, np.max(np.abs(want[0])))
+        for k in (1, 2):
+            assert np.max(np.abs(got[k] - want[k])) < 10 * rounding / (2.0 * FD_STEP), k
+            assert np.max(np.abs(got[k] - analytic[k])) < 1e-8, k
+
+    def test_unknown_derivatives_rejected(self):
+        theta, phi = SphereGrid.build(8, 8).axes()
+        for evaluator in (REAL_FIELDS["tangent"]().evaluate_grid,
+                          functools.partial(_hopf_ket, monopole_ket("plus", 2))):
+            with pytest.raises(ValueError, match="unknown derivatives"):
+                evaluator(theta, phi, derivatives="symbolic")
 
 
 def _projector_of(u: np.ndarray) -> np.ndarray:
@@ -466,7 +483,7 @@ class TestGaugeField:
         theta = rng.uniform(0.1, math.pi - 0.1, (6, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 8))
         reference = _einsum_gauge(k, g)
-        want = _matrix_density(*_fd_derivatives(reference, theta, phi))
+        want = _matrix_density(*_five_point_fd(reference, theta, phi))
         field = gauge_field(k, g)
         got = _rank_one_density(*field.evaluator(theta, phi, derivatives=True), field.norm_bounds)
         assert got.shape == want.shape == (6, 8)
