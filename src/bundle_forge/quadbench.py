@@ -255,15 +255,15 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
 MC_MIN_SAMPLES = 10_000
 # Largest sample count: it keeps a mistyped count from allocating without
 # bound.  Measured with Python 3.11 and numpy 2.4 on a 2-vCPU Linux VM,
-# `bundle-forge integrate --monomial 4,2,2 --mc-samples 10000000` peaks at
-# 268 MB RSS (10^6 samples: 63 MB): the draws u and phi and the values are
-# three float64 arrays of the sample count, the coordinates one block.
+# `bundle-forge integrate --monomial 2,2,4 --mc-samples 10000000` peaks at
+# 117 MB RSS (10^6 samples: 48 MB): the values are one float64 array of the
+# sample count, the draws and coordinates one block.
 MC_MAX_SAMPLES = 10**7
-# Points per block of coordinates and values in `monte_carlo_stderr`.  On
-# the same VM a 10^6-sample integral of x1^4 x2^2 x3^2 takes about 49 ms
-# (medians of 25 calls) with blocks of 2^12 to 2^16 points, 55 ms with 2^17,
-# 63 ms with 2^18 and 76 ms with 2^20: 2^16 is the largest block on that
-# floor, so the fewest evaluator calls.
+# Points per block of draws, coordinates and values in `monte_carlo_stderr`.
+# On the same VM a 10^6-sample integral of x1^4 x2^2 x3^2 takes about 40 ms
+# (medians of 25 calls) with blocks of 2^14 to 2^16 points, 47 ms with 2^12,
+# 44-50 ms with 2^17, 53-61 ms with 2^18 and 65-69 ms with 2^20: 2^16 is the
+# largest block on that floor, so the fewest evaluator calls.
 MC_BLOCK = 1 << 16
 
 
@@ -272,14 +272,15 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     uniform random points of S^2, for a real XPoly f.
 
     Archimedes' sampler: x3 = u uniform on [-1, 1] and the azimuth phi
-    uniform on [0, 2*pi), drawn from `default_rng(seed)` as all of u, then
-    all of phi.  The azimuthal part comes from t = tan(phi/2) by the
+    uniform on [0, 2*pi), the draws of `default_rng(seed)` taken as all of
+    u, then all of phi.  The azimuthal part comes from t = tan(phi/2) by the
     half-angle identities cos(phi) = (1 - t^2)/(1 + t^2) and
     sin(phi) = 2t/(1 + t^2): x1 = r(1 - t^2), x2 = 2rt with
     r = sqrt(1 - u^2)/(1 + t^2).  The points are those of sin and cos of
     the same draws, to rounding; numpy 2.4 evaluates float64 tan in SIMD,
-    and sin and cos one element at a time.  Coordinates and values are built
-    MC_BLOCK points at a time."""
+    and sin and cos one element at a time.  Draws, coordinates and values
+    are built MC_BLOCK points at a time, the phi from a second stream
+    jumped ahead past all of u."""
     if f.im:
         raise ValueError("the Monte-Carlo oracle integrates real XPolys; f has an imaginary part")
     if samples < MC_MIN_SAMPLES:
@@ -287,20 +288,23 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     if samples > MC_MAX_SAMPLES:
         raise ValueError(f"Monte-Carlo samples must be at most {MC_MAX_SAMPLES}, got {samples}")
     rng = np.random.default_rng(seed)
-    u = rng.uniform(-1.0, 1.0, samples)
-    phi = rng.uniform(0.0, 2.0 * math.pi, samples)
+    # one float64 uniform per 64-bit output: advanced past all of u, this
+    # stream yields the phi that follow u in `rng`
+    phi_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(samples))
     vals = np.empty(samples)
     for lo in range(0, samples, MC_BLOCK):
-        block = slice(lo, lo + MC_BLOCK)
-        x3 = u[block]
-        t = np.tan(0.5 * phi[block])
+        n = min(MC_BLOCK, samples - lo)
+        x3 = rng.uniform(-1.0, 1.0, n)
+        t = np.tan(0.5 * phi_rng.uniform(0.0, 2.0 * math.pi, n))
         t2 = t * t
         r = np.sqrt(1.0 - x3 * x3) / (1.0 + t2)
-        vals[block] = f.evaluate(r * (1.0 - t2), 2.0 * r * t, x3)
-    del u, phi  # freed before the mean and the deviation allocate
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
-    return 4.0 * math.pi * mean, 4.0 * math.pi * stderr
+        vals[lo:lo + n] = f.evaluate(r * (1.0 - t2), 2.0 * r * t, x3)
+    # np.mean and np.std(ddof=1), the deviations squared in vals itself
+    mean = np.sum(vals) / samples
+    vals -= mean
+    np.multiply(vals, vals, out=vals)
+    stderr = math.sqrt(np.sum(vals) / (samples - 1)) / math.sqrt(samples)
+    return 4.0 * math.pi * float(mean), 4.0 * math.pi * stderr
 
 
 def monte_carlo_integral(f: XPoly, samples: int, seed: int) -> float:

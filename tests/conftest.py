@@ -79,6 +79,38 @@ def su2_move(k: EquivariantKet, alpha: GaussianRational, beta: GaussianRational)
     return EquivariantKet(k.weights, tuple(moved(q) for q in k.polys))
 
 
+def skew_hermitian(rng: random.Random, n: int) -> tuple:
+    """A random n x n Gaussian-rational A with A+ = -A."""
+    a = [[GaussianRational(0)] * n for _ in range(n)]
+    for j in range(n):
+        a[j][j] = GaussianRational(0, random_coeff(rng).im)
+        for k in range(j + 1, n):
+            a[j][k] = random_coeff(rng)
+            a[k][j] = -a[j][k].conj()
+    return tuple(map(tuple, a))
+
+
+def cayley_unitary(a) -> tuple:
+    """(I - A)(I + A)^-1 for a skew-hermitian Gaussian-rational A: an exact
+    unitary (I + A is invertible, its eigenvalues being 1 + i lambda), by
+    Gauss-Jordan elimination on (I + A | I - A), which gives
+    (I + A)^-1 (I - A), the same matrix since the two factors commute."""
+    n = len(a)
+    one, zero = GaussianRational(1), GaussianRational(0)
+    rows = [[(one if j == k else zero) + a[j][k] for k in range(n)]
+            + [(one if j == k else zero) - a[j][k] for k in range(n)] for j in range(n)]
+    for col in range(n):
+        pivot = next(j for j in range(col, n) if rows[j][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inv = one / rows[col][col]
+        rows[col] = [e * inv for e in rows[col]]
+        for j in range(n):
+            if j != col and rows[j][col]:
+                factor = rows[j][col]
+                rows[j] = [e - factor * c for e, c in zip(rows[j], rows[col])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
 def chart(theta, phi):
     """The points x(theta, phi) of S^2, broadcast to one shape."""
     st = np.sin(theta)

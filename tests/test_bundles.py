@@ -1,7 +1,8 @@
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bundle_forge import bundles
 from bundle_forge.bundles import (
@@ -52,7 +53,7 @@ from bundle_forge.quadbench import (
     tangent_frame_check,
 )
 
-from conftest import tensor_ket, type_zero_ket
+from conftest import cayley_unitary, skew_hermitian, tensor_ket, type_zero_ket
 
 HALF = Fraction(1, 2)
 
@@ -328,7 +329,34 @@ class TestDyads:
         )
 
 
+# the uniform-weight projectors of exact_gauge's unitary branch, by ket,
+# with their c1
+CAYLEY_KETS = [
+    ("psi1", monopole_ket("minus", 1), 1),
+    ("psibar1", monopole_ket("plus", 1), -1),
+    ("tilde", tilde_ket2(), 2),
+]
+# Gauss-Legendre 2*25 - 1 and trapezoid 49 both exceed the density degrees
+CAYLEY_GRID = SphereGrid.build(25, 49)
+
+
 class TestExactGauge:
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("label, ket, c1", CAYLEY_KETS, ids=[k[0] for k in CAYLEY_KETS])
+    def test_cayley_unitaries_keep_the_charge(self, label, ket, c1, seed):
+        """s = (I - A)(I + A)^-1 for a skew-hermitian A is an exact unitary
+        with complex entries that mixes the components."""
+        p = projector_from_ket(ket, label)
+        s = cayley_unitary(skew_hermitian(random.Random(seed), p.dim))
+        assert bundles._signed_permutation(s) is None
+        p_s, v = exact_gauge(p, s)
+        assert isometry_verify(v, p, p_s).all_pass
+        assert bundles.unit_ket(p_s) is not None  # the Hopf and rank-one routes
+        assert chern_number_exact(p_s) == c1
+        assert chern_number_exact(WeightedProjector(p_s.weights, p_s.core)) == c1  # x-route
+        for mode in DERIVATIVE_MODES:
+            assert abs(chern_number_quad(p_s, CAYLEY_GRID, mode) - c1) < 1e-9, mode
+
     def test_identity_gauge(self):
         p = charge_one_projector()
         p_s, v = exact_gauge(p, ((1, 0), (0, 1)))
@@ -410,6 +438,14 @@ def _gauged_ket_projectors(draw):
     return p, c1
 
 
+# unit kets of c1 1, -1, 2, -2, 2 (tilde) and 0 (the type-0 ket a)
+TENSOR_FACTORS = [
+    monopole_ket("minus", 1), monopole_ket("plus", 1),
+    monopole_ket("minus", 2), monopole_ket("plus", 2),
+    tilde_ket2(), type_zero_ket(),
+]
+
+
 class TestKetRoutes:
     def test_constructors_keep_their_ket(self):
         c, s = GaussianRational(Fraction(3, 5)), GaussianRational(Fraction(4, 5))
@@ -437,6 +473,20 @@ class TestKetRoutes:
         assert _hopf_c1(p.ket) == _x_route_c1(p) == GaussianRational(c1)
         assert chern_number_exact(p) == c1
         assert verify_axioms(p) == verify_axioms(WeightedProjector(p.weights, p.core))
+
+    @settings(max_examples=36, deadline=None)
+    @given(st.sampled_from(TENSOR_FACTORS), st.sampled_from(TENSOR_FACTORS))
+    @example(TENSOR_FACTORS[0], TENSOR_FACTORS[1])  # dim 4: the x-route runs too
+    def test_tensor_products_add_and_transposes_negate(self, a, b):
+        """Curvatures of line bundles add under (x): c1(psi (x) phi) =
+        c1(psi) + c1(phi), and c1(p^T) = -c1(p)."""
+        c1 = chern_number_exact(projector_from_ket(a)) + chern_number_exact(projector_from_ket(b))
+        p = projector_from_ket(tensor_ket(a, b))
+        assert _hopf_c1(p.ket) == GaussianRational(c1)
+        if p.dim <= CROSS_CHECK_MAX_DIM:
+            assert _x_route_c1(p) == GaussianRational(c1)
+        assert chern_number_exact(p) == c1
+        assert chern_number_exact(transpose(p)) == -c1
 
     def test_routes_disagreeing_raise(self):
         # the core of the charge -1 projector under the ket of charge +1

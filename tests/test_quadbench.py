@@ -2,7 +2,9 @@ import dataclasses
 import functools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -54,6 +56,7 @@ from bundle_forge.quadbench import (
     DERIVATIVE_MODES,
     MAX_GRID_AXIS,
     MC_BLOCK,
+    MC_MIN_SAMPLES,
     QuadratureError,
     SphereGrid,
     chern_number_quad,
@@ -547,6 +550,26 @@ class TestGaugeField:
         assert connection_form(gauged) == connection_form(k)
 
 
+def _full_array_monte_carlo(samples: int, seed: int) -> Callable:
+    """The oracle with all draws held at once, as the reference for the
+    streamed one: `default_rng(seed)` draws all of u, then all of phi; the
+    half-angle coordinates of every point; np.mean and np.std(ddof=1) of
+    the whole array of values.  Returns f -> (estimate, standard error)."""
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(-1.0, 1.0, samples)
+    t = np.tan(0.5 * rng.uniform(0.0, 2.0 * math.pi, samples))
+    t2 = t * t
+    r = np.sqrt(1.0 - u * u) / (1.0 + t2)
+    points = (r * (1.0 - t2), 2.0 * r * t, u)
+
+    def estimate(f: XPoly) -> tuple:
+        vals = f.evaluate(*points)
+        return (4.0 * math.pi * float(np.mean(vals)),
+                4.0 * math.pi * float(np.std(vals, ddof=1) / math.sqrt(samples)))
+
+    return estimate
+
+
 class TestMonteCarlo:
     def test_constant(self):
         got = monte_carlo_integral(XPoly.one(), 10_000, seed=1)
@@ -612,6 +635,28 @@ class TestMonteCarlo:
                     4.0 * math.pi * np.std(vals, ddof=1) / math.sqrt(samples))
             got = monte_carlo_stderr(f, samples, seed)
             assert got == pytest.approx(want, rel=0, abs=1e-12), (f, samples)
+
+    @pytest.mark.parametrize(
+        "samples",
+        [MC_MIN_SAMPLES, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1, 3 * MC_BLOCK + 7, 10**6],
+    )
+    def test_streamed_draws_match_the_full_arrays(self, samples):
+        for seed in (0, 5, samples % 89 + 1):
+            reference = _full_array_monte_carlo(samples, seed)
+            for f in (XPoly.monomial((4, 2, 2)), X1, X1 * X2 * X3 + X2 * X2 - X3):
+                assert monte_carlo_stderr(f, samples, seed) == reference(f), (f, samples, seed)
+
+    def test_holds_one_block_of_draws(self):
+        # the values of every sample plus one block's draws and coordinates;
+        # all of u and phi (a further 2 x 8 bytes per sample) do not fit
+        samples = 10**6
+        tracemalloc.start()
+        try:
+            monte_carlo_stderr(XPoly.monomial((4, 2, 2)), samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * samples + 8 * 2**20
 
 
 class TestTangentFrameCheck:
