@@ -13,7 +13,6 @@ from .exact_ring import (
     z_to_x,
 )
 from .forms import (
-    SphereTwoForm,
     XForm,
     ZForm,
     integrate_s2,
@@ -31,8 +30,8 @@ from .kets import (
 from .bundles import (
     ChernReport,
     WeightedProjector,
-    chern_form_exact,
     chern_number_exact,
+    curvature_trace_form,
     exact_gauge,
     isometry_verify,
     named_real_objects,

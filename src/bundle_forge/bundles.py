@@ -21,8 +21,6 @@ import numpy as np
 
 from .exact_ring import (
     GR_I,
-    GR_ONE,
-    GR_ZERO,
     GaussianRational,
     X1,
     X2,
@@ -35,7 +33,7 @@ from .exact_ring import (
     weighted_matmul,
     z_to_x,
 )
-from .forms import S3_FRAME, SphereTwoForm, integrate_s2
+from .forms import S2_FRAME, S3_FRAME, integrate_s2
 from .kets import EquivariantKet, curvature_scalar, equivariance_type, pairing
 
 
@@ -357,16 +355,6 @@ def curvature_trace_form(p: WeightedProjector) -> XPoly:
     return s - s.conj()
 
 
-def chern_form_exact(p: WeightedProjector) -> SphereTwoForm:
-    """The curvature trace 2-form tr(p (dp)^2) restricted to S^2.
-
-    The first Chern form is -(1/2*pi*i) times this; the transcendental
-    factor is applied only in chern_number_exact so the coefficient stays
-    Gaussian-rational.
-    """
-    return SphereTwoForm(curvature_trace_form(p))
-
-
 # Up to this dimension (the monopoles up to charge 4 and tilde) a projector
 # with a ket also takes the x-route, and the two exact routes must agree.
 CROSS_CHECK_MAX_DIM = 5
@@ -386,7 +374,7 @@ def _hopf_c1(k: EquivariantKet) -> GaussianRational:
 
 def _x_route_c1(p: WeightedProjector) -> GaussianRational:
     """c1 from tr(p (dp)^2) on S^2: 2i times the volume value in units of 4*pi."""
-    return integrate_s2(chern_form_exact(p)).value * GR_I * 2
+    return integrate_s2(curvature_trace_form(p)).value * GR_I * 2
 
 
 def unit_ket(p: WeightedProjector) -> EquivariantKet | None:
@@ -481,18 +469,6 @@ def _signed_permutation(s) -> list | None:
     return [perm, signs]
 
 
-def _is_exact_unitary(s) -> bool:
-    n = len(s)
-    for j in range(n):
-        for k in range(n):
-            acc = GR_ZERO
-            for l in range(n):
-                acc = acc + s[j][l] * s[k][l].conj()
-            if acc != (GR_ONE if j == k else GR_ZERO):
-                return False
-    return True
-
-
 @dataclass(frozen=True, eq=False)
 class PartialIsometry:
     """v = D_L C D_R with diagonal radical factors on both sides.
@@ -552,12 +528,6 @@ def named_real_objects() -> RealGeometry:
 
     psi_nor = PartialIsometry(ones[:1], ((X1, X2, X3),), ones)
 
-    V_columns = (
-        (zero, -X3, X2),
-        (X3, zero, -X1),
-        (-X2, X1, zero),
-    )
-
     one_m_x1sq = XPoly.one() - X1 * X1
     one_m_x2sq = XPoly.one() - X2 * X2
     one_m_x3sq = XPoly.one() - X3 * X3
@@ -580,7 +550,7 @@ def named_real_objects() -> RealGeometry:
 
     return RealGeometry(
         psi_nor=psi_nor,
-        V=PartialIsometry(ones, tuple(zip(*V_columns)), ones),
+        V=PartialIsometry(ones, tuple(zip(*S2_FRAME)), ones),
         W=PartialIsometry(halves, tuple(zip(*W_columns)), ones),
         u=PartialIsometry(halves, u_rows, ones),
     )
@@ -640,16 +610,20 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
         raise UnsupportedGaugeError(
             "non-permutation gauges require uniform projector weights"
         )
-    if not _is_exact_unitary(s):
-        raise UnsupportedGaugeError("gauge matrix is not exact-unitary")
     # s commutes with the uniform D, so p^s = D (s M s+) D; the entries of s
     # become constant XPolys so that the kernel always multiplies XPolys
     s_poly = tuple(tuple(XPoly.constant(e) for e in row) for row in s)
+    s_dagger = dagger(s_poly)
     ones = (1,) * n
+    identity = tuple(
+        tuple(XPoly.one() if j == k else XPoly.zero() for k in range(n)) for j in range(n)
+    )
+    if weighted_matmul(s_poly, ones, s_dagger) != identity:
+        raise UnsupportedGaugeError("gauge matrix is not exact-unitary")
     v = PartialIsometry(p.weights, lambda: weighted_matmul(s_poly, ones, p.core), p.weights)
     p_s = WeightedProjector(
         p.weights,
-        lambda: weighted_matmul(v.core, ones, dagger(s_poly)),
+        lambda: weighted_matmul(v.core, ones, s_dagger),
         f"{p.label}^s",
         _gauged_ket(p.ket, s),
     )

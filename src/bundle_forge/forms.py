@@ -9,7 +9,6 @@ the curvature computations need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -81,8 +80,8 @@ class _BaseForm:
             if not isinstance(poly, self.POLY):
                 poly = self.POLY.constant(poly)
             if not poly.is_zero():
-                out[idx] = out[idx] + poly if idx in out else poly
-        self.terms = {i: p for i, p in out.items() if not p.is_zero()}
+                out[idx] = poly
+        self.terms = out
 
     @classmethod
     def zero(cls):
@@ -220,12 +219,10 @@ class ZForm(_BaseForm):
         out: dict = {}
         for idx, poly in self.terms.items():
             mapped = tuple(self._CONJ_INDEX[k] for k in idx)
-            sign = 1
             if len(mapped) == 2 and mapped[0] > mapped[1]:
-                mapped = (mapped[1], mapped[0])
-                sign = -1
-            term = poly.conj() if sign > 0 else -(poly.conj())
-            out[mapped] = out[mapped] + term if mapped in out else term
+                out[mapped[::-1]] = -poly.conj()
+            else:
+                out[mapped] = poly.conj()
         return ZForm(out)
 
 
@@ -242,31 +239,27 @@ S3_FRAME = (
     (-ZB1 * GR_I, ZB0 * GR_I, Z1 * GR_I, -Z0 * GR_I),
 )
 
+# The rotation fields V_l = e_l x x of S^2, each given as the values of
+# (dx1, dx2, dx3) on it.  They span the tangent space at every point.
+S2_FRAME = (
+    (XPoly.zero(), -X3, X2),
+    (X3, XPoly.zero(), -X1),
+    (-X2, X1, XPoly.zero()),
+)
+
 # dvol(S^2) = x1 dx2 dx3 + x2 dx3 dx1 + x3 dx1 dx2, total integral 4*pi
 VOLUME_FORM = (
     DX2.wedge(DX3) * X1 + DX3.wedge(DX1) * X2 + DX1.wedge(DX2) * X3
 )
 
 
-@dataclass(frozen=True)
-class SphereTwoForm:
-    """A 2-form restricted to S^2, written as g * dvol(S^2)."""
+def restrict_to_sphere(omega: XForm) -> XPoly:
+    """The coefficient g of an ambient 2-form restricted to S^2 as
+    g * dvol(S^2).
 
-    coeff: XPoly
-
-    def is_zero(self) -> bool:
-        return self.coeff.is_zero()
-
-    def __str__(self) -> str:
-        return f"({self.coeff}) * dvol(S2)"
-
-
-def restrict_to_sphere(omega: XForm) -> SphereTwoForm:
-    """Restrict an ambient 2-form to S^2.
-
-    On the sphere dx_mu ^ dx_nu = eps_{mu nu lam} x_lam * dvol, so the
-    restricted coefficient is g = f_{12} x3 + f_{23} x1 - f_{13} x2 (index
-    tuples are 0-based).  Well defined modulo the ideal (r, dr).
+    On the sphere dx_mu ^ dx_nu = eps_{mu nu lam} x_lam * dvol, so
+    g = f_{12} x3 + f_{23} x1 - f_{13} x2 (index tuples are 0-based).  Well
+    defined modulo the ideal (r, dr).
     """
     if not omega.is_homogeneous(2):
         raise ValueError("restrict_to_sphere expects a pure degree-2 form")
@@ -274,14 +267,14 @@ def restrict_to_sphere(omega: XForm) -> SphereTwoForm:
     pairing = {(0, 1): X3, (1, 2): X1, (0, 2): -X2}
     for idx, poly in omega.terms.items():
         g = g + poly * pairing[idx]
-    return SphereTwoForm(g)
+    return g
 
 
 def integrate_s2(omega) -> VolumeUnits:
-    """Exact integral over S^2 of a degree-2 XForm or SphereTwoForm,
-    as a Gaussian-rational multiple of 4*pi."""
+    """Exact integral over S^2 of a degree-2 XForm, or of g * dvol(S^2) for
+    an XPoly g, as a Gaussian-rational multiple of 4*pi."""
     if isinstance(omega, XForm):
         omega = restrict_to_sphere(omega)
-    if not isinstance(omega, SphereTwoForm):
-        raise TypeError("integrate_s2 expects an XForm of degree 2 or a SphereTwoForm")
-    return integrate_xpoly(omega.coeff)
+    if not isinstance(omega, XPoly):
+        raise TypeError("integrate_s2 expects an XForm of degree 2 or an XPoly")
+    return integrate_xpoly(omega)

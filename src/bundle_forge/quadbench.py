@@ -26,9 +26,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bundles import WeightedProjector, named_real_objects, unit_ket
+from .bundles import WeightedProjector, unit_ket
 from .exact_ring import XPoly, ZPoly
-from .forms import S3_FRAME, XForm, ZForm
+from .forms import S2_FRAME, S3_FRAME, XForm, ZForm
 from .kets import EquivariantKet, pairing
 
 
@@ -227,8 +227,10 @@ def chern_number_quad(
 def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     """The field of p^g = g p g+ / tr(g+ g p) for p = |psi><psi| with
     <psi|psi> = 1, as the kets u = g w, w the Hopf-section ket of
-    `_hopf_ket`: g p g+ = u u+ and tr(g+ g p) = <u|u>, which lies between
-    the squares of the least and the largest singular value of g."""
+    `_hopf_ket`: g p g+ = u u+ and tr(g+ g p) = <u|u>.  p^g does not change
+    under g -> c g, so g is first divided by its largest singular value:
+    then <u|u> lies between (sigma_min / sigma_max)^2 and 1 at every scale
+    of g, and neither the bounds nor u leave the float64 range."""
     g = np.asarray(g, dtype=complex)
     n = len(k)
     if g.shape != (n, n):
@@ -243,13 +245,13 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
         raise ValueError("the ket must satisfy <psi|psi> = 1")
     # u = w g^t = conj(psi) (diag(sqrt(weight)) g^t): the scaling of w
     # rides in the n x n factor instead of a pass over every array
-    scaled_g_t = np.sqrt([float(w) for w in k.weights])[:, None] * g.T
+    scaled_g_t = np.sqrt([float(w) for w in k.weights])[:, None] * (g / sigma[0]).T
     first, *rest = (q.conj() for q in k.polys)
 
     def evaluator(theta, phi, derivatives=False):
         return first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives) @ scaled_g_t
 
-    return KetField(evaluator, (float(sigma[-1]) ** 2, float(sigma[0]) ** 2), cond)
+    return KetField(evaluator, (float(sigma[-1] / sigma[0]) ** 2, 1.0), cond)
 
 
 MC_MIN_SAMPLES = 10_000
@@ -327,7 +329,7 @@ def _vanishes(form, frame: tuple) -> bool:
 def s2_tangent_frame_check(omega: XForm, expected: XForm) -> bool:
     """Whether two XForms agree on S^2, i.e. modulo the sphere ideal (r, dr),
     by contracting their difference with the rotation fields V_l = e_l x x."""
-    return _vanishes(omega - expected, tuple(zip(*named_real_objects().V.core)))
+    return _vanishes(omega - expected, S2_FRAME)
 
 
 def tangent_frame_check(omega: ZForm, expected: ZForm) -> bool:

@@ -11,7 +11,6 @@ from bundle_forge.bundles import (
     PartialIsometry,
     UnsupportedGaugeError,
     WeightedProjector,
-    chern_form_exact,
     chern_number_exact,
     curvature_trace_form,
     dense_equal,
@@ -39,7 +38,7 @@ from bundle_forge.exact_ring import (
     weighted_matmul,
     z_to_x,
 )
-from bundle_forge.forms import XForm, ZForm, restrict_to_sphere
+from bundle_forge.forms import S2_FRAME, XForm, ZForm, restrict_to_sphere
 from bundle_forge.kets import (
     EquivariantKet,
     connection_form,
@@ -245,7 +244,7 @@ class TestChernExact:
                   real_form(tilde_projector())):
             projectors.append(exact_gauge(p, _exact_unitary(p.dim))[0])
         for p in projectors:
-            reference = restrict_to_sphere(_triple_sum_curvature(p)).coeff
+            reference = restrict_to_sphere(_triple_sum_curvature(p))
             assert curvature_trace_form(p) == reference, p.label
 
     def test_non_hermitian_core_rejected(self):
@@ -282,13 +281,13 @@ class TestChernExact:
         assert chern_number_exact(transpose(p)) == -1
 
     def test_trivial_families(self):
-        assert chern_form_exact(normal_projector()).coeff.is_zero()
-        assert chern_form_exact(tangent_projector()).coeff.is_zero()
+        assert curvature_trace_form(normal_projector()).is_zero()
+        assert curvature_trace_form(tangent_projector()).is_zero()
         assert chern_number_exact(real_form(tilde_projector())) == 0
 
     def test_charge_one_integrand_constant(self):
         # restricted coefficient of tr(p(dp)^2) is the constant -i/2
-        coeff = chern_form_exact(charge_one_projector()).coeff
+        coeff = curvature_trace_form(charge_one_projector())
         assert coeff == XPoly.one() * (GR_I * Fraction(-1, 2))
 
     def test_non_integer_rejected(self):
@@ -318,6 +317,15 @@ class TestDyads:
         for j in range(3):
             for k in range(3):
                 assert pairings[j][k] == dense[j][k]
+
+    def test_rotation_fields_are_the_s2_frame(self):
+        # S2_FRAME[l] = e_l x x, and V's columns are S2_FRAME
+        x = (X1, X2, X3)
+        for l in range(3):
+            e = [XPoly.one() if i == l else XPoly.zero() for i in range(3)]
+            cross = tuple(e[i - 2] * x[i - 1] - e[i - 1] * x[i - 2] for i in range(3))
+            assert S2_FRAME[l] == cross
+        assert tuple(zip(*named_real_objects().V.core)) == S2_FRAME
 
     def test_single_basis_vector(self):
         ones = (Fraction(1),) * 3
@@ -410,6 +418,8 @@ class TestExactGauge:
             exact_gauge(p, rot)  # non-uniform weights need a signed permutation
         with pytest.raises(UnsupportedGaugeError):
             exact_gauge(charge_one_projector(), ((1, 1), (0, 1)))  # not unitary
+        with pytest.raises(UnsupportedGaugeError):
+            exact_gauge(charge_one_projector(), ((c, s), (s, c)))  # unit rows, not orthogonal
         with pytest.raises(UnsupportedGaugeError):
             exact_gauge(charge_one_projector(), ((1, 0, 0), (0, 1, 0)))
 

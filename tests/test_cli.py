@@ -217,6 +217,24 @@ class TestGaugeCommand:
         line = [l for l in out.splitlines() if l.startswith("c1(quad, gauged)")][0]
         assert abs(float(line.split("=")[1]) - 1.0) < 1e-4
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e155])
+    def test_scaled_gauge(self, capsys, tmp_path, scale):
+        # g and c g give the same gauged projector; at these scales the
+        # charge-16 matrix of the gauge smoke run used to end in an
+        # OverflowError traceback (exit 1) or a pointwise norm defect
+        n = 17
+        entries = [
+            [{"re": scale} if j == k else {"re": 0.3 * scale, "im": 0.2 * scale} if j < k
+             else {"re": 0.3 * scale} for k in range(n)]
+            for j in range(n)
+        ]
+        g_file = tmp_path / "g.json"
+        g_file.write_text(json.dumps({"n": n, "entries": entries}))
+        code, out, err = invoke(capsys, "gauge", "--charge", "16", "--g-file", str(g_file))
+        assert code == 0 and not err
+        line = [l for l in out.splitlines() if l.startswith("c1(quad, gauged)")][0]
+        assert abs(float(line.split("=")[1]) - 16.0) < 1e-4
+
     def test_malformed_file(self, capsys, tmp_path):
         # "n": 2.9 used to be read as 2 and "n": true as 1; an entry
         # {"re": true} used to be read as 1 and {"re": "1e0"} as 1.0

@@ -11,7 +11,6 @@ from bundle_forge.forms import (
     DZ0,
     DZB0,
     DegreeOverflowError,
-    SphereTwoForm,
     VOLUME_FORM,
     XForm,
     ZForm,
@@ -112,23 +111,23 @@ class TestRestrictToSphere:
         # oracle: dx1^dx2 restricted equals x3 * dvol on the tangent frame of S^2
         omega = DX1.wedge(DX2)
         g = restrict_to_sphere(omega)
-        assert g.coeff == X3
-        assert s2_tangent_frame_check(omega, VOLUME_FORM * g.coeff)
+        assert g == X3
+        assert s2_tangent_frame_check(omega, VOLUME_FORM * g)
 
     def test_volume_form_coefficient(self):
-        assert restrict_to_sphere(VOLUME_FORM).coeff == XPoly.one()
+        assert restrict_to_sphere(VOLUME_FORM) == XPoly.one()
 
     def test_dr_wedge_vanishes(self):
-        assert restrict_to_sphere(R_RAW_DIFFERENTIAL.wedge(DX1)).coeff.is_zero()
+        assert restrict_to_sphere(R_RAW_DIFFERENTIAL.wedge(DX1)).is_zero()
 
     def test_ideal_annihilation_random(self, rng):
         for _ in range(1000):
             omega = random_xform(rng, 2, 3)
             scaled = omega * SPHERE_RELATION
-            assert restrict_to_sphere(scaled).coeff.is_zero()
+            assert restrict_to_sphere(scaled).is_zero()
         for _ in range(1000):
             alpha = random_xform(rng, 1, 3)
-            assert restrict_to_sphere(R_RAW_DIFFERENTIAL.wedge(alpha)).coeff.is_zero()
+            assert restrict_to_sphere(R_RAW_DIFFERENTIAL.wedge(alpha)).is_zero()
 
     def test_rejects_mixed_degree(self):
         with pytest.raises(ValueError):
@@ -153,6 +152,18 @@ class TestIntegrateS2:
                 integrate_s2(a).value + integrate_s2(b).value
                 == integrate_s2(a + b).value
             )
+
+    def test_form_and_its_coefficient_agree(self, rng):
+        for _ in range(100):
+            omega = random_xform(rng, 2)
+            assert integrate_s2(omega) == integrate_s2(restrict_to_sphere(omega))
+
+    def test_rejects_other_inputs(self):
+        with pytest.raises(ValueError):
+            integrate_s2(DX1 + DX1.wedge(DX2))
+        for other in (ZPoly.one(), 1, DZ0.wedge(DZB0)):
+            with pytest.raises(TypeError):
+                integrate_s2(other)
 
     def test_odd_symmetry_vanishing(self, rng):
         # a restricted coefficient odd in x1 integrates to zero

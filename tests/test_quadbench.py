@@ -508,6 +508,25 @@ class TestGaugeField:
             assert abs(analytic - fd) < 1e-6
             assert abs(analytic - charge) < 1e-6 and abs(fd - charge) < 1e-6
 
+    @pytest.mark.parametrize("scale", [1e-170, 1e-100, 1e100, 1e155, 1e300])
+    def test_scaled_gauge_keeps_the_charge(self, scale):
+        """p^g does not change under g -> c g, so neither do c1, the norm
+        bounds and the condition: the charge-16 matrix of the CLI's gauge
+        smoke run, scaled by c, used to overflow the bounds (1e155, 1e300),
+        the density (1e100, 1e-100) or <u|u> (1e-170)."""
+        k = monopole_ket("minus", 16)
+        n = len(k)
+        g = np.eye(n) + np.triu(np.full((n, n), 0.3 + 0.2j), 1) + np.tril(np.full((n, n), 0.3), -1)
+        want = gauge_field(k, g)
+        field = gauge_field(k, g * scale)
+        np.testing.assert_allclose(field.norm_bounds, want.norm_bounds, rtol=1e-12)
+        assert field.norm_bounds[1] == 1.0
+        assert field.condition == pytest.approx(want.condition, rel=1e-12)
+        grid = SphereGrid.build()
+        got = chern_number_quad(field, grid, "analytic")
+        assert abs(got - chern_number_quad(want, grid, "analytic")) < 1e-10
+        assert abs(got - 16) < 1e-4
+
     def test_non_unit_ket_rejected(self):
         # the (1 + 1e-9)-scaled ket of test_norm_defect_raises
         k = monopole_ket("minus", 3)
