@@ -149,6 +149,8 @@ class WeightedProjector:
         if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive rationals")
         n = len(weights)
+        if n == 0:
+            raise ValueError("a projector needs at least one weight")
         if not isinstance(rows, list) or len(rows) != n or any(
             not isinstance(row, list) or len(row) != n for row in rows
         ):

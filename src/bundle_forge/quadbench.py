@@ -86,16 +86,18 @@ class SphereGrid:
 
 @dataclass(frozen=True)
 class KetField:
-    """The projector field u u+ / <u|u> of kets u on S^2: `evaluator(theta,
-    phi, derivatives=False)` maps theta (P, 1), phi (1, A) to u, shape
-    (P, A, n), or with derivatives=True or "finite-difference" (as
-    `exact_ring.evaluate_grid`) to u, du/dtheta and du/dphi on a leading
-    axis of three; (lo, hi) = `norm_bounds` bound <u|u>; `condition` is
-    that of the gauge matrix applied."""
+    """The projector field u u+ / <u|u> of kets u = w g^t on S^2:
+    `evaluator(theta, phi, derivatives=False)` maps theta (P, 1), phi
+    (1, A) to w, shape (P, A, n), or with derivatives=True or
+    "finite-difference" (as `exact_ring.evaluate_grid`) to w, dw/dtheta and
+    dw/dphi on a leading axis of three; `gauge` is the n x n matrix g, None
+    for u = w; (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of
+    the gauge matrix applied."""
 
     evaluator: Callable
     norm_bounds: tuple = (1.0, 1.0)
     condition: float = 1.0
+    gauge: np.ndarray | None = None
 
 
 # Largest pointwise defect accepted: |P^2 - P| on the matrix route, the
@@ -141,26 +143,42 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool | str = False):
     return values
 
 
-def _rank_one_density(u, u_t, u_f, norm_bounds: tuple) -> np.ndarray:
-    """tr(P [dP/dtheta, dP/dphi]) on the product grid for P = u u+ / N,
-    N = <u|u>, from the kets u and their derivatives, in O(n) per node.  P
-    is hermitian and idempotent by construction, so the pointwise check is N
-    within `norm_bounds`.  The density is Berry's gauge-invariant curvature
-    of the unnormalised u, 2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> / N^2),
-    whose second term is real for a unit ket, as on the exact Hopf route; it
-    does not change under u -> c u, so it is the matrix route's density.  It
-    is purely imaginary: the imaginary-part check of `chern_number_quad`
-    reads 0 here."""
+def _rank_one_density(w, w_t, w_f) -> Callable:
+    """density(norm_bounds, gauge=None): tr(P [dP/dtheta, dP/dphi]) on the
+    product grid for P = u u+ / N, N = <u|u>, from a table of kets w and
+    their derivatives, where u = w g^t for the n x n matrix `gauge` g
+    (u = w when it is None): O(n) per node, and O(n^2) with a gauge.  P is
+    hermitian and idempotent by construction, so the pointwise check is N
+    within `norm_bounds`.  The density is Berry's gauge-invariant
+    curvature of the unnormalised u, 2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> /
+    N^2), whose second term is real for a unit ket, as on the exact Hopf
+    route; it does not change under u -> c u, so it is the matrix route's
+    density.  It is purely imaginary: the imaginary-part check of
+    `chern_number_quad` reads 0 here.
+
+    The kets enter only through <u_a|u_b> = <w_a|G w_b>, G = g+ g: conj(w)
+    and conj(w_t) are formed once for the table, and each g costs the
+    products G w and G w_f."""
     dot = functools.partial(np.einsum, "...j,...j->...")
-    u_conj, t_conj = np.conj(u), np.conj(u_t)
-    norm = dot(u_conj, u).real
-    lo, hi = norm_bounds
-    if not np.all((lo * (1 - IDEMPOTENCY_TOL) < norm) & (norm < hi * (1 + IDEMPOTENCY_TOL))):
-        raise QuadratureError(
-            f"pointwise norm defect: <u|u> in [{np.min(norm):.12g}, {np.max(norm):.12g}], "
-            f"bounds [{lo:.12g}, {hi:.12g}] to within {IDEMPOTENCY_TOL:g}"
-        )
-    return 2j * np.imag(dot(t_conj, u_f) / norm - dot(t_conj, u) * dot(u_conj, u_f) / norm**2)
+    w_conj, t_conj = np.conj(w), np.conj(w_t)
+
+    def density(norm_bounds: tuple, gauge=None) -> np.ndarray:
+        gw, gw_f = w, w_f
+        if gauge is not None:
+            metric_t = gauge.T @ np.conj(gauge)  # (g+ g)^t
+            # one (P*A, n) @ (n, n) product per table: matmul's loop over
+            # a leading axis of P takes about twice as long at n = 2
+            gw, gw_f = ((a.reshape(-1, a.shape[-1]) @ metric_t).reshape(a.shape) for a in (w, w_f))
+        norm = dot(w_conj, gw).real
+        lo, hi = norm_bounds
+        if not np.all((lo * (1 - IDEMPOTENCY_TOL) < norm) & (norm < hi * (1 + IDEMPOTENCY_TOL))):
+            raise QuadratureError(
+                f"pointwise norm defect: <u|u> in [{np.min(norm):.12g}, {np.max(norm):.12g}], "
+                f"bounds [{lo:.12g}, {hi:.12g}] to within {IDEMPOTENCY_TOL:g}"
+            )
+        return 2j * np.imag(dot(t_conj, gw_f) / norm - dot(t_conj, gw) * dot(w_conj, gw_f) / norm**2)
+
+    return density
 
 
 def _matrix_density(P, Pt, Pf) -> np.ndarray:
@@ -172,6 +190,26 @@ def _matrix_density(P, Pt, Pf) -> np.ndarray:
     comm = Pt @ Pf
     comm -= np.matmul(Pf, Pt, out=scratch)
     return np.einsum("...jk,...kj->...", P, comm)
+
+
+def _grid_values(evaluator: Callable, grid: SphereGrid, derivative: str):
+    """A field's values and both derivatives on `grid` from one call of its
+    evaluator, analytic or by central differences of the factor tables."""
+    if derivative not in DERIVATIVE_MODES:
+        raise ValueError(f"unknown derivative mode {derivative!r}")
+    return evaluator(*grid.axes(), derivatives=DERIVATIVE_MODES[derivative])
+
+
+def _c1_from_density(density: np.ndarray, grid: SphereGrid) -> float:
+    """-(1/2*pi*i) * sum of weights * density / sin(theta), checked to be
+    finite and, to within 1e-8, real."""
+    value = np.sum(grid.dvol_weights() * density / np.sin(grid.axes()[0]))
+    c1 = value / (-2.0j * math.pi)
+    if not np.isfinite(c1):
+        raise QuadratureError("non-finite quadrature value")
+    if abs(c1.imag) > 1e-8:
+        raise QuadratureError(f"Chern quadrature has imaginary part {c1.imag:.3e}")
+    return float(c1.real) + 0.0  # turns -0.0 into 0.0
 
 
 def chern_number_quad(
@@ -195,42 +233,26 @@ def chern_number_quad(
     """
     if grid is None:
         grid = SphereGrid.build()
-    theta, phi = grid.axes()
-
     if isinstance(p, WeightedProjector) and (ket := unit_ket(p)) is not None:
         p = KetField(functools.partial(_hopf_ket, ket))
     if isinstance(p, KetField):
-        evaluator = p.evaluator
+        density = _rank_one_density(*_grid_values(p.evaluator, grid, derivative))(
+            p.norm_bounds, p.gauge
+        )
     elif isinstance(p, WeightedProjector):
-        evaluator = p.evaluate_grid
+        density = _matrix_density(*_grid_values(p.evaluate_grid, grid, derivative))
     else:
         raise TypeError(f"unsupported projector type {type(p).__name__}")
-    if derivative not in DERIVATIVE_MODES:
-        raise ValueError(f"unknown derivative mode {derivative!r}")
-    values = evaluator(theta, phi, derivatives=DERIVATIVE_MODES[derivative])
-    if isinstance(p, KetField):
-        density = _rank_one_density(*values, p.norm_bounds)
-    else:
-        density = _matrix_density(*values)
-
-    st = np.sin(theta)
-    weights = grid.dvol_weights()
-    value = np.sum(weights * density / st)
-    c1 = value / (-2.0j * math.pi)
-    if not np.isfinite(c1):
-        raise QuadratureError("non-finite quadrature value")
-    if abs(c1.imag) > 1e-8:
-        raise QuadratureError(f"Chern quadrature has imaginary part {c1.imag:.3e}")
-    return float(c1.real) + 0.0  # turns -0.0 into 0.0
+    return _c1_from_density(density, grid)
 
 
 def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     """The field of p^g = g p g+ / tr(g+ g p) for p = |psi><psi| with
     <psi|psi> = 1, as the kets u = g w, w the Hopf-section ket of
     `_hopf_ket`: g p g+ = u u+ and tr(g+ g p) = <u|u>.  p^g does not change
-    under g -> c g, so g is first divided by its largest singular value:
-    then <u|u> lies between (sigma_min / sigma_max)^2 and 1 at every scale
-    of g, and neither the bounds nor u leave the float64 range."""
+    under g -> c g, so the field carries g divided by its largest singular
+    value: then <u|u> lies between (sigma_min / sigma_max)^2 and 1 at every
+    scale of g, and neither the bounds nor u leave the float64 range."""
     g = np.asarray(g, dtype=complex)
     n = len(k)
     if g.shape != (n, n):
@@ -243,15 +265,25 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     # the norm bounds of the result hold for a unit ket only
     if pairing(k, k) != ZPoly.one():
         raise ValueError("the ket must satisfy <psi|psi> = 1")
-    # u = w g^t = conj(psi) (diag(sqrt(weight)) g^t): the scaling of w
-    # rides in the n x n factor instead of a pass over every array
-    scaled_g_t = np.sqrt([float(w) for w in k.weights])[:, None] * (g / sigma[0]).T
-    first, *rest = (q.conj() for q in k.polys)
+    return KetField(
+        functools.partial(_hopf_ket, k), (float(sigma[-1] / sigma[0]) ** 2, 1.0), cond,
+        g / sigma[0],
+    )
 
-    def evaluator(theta, phi, derivatives=False):
-        return first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives) @ scaled_g_t
 
-    return KetField(evaluator, (float(sigma[-1] / sigma[0]) ** 2, 1.0), cond)
+def gauge_chern_numbers(
+    k: EquivariantKet, gs: list, grid: SphereGrid, derivative: str
+) -> list:
+    """[(gauge_field(k, g), c1)] for each g of `gs`, c1 as `chern_number_quad`
+    gives it.  Every field's kets are u = w g^t for the one Hopf-section
+    ket w of k, so one call of the first field's evaluator serves all of
+    them; each field's g, and its pointwise norm check, enter in its own
+    contraction."""
+    fields = [gauge_field(k, g) for g in gs]
+    if not fields:
+        return []
+    density = _rank_one_density(*_grid_values(fields[0].evaluator, grid, derivative))
+    return [(f, _c1_from_density(density(f.norm_bounds, f.gauge), grid)) for f in fields]
 
 
 MC_MIN_SAMPLES = 10_000

@@ -673,6 +673,7 @@ class TestSerialization:
             ([1, 2], [[one, one], [one, one]]),         # weights not strings
             ([0.5, "2"], [[one, one], [one, one]]),
             ("12", [[one, one], [one, one]]),           # weights not a list
+            ([], []),                                   # 0x0: to_json never writes it
         ) + tuple(
             (["1", "2"], [[one, bad], [one, one]])
             for bad in (

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from bundle_forge.bundles import WeightedProjector, projector_from_ket
 from bundle_forge.cli import build_projector, run
+from bundle_forge.exact_ring import XPoly, ZPoly
 from bundle_forge.kets import monopole_ket
 
 
@@ -174,6 +176,33 @@ class TestVerifyCommand:
         code, out, _ = invoke(capsys, "verify", "--suite", "gauge", "--seed", "1")
         assert code == 0
         assert "signed-permutation" in out
+
+    def test_gauge_suite_evaluates_the_ket_once(self, capsys, monkeypatch):
+        """The 20 random-g quadratures share one table of the Hopf-section
+        ket: one ZPoly.evaluate per run, and no XPoly.evaluate."""
+        calls = {XPoly: 0, ZPoly: 0}
+        for ring in calls:
+            def counted(self, *args, _original=ring.evaluate, _ring=ring, **kwargs):
+                calls[_ring] += 1
+                return _original(self, *args, **kwargs)
+            monkeypatch.setattr(ring, "evaluate", counted)
+        code, out, _ = invoke(capsys, "verify", "--suite", "gauge", "--seed", "7")
+        assert code == 0 and out.count("random g trial") == 20
+        assert calls == {XPoly: 0, ZPoly: 1}
+
+    def test_gauge_suite_memory(self, capsys):
+        """The suite's tracemalloc peak stays within 2 MiB of the 2.05 MiB it
+        took with one ket evaluation per trial (Python 3.11, numpy 2.4): the
+        shared table adds its conjugates, not a table per trial."""
+        invoke(capsys, "verify", "--suite", "gauge")  # fills the caches
+        tracemalloc.start()
+        try:
+            code, _, _ = invoke(capsys, "verify", "--suite", "gauge")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < (2.05 + 2.0) * 2**20
 
     def test_max_charge_guard(self, capsys):
         # a negative max charge used to skip every monopole and print ALL PASS

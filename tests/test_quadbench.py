@@ -20,6 +20,7 @@ from bundle_forge.bundles import (
     tangent_projector,
     transpose,
 )
+from bundle_forge import quadbench
 from bundle_forge.cli import MAX_CHARGE
 from bundle_forge.exact_ring import (
     FD_STEP,
@@ -58,11 +59,13 @@ from bundle_forge.quadbench import (
     MC_BLOCK,
     MC_MIN_SAMPLES,
     QuadratureError,
+    KetField,
     SphereGrid,
     chern_number_quad,
     _hopf_ket,
     _matrix_density,
     _rank_one_density,
+    gauge_chern_numbers,
     gauge_field,
     monte_carlo_integral,
     monte_carlo_stderr,
@@ -299,8 +302,8 @@ class TestRankOneRoute:
             lambda k: _hopf_ket(k, theta, phi, derivatives="finite-difference"),
         ):
             with pytest.raises(QuadratureError, match="norm defect"):
-                _rank_one_density(*values(scaled), (1.0, 1.0))
-            assert np.all(np.isfinite(_rank_one_density(*values(k), (1.0, 1.0))))
+                _rank_one_density(*values(scaled))((1.0, 1.0))
+            assert np.all(np.isfinite(_rank_one_density(*values(k))((1.0, 1.0))))
 
     def test_ket_with_other_pairing_takes_the_matrix_route(self):
         # <psi|psi> = 1 + 1e-9: the matrix route's idempotency check fires
@@ -331,12 +334,34 @@ MOVED_KETS = [
 ]
 
 
+# unit kets of dim <= 5: monopoles of charge up to 4, tilde, the type-0 ket
+# a, and the tensor products of two charge-1 monopoles
+GENERATOR_BASES = [monopole_ket(sign, n) for n in range(1, 5) for sign in ("minus", "plus")]
+GENERATOR_BASES += [tilde_ket2(), type_zero_ket()] + [
+    tensor_ket(monopole_ket(a, 1), monopole_ket(b, 1))
+    for a in ("minus", "plus") for b in ("minus", "plus")
+]
+# (a, b, c) with a^2 + b^2 = c^2, for rational points of SU(2)
+PYTHAGOREAN = [(1, 0, 1), (0, 1, 1), (3, 4, 5), (5, 12, 13)]
+UNITS = [GaussianRational(1), GR_I, GaussianRational(-1), -GR_I]
+
+
+@st.composite
+def _generated_unit_kets(draw) -> EquivariantKet:
+    """A base ket moved by the SU(2) element (alpha, beta) = (a/c u, b/c v),
+    u and v units of Z[i]."""
+    k = draw(st.sampled_from(GENERATOR_BASES))
+    a, b, c = draw(st.sampled_from(PYTHAGOREAN))
+    u, v = draw(st.sampled_from(UNITS)), draw(st.sampled_from(UNITS))
+    return su2_move(k, u * Fraction(a, c), v * Fraction(b, c))
+
+
 def _density_over_sin(k: EquivariantKet, grid: SphereGrid) -> np.ndarray:
     """Im tr(P [dP/dtheta, dP/dphi]) / sin(theta) of the Hopf-section
     field of k on the grid: -2 pi times the c1 density per unit area."""
     theta, phi = grid.axes()
     values = _hopf_ket(k, theta, phi, derivatives=True)
-    return _rank_one_density(*values, (1.0, 1.0)).imag / np.sin(theta)
+    return _rank_one_density(*values)((1.0, 1.0)).imag / np.sin(theta)
 
 
 class TestSU2Moves:
@@ -361,6 +386,15 @@ class TestSU2Moves:
         for q in (p, _matrix_route(p)):
             assert abs(chern_number_quad(q, EXACT_GRID, "finite-difference") - got) < 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(_generated_unit_kets())
+    def test_rank_one_and_matrix_routes_agree(self, k):
+        """Rank-one c1 against the matrix route's on the core-only copy,
+        over generated unit kets of dim <= 5."""
+        p = projector_from_ket(k)
+        got = chern_number_quad(p, EXACT_GRID)
+        assert abs(got - chern_number_quad(_matrix_route(p), EXACT_GRID)) < 1e-9
+
     @pytest.mark.parametrize("alpha, beta", SU2_MOVES)
     def test_moved_type_zero_density_depends_on_phi(self, alpha, beta):
         a = type_zero_ket()
@@ -380,10 +414,20 @@ def _five_point_fd(evaluator, theta, phi) -> tuple:
     )
 
 
+def _gauged_kets(field: KetField) -> Callable:
+    """The evaluator of the field's kets u = w g^t, from the table w of its
+    evaluator and its gauge g."""
+
+    def evaluator(theta, phi, derivatives=False):
+        return field.evaluator(theta, phi, derivatives=derivatives) @ field.gauge.T
+
+    return evaluator
+
+
 def _gauged_ket_evaluator():
     rng = np.random.default_rng(11)
     g = np.eye(3) + 0.3 * rng.normal(size=(3, 3)) + 0.3j * rng.normal(size=(3, 3))
-    return gauge_field(monopole_ket("minus", 2), g).evaluator
+    return _gauged_kets(gauge_field(monopole_ket("minus", 2), g))
 
 
 # (evaluator, dtype, trailing shape) of a complex projector field, a
@@ -449,7 +493,76 @@ def _einsum_gauge(k: EquivariantKet, g: np.ndarray):
     return evaluator
 
 
+def _per_trial_reference_c1(k: EquivariantKet, g: np.ndarray, grid: SphereGrid,
+                            derivative: str) -> float:
+    """c1 of gauge_field(k, g) from its own evaluation, one g at a time:
+    conj(psi) and its derivatives evaluated, times diag(sqrt(weight)) g^t
+    with g divided by its largest singular value, then the unit-ket
+    contraction within bounds (sigma_min / sigma_max)^2 and 1, and the
+    weighted sum."""
+    sigma = np.linalg.svd(g, compute_uv=False)
+    factor = np.sqrt([float(w) for w in k.weights])[:, None] * (g / sigma[0]).T
+    first, *rest = (q.conj() for q in k.polys)
+    theta, phi = grid.axes()
+    values = first.evaluate(also=rest, angles=(theta, phi), derivatives=DERIVATIVE_MODES[derivative])
+    density = _rank_one_density(*(values @ factor))(((sigma[-1] / sigma[0]) ** 2, 1.0))
+    c1 = np.sum(grid.dvol_weights() * density / np.sin(theta)) / (-2.0j * math.pi)
+    assert abs(c1.imag) < 1e-8
+    return float(c1.real)
+
+
+def _test_gauges(rng: np.random.Generator, n: int) -> list:
+    """A random g near the identity, one of condition 10 and the first
+    scaled by 1e155."""
+    near = np.eye(n) + 0.3 * rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n))
+    q1, q2 = (np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+              for _ in range(2))
+    return [near, q1 @ np.diag(np.geomspace(1.0, 0.1, n)) @ q2, near * 1e155]
+
+
 class TestGaugeField:
+    @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
+    @pytest.mark.parametrize("n", [2, 3, 5, 17])
+    def test_shared_table_matches_the_per_trial_reference(self, n, derivative):
+        """c1 from one shared ket table, by gauge_chern_numbers and by
+        chern_number_quad of each field, against the per-trial reference."""
+        k = monopole_ket("minus", n - 1)
+        gs = _test_gauges(np.random.default_rng(30 + n), n)
+        assert np.linalg.cond(gs[1]) == pytest.approx(10.0, rel=1e-9)
+        got = gauge_chern_numbers(k, gs, EXACT_GRID, derivative)
+        assert len(got) == len(gs)
+        for g, (field, c1) in zip(gs, got):
+            assert field.condition == gauge_field(k, g).condition
+            want = _per_trial_reference_c1(k, g, EXACT_GRID, derivative)
+            assert abs(c1 - want) < 1e-12
+            assert abs(chern_number_quad(field, EXACT_GRID, derivative) - want) < 1e-12
+
+    def test_each_trial_checks_its_own_norm(self, monkeypatch):
+        """Only the third field's <u|u> leaves its bounds, whose upper end is
+        lowered to the lower: the shared table must not skip the later
+        trials' pointwise norm checks."""
+        k = monopole_ket("minus", 1)
+        rng = np.random.default_rng(40)
+        gs = [np.eye(2) + 0.3 * rng.normal(size=(2, 2)) + 0.3j * rng.normal(size=(2, 2))
+              for _ in range(4)]
+        grid = SphereGrid.build(16, 32)
+        assert len(gauge_chern_numbers(k, gs, grid, "analytic")) == 4
+        built = []
+
+        def tightened(k, g):
+            field = gauge_field(k, g)
+            built.append(field)
+            if len(built) == 3:
+                lo = field.norm_bounds[0]
+                field = dataclasses.replace(field, norm_bounds=(lo, lo))
+            return field
+
+        monkeypatch.setattr(quadbench, "gauge_field", tightened)
+        for derivative in DERIVATIVE_MODES:
+            built.clear()
+            with pytest.raises(QuadratureError, match="norm defect"):
+                gauge_chern_numbers(k, gs, grid, derivative)
+
     def test_identity_gauge_matches_base(self):
         k = monopole_ket("minus", 2)
         field = gauge_field(k, np.eye(3))
@@ -458,7 +571,7 @@ class TestGaugeField:
         base = projector_from_ket(k)
         st = np.sin(theta)
         P0 = base.evaluate(st * np.cos(phi), st * np.sin(phi), np.cos(theta))
-        assert np.max(np.abs(_projector_of(field.evaluator(theta, phi)) - P0)) < 1e-12
+        assert np.max(np.abs(_projector_of(_gauged_kets(field)(theta, phi)) - P0)) < 1e-12
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_matches_einsum_reference(self, n):
@@ -468,7 +581,7 @@ class TestGaugeField:
         theta = rng.uniform(0.0, math.pi, (7, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 9))
         want = _einsum_gauge(k, g)(theta, phi)
-        u = gauge_field(k, g).evaluator(theta, phi)
+        u = _gauged_kets(gauge_field(k, g))(theta, phi)
         assert u.shape == (7, 9, n)
         got = _projector_of(u)
         assert got.shape == want.shape == (7, 9, n, n)
@@ -488,7 +601,8 @@ class TestGaugeField:
         reference = _einsum_gauge(k, g)
         want = _matrix_density(*_five_point_fd(reference, theta, phi))
         field = gauge_field(k, g)
-        got = _rank_one_density(*field.evaluator(theta, phi, derivatives=True), field.norm_bounds)
+        values = field.evaluator(theta, phi, derivatives=True)
+        got = _rank_one_density(*values)(field.norm_bounds, field.gauge)
         assert got.shape == want.shape == (6, 8)
         assert np.max(np.abs(got - want)) < 1e-7
 
