@@ -166,20 +166,27 @@ class WeightedProjector:
 
     def evaluate_grid(self, theta, phi, derivatives: bool | str = False):
         """The dense field on the product grid of theta, shape (P, 1), and
-        phi, shape (1, A): shape (P, A, n, n), or with `derivatives` (True,
-        or "finite-difference" for central differences) (3, P, A, n, n)
+        phi, shape (1, A), as an iterator over blocks of polar nodes, each
+        of shape (nodes, A, n, n), or with `derivatives` (True, or
+        "finite-difference" for central differences) (3, nodes, A, n, n)
         holding P, dP/dtheta and dP/dphi (see `exact_ring.evaluate_grid`)."""
         return self._field(angles=(theta, phi), derivatives=derivatives)
 
     def _field(self, *points, **grid):
         """All entries in one `XPoly.evaluate` pass, as n x n matrices,
-        each M_jk scaled in place to sqrt(w_j w_k) M_jk."""
+        each M_jk scaled in place to sqrt(w_j w_k) M_jk: one array at
+        points, an iterator over its blocks on a grid."""
         n = self.dim
         first, *rest = (e for row in self.core for e in row)
         values = first.evaluate(*points, also=rest, **grid)
         roots = np.sqrt([float(w) for w in self.weights])
-        values *= np.outer(roots, roots).reshape(-1)
-        return values.reshape(values.shape[:-1] + (n, n))
+        scale = np.outer(roots, roots).reshape(-1)
+
+        def dense(v: np.ndarray) -> np.ndarray:
+            v *= scale
+            return v.reshape(v.shape[:-1] + (n, n))
+
+        return dense(values) if points else map(dense, values)
 
 
 def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:

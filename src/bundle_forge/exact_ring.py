@@ -22,7 +22,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -271,11 +271,11 @@ class _BasePoly:
             if derivatives:
                 raise ValueError("derivatives are taken on a grid of angles only")
             values = evaluate_polys(polys, coords)
-        else:
-            if coords:
-                raise TypeError("give points or angles, not both")
-            values = evaluate_grid(polys, *angles, derivatives)
-        return values if also is not None else values[..., 0]
+            return values if also is not None else values[..., 0]
+        if coords:
+            raise TypeError("give points or angles, not both")
+        blocks = evaluate_grid(polys, *angles, derivatives)
+        return blocks if also is not None else map(operator.itemgetter((..., 0)), blocks)
 
     @classmethod
     def zero(cls):
@@ -510,10 +510,11 @@ class XPoly(_BasePoly):
 
         Given `angles` = (theta, phi) in place of points, theta of shape
         (P, 1) and phi of shape (1, A), the values on that product grid of
-        the chart x = (sin t cos f, sin t sin f, cos t), shape (P, A); with
-        `derivatives` (True, or "finite-difference" for central
-        differences), a leading axis of three holds the values, d/dtheta
-        and d/dphi: `evaluate_grid`.
+        the chart x = (sin t cos f, sin t sin f, cos t), as an iterator over
+        blocks of polar nodes, each of shape (nodes, A); with `derivatives`
+        (True, or "finite-difference" for central differences), a leading
+        axis of three holds the values, d/dtheta and d/dphi:
+        `evaluate_grid`.
 
         The values are float64 when every coefficient and every point is
         real (angles always are), complex otherwise."""
@@ -571,9 +572,10 @@ class ZPoly(_BasePoly):
         """Values at the points (z0, z1), as `XPoly.evaluate`.  Given
         `angles` = (theta, phi), the values on the Hopf section
         sigma(t, f) = (cos(t/2), e^(if) sin(t/2)) over the chart point
-        x(t, f) of `z_to_x`'s convention, shape (P, A), or with
-        `derivatives` the values, d/dtheta and d/dphi along sigma.  Always
-        complex: the variables include zbar0 and zbar1."""
+        x(t, f) of `z_to_x`'s convention, block by block as
+        `XPoly.evaluate`, or with `derivatives` the values, d/dtheta and
+        d/dphi along sigma.  Always complex: the variables include zbar0
+        and zbar1."""
         if angles is None and len(points) != 2:
             raise TypeError(f"ZPoly.evaluate takes the points z0, z1, got {len(points)}")
         return self._evaluate(points, also, angles, derivatives)
@@ -693,18 +695,38 @@ def _central_difference(table: Callable, x: np.ndarray) -> np.ndarray:
     return out
 
 
+# Largest size in bytes of one block of `evaluate_grid`'s output: a block
+# holds the most polar nodes whose (3, nodes, A, polys) table fits, and at
+# least one node.  Measured with Python 3.11 and numpy 2.4 (single-thread
+# BLAS) on a 2-vCPU Linux VM, running the 64x128 quadratures of the
+# benchmark's quad_chern workload in fresh processes (medians of 61 passes,
+# five rounds): the whole-grid tables peak at 44.4 MB RSS in 17.5-18.4 ms
+# per pass (one round 27 ms); blocks of 4 MiB at 39.7 MB in 16.3-18.4 ms,
+# of 2 MiB at 36.8 MB in 16.9-18.2 ms.  Blocks of 1 MiB peak at 35.2 MB but
+# take 18.8-21.8 ms: glibc's malloc then returns the freed top of its heap
+# to the system after a block, and the next block faults it back in (about
+# 500 minor faults per pass, against 3 at 2 MiB).
+GRID_BLOCK_BYTES = 2 << 20
+
+
 def evaluate_grid(
     polys: Sequence[_BasePoly], theta, phi, derivatives: bool | str = False
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """Numeric values of polynomials of one ring on the product grid of
     polar angles theta, shape (P, 1), and azimuths phi, shape (1, A): XPolys
     in the chart x = (sin t cos f, sin t sin f, cos t), ZPolys on the Hopf
-    section sigma(t, f) = (cos(t/2), e^(if) sin(t/2)) over it.  Returns an
-    array of shape (P, A, len(polys)), or with `derivatives` of shape
-    (3, P, A, len(polys)) holding the values, d/dtheta and d/dphi: float64
-    for XPolys whose coefficients are all real, complex otherwise.
+    section sigma(t, f) = (cos(t/2), e^(if) sin(t/2)) over it, one block of
+    polar nodes at a time.  Returns an iterator over consecutive blocks of
+    theta's nodes, in order, each an array of shape (nodes, A, len(polys)),
+    or with `derivatives` (3, nodes, A, len(polys)) holding the values,
+    d/dtheta and d/dphi: float64 for XPolys whose coefficients are all real,
+    complex otherwise.  A block is the most nodes whose table fits
+    GRID_BLOCK_BYTES, so the whole-grid table is the blocks joined along
+    the polar axis.  A consumer holds one block at a time when it keeps no
+    reference to a block as it draws the next: `map` keeps none, the loop
+    variable of a generator expression or a for loop keeps the last one.
     `derivatives` is False, True (analytic derivatives) or
-    "finite-difference".
+    "finite-difference"; it and the angles are checked before this returns.
 
     Sum factorization: the ring's `_grid_factors` splits each monomial
     into a theta-factor cos^p(s t) sin^q(s t) and a phi-factor.  With C the
@@ -712,12 +734,14 @@ def evaluate_grid(
     theta- and phi-factors (nodes x monomials) and Theta', Phi' their
     derivatives, the values are Phi . (Theta * C), d/dtheta is
     Phi . (Theta' * C) and d/dphi is Phi' . (Theta * C): each one batched
-    GEMM over the P polar nodes of an (A, monomials) table with a
-    (P, monomials, polys) table.  With "finite-difference", Theta' and Phi'
-    are central differences, step FD_STEP, of the factor tables at t +- h
-    and f +- h: by linearity the same GEMMs give the central differences of
-    the values, and no derivative formula is read.  Callers in the package
-    reach it through the rings' `evaluate` with `angles`.
+    GEMM over the polar nodes of a block of an (A, monomials) table with a
+    (nodes, monomials, polys) table.  C, Phi and Phi' are built once, here;
+    each block builds its Theta, Theta' and GEMMs as it is drawn.  With
+    "finite-difference", Theta' and Phi' are central differences, step
+    FD_STEP, of the factor tables at t +- h and f +- h: by linearity the
+    same GEMMs give the central differences of the values, and no
+    derivative formula is read.  Callers in the package reach it through
+    the rings' `evaluate` with `angles`.
     """
     if derivatives not in (False, True, "finite-difference"):
         raise ValueError(f"unknown derivatives {derivatives!r}")
@@ -727,20 +751,30 @@ def evaluate_grid(
     ring = type(polys[0])
     exponents, coeffs = _coefficient_matrix(polys, ring.NVARS)
     (p, q, s), (phi_factor, d_phi) = ring._grid_factors(exponents, phi[0])
-    theta_factor, d_theta = _cos_sin_powers(theta[:, 0], p, q, s)
-    if derivatives == "finite-difference":
-        d_theta = _central_difference(lambda t: _cos_sin_powers(t, p, q, s)[0], theta[:, 0])
+    fd = derivatives == "finite-difference"
+    if fd:
         d_phi = _central_difference(lambda f: ring._grid_factors(exponents, f)[1][0], phi[0])
-    table = theta_factor[:, :, None] * coeffs
-    shape = (3 if derivatives else 1, len(theta), phi.shape[1], len(polys))
-    out = np.empty(shape, dtype=np.result_type(phi_factor, table))
-    np.matmul(phi_factor, table, out=out[0])
-    if not derivatives:
-        return out[0]
-    np.matmul(d_phi, table, out=out[2])
-    np.multiply(d_theta[:, :, None], coeffs, out=table)
-    np.matmul(phi_factor, table, out=out[1])
-    return out
+    dtype = np.result_type(phi_factor, coeffs)
+    planes = 3 if derivatives else 1
+    node_bytes = planes * phi.shape[1] * len(polys) * dtype.itemsize
+    nodes = max(1, GRID_BLOCK_BYTES // node_bytes)
+
+    def block(t: np.ndarray) -> np.ndarray:
+        theta_factor, d_theta = _cos_sin_powers(t, p, q, s)
+        if fd:
+            d_theta = _central_difference(lambda x: _cos_sin_powers(x, p, q, s)[0], t)
+        table = theta_factor[:, :, None] * coeffs
+        out = np.empty((planes, len(t), phi.shape[1], len(polys)), dtype=dtype)
+        np.matmul(phi_factor, table, out=out[0])
+        if not derivatives:
+            return out[0]
+        np.matmul(d_phi, table, out=out[2])
+        np.multiply(d_theta[:, :, None], coeffs, out=table)
+        np.matmul(phi_factor, table, out=out[1])
+        return out
+
+    t = theta[:, 0]
+    return map(block, (t[lo:lo + nodes] for lo in range(0, len(t), nodes)))
 
 
 # generators, for convenience

@@ -7,8 +7,9 @@ the input: a field of kets u (a projector p = |psi><psi| with
 g times that) integrates the curvature of u u+ / <u|u> in O(n) per node;
 every other projector its n x n entries and their pointwise products.  Both
 routes evaluate on the grid through the rings' one product-grid evaluator,
-`exact_ring.evaluate_grid`: the ket components as ZPolys on the Hopf
-section, the matrix entries as XPolys in the chart.  Also
+`exact_ring.evaluate_grid`, one block of polar nodes at a time: the ket
+components as ZPolys on the Hopf section, the matrix entries as XPolys in
+the chart.  Also
 a Monte-Carlo oracle for the exact monomial integrals, and exact checks of
 the identities that hold modulo the sphere ideal (r, dr): a form is
 contracted in the ring with polynomial vector fields that span every
@@ -88,11 +89,14 @@ class SphereGrid:
 class KetField:
     """The projector field u u+ / <u|u> of kets u = w g^t on S^2:
     `evaluator(theta, phi, derivatives=False)` maps theta (P, 1), phi
-    (1, A) to w, shape (P, A, n), or with derivatives=True or
-    "finite-difference" (as `exact_ring.evaluate_grid`) to w, dw/dtheta and
-    dw/dphi on a leading axis of three; `gauge` is the n x n matrix g, None
-    for u = w; (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of
-    the gauge matrix applied."""
+    (1, A) to an iterator over consecutive blocks of the polar nodes, in
+    order, as `exact_ring.evaluate_grid` yields them: w on a block, shape
+    (nodes, A, n), or with derivatives=True or "finite-difference" w,
+    dw/dtheta and dw/dphi on a leading axis of three.  It checks its
+    arguments when called, and each block is computed as it is drawn.
+    `gauge` is the n x n matrix g, None for u = w; (lo, hi) =
+    `norm_bounds` bound <u|u>; `condition` is that of the gauge matrix
+    applied."""
 
     evaluator: Callable
     norm_bounds: tuple = (1.0, 1.0)
@@ -132,15 +136,16 @@ def _check_pointwise_axioms(P: np.ndarray, scratch: np.ndarray) -> None:
 def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool | str = False):
     """w_j = sqrt(weight_j) conj(psi_j) on the Hopf section sigma(theta, phi)
     = (cos(theta/2), e^(i phi) sin(theta/2)), which lies over the chart
-    point x(theta, phi) of `z_to_x`'s convention: shape (P, A, n), or with
-    `derivatives` (True, or "finite-difference") (3, P, A, n) holding w,
-    dw/dtheta and dw/dphi, from one `ZPoly.evaluate` of the conjugate
-    components.  Then w w+ is the dense field of projector_from_ket(ket),
-    whose core is M_jk = conj(psi_j) psi_k."""
+    point x(theta, phi) of `z_to_x`'s convention, block by block (see
+    `KetField`): shape (nodes, A, n), or with `derivatives` (True, or
+    "finite-difference") (3, nodes, A, n) holding w, dw/dtheta and
+    dw/dphi, from one `ZPoly.evaluate` of the conjugate components.  Then
+    w w+ is the dense field of projector_from_ket(ket), whose core is
+    M_jk = conj(psi_j) psi_k."""
     first, *rest = (q.conj() for q in ket.polys)
-    values = first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives)
-    values *= np.sqrt([float(w) for w in ket.weights])
-    return values
+    blocks = first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives)
+    roots = np.sqrt([float(w) for w in ket.weights])
+    return map(lambda b: np.multiply(b, roots, out=b), blocks)
 
 
 def _rank_one_density(w, w_t, w_f) -> Callable:
@@ -192,18 +197,33 @@ def _matrix_density(P, Pt, Pf) -> np.ndarray:
     return np.einsum("...jk,...kj->...", P, comm)
 
 
-def _grid_values(evaluator: Callable, grid: SphereGrid, derivative: str):
-    """A field's values and both derivatives on `grid` from one call of its
-    evaluator, analytic or by central differences of the factor tables."""
+def _grid_blocks(evaluator: Callable, grid: SphereGrid, derivative: str):
+    """A field's values and both derivatives on `grid`, one block of polar
+    nodes at a time, from one call of its evaluator, analytic or by central
+    differences of the factor tables."""
     if derivative not in DERIVATIVE_MODES:
         raise ValueError(f"unknown derivative mode {derivative!r}")
     return evaluator(*grid.axes(), derivatives=DERIVATIVE_MODES[derivative])
 
 
-def _c1_from_density(density: np.ndarray, grid: SphereGrid) -> float:
-    """-(1/2*pi*i) * sum of weights * density / sin(theta), checked to be
+def _dvol_and_sin(grid: SphereGrid) -> tuple:
+    """The dvol weights and sin(theta), both of shape (polar, 1): a row's
+    weight is the same at every azimuth, and `grid.dvol_weights()` holds
+    these values."""
+    return grid.gl_weights[:, None] * (2.0 * math.pi / grid.azimuthal), np.sin(grid.axes()[0])
+
+
+def _weighted_sum(density: np.ndarray, weights: np.ndarray, sin_theta: np.ndarray):
+    """The sum of (weights * density) / sin(theta) over the rows of
+    `density`, formed in place: `density` is a scratch array."""
+    density *= weights
+    density /= sin_theta
+    return np.sum(density)
+
+
+def _c1_from_sum(value: complex) -> float:
+    """-(1/2*pi*i) * `value`, the weighted sum of a density, checked to be
     finite and, to within 1e-8, real."""
-    value = np.sum(grid.dvol_weights() * density / np.sin(grid.axes()[0]))
     c1 = value / (-2.0j * math.pi)
     if not np.isfinite(c1):
         raise QuadratureError("non-finite quadrature value")
@@ -221,10 +241,13 @@ def chern_number_quad(
     p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) as the KetField
     of its Hopf-section ket, take the rank-one route, `_rank_one_density`;
     every other projector takes the matrix route on the n x n field.  Three
-    stages: the field's evaluator, then its values and both derivatives
-    from one evaluator call, analytic or by central differences of the
-    factor tables (`exact_ring.evaluate_grid`), then the route's
-    contraction.
+    stages: the field's evaluator, then one evaluator call, analytic or by
+    central differences of the factor tables (`exact_ring.evaluate_grid`),
+    which builds the coefficient matrix and the phi-factor tables and
+    returns the blocks of polar nodes, then per block the values and both
+    derivatives, the route's pointwise checks and its contraction.  Each
+    block's density rows are written into one (polar, azimuthal) array,
+    which is summed once, so c1 does not depend on the block size.
 
     A projector whose core has no imaginary part (the real form, normal,
     tangent) evaluates to a float64 field, so its density is real and c1's
@@ -236,14 +259,21 @@ def chern_number_quad(
     if isinstance(p, WeightedProjector) and (ket := unit_ket(p)) is not None:
         p = KetField(functools.partial(_hopf_ket, ket))
     if isinstance(p, KetField):
-        density = _rank_one_density(*_grid_values(p.evaluator, grid, derivative))(
-            p.norm_bounds, p.gauge
-        )
+        blocks = _grid_blocks(p.evaluator, grid, derivative)
+        densities = map(lambda block: _rank_one_density(*block)(p.norm_bounds, p.gauge), blocks)
     elif isinstance(p, WeightedProjector):
-        density = _matrix_density(*_grid_values(p.evaluate_grid, grid, derivative))
+        blocks = _grid_blocks(p.evaluate_grid, grid, derivative)
+        densities = itertools.starmap(_matrix_density, blocks)
     else:
         raise TypeError(f"unsupported projector type {type(p).__name__}")
-    return _c1_from_density(density, grid)
+    weights, sin_theta = _dvol_and_sin(grid)
+    density, lo = None, 0
+    for rows in densities:
+        if density is None:
+            density = np.empty((grid.polar, grid.azimuthal), dtype=rows.dtype)
+        density[lo:lo + len(rows)] = rows
+        lo += len(rows)
+    return _c1_from_sum(_weighted_sum(density, weights, sin_theta))
 
 
 def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
@@ -278,12 +308,24 @@ def gauge_chern_numbers(
     gives it.  Every field's kets are u = w g^t for the one Hopf-section
     ket w of k, so one call of the first field's evaluator serves all of
     them; each field's g, and its pointwise norm check, enter in its own
-    contraction."""
+    contraction.  Per block of polar nodes, every field's density is
+    contracted and its weighted sum added to that field's total, so no
+    field keeps a (polar, azimuthal) density; on a grid of one block this
+    is `chern_number_quad`'s sum."""
     fields = [gauge_field(k, g) for g in gs]
     if not fields:
         return []
-    density = _rank_one_density(*_grid_values(fields[0].evaluator, grid, derivative))
-    return [(f, _c1_from_density(density(f.norm_bounds, f.gauge), grid)) for f in fields]
+    weights, sin_theta = _dvol_and_sin(grid)
+    totals, lo = [0.0] * len(fields), 0
+    for block in _grid_blocks(fields[0].evaluator, grid, derivative):
+        density = _rank_one_density(*block)
+        rows = slice(lo, lo + block.shape[1])
+        for i, f in enumerate(fields):
+            rows_density = density(f.norm_bounds, f.gauge)
+            totals[i] += _weighted_sum(rows_density, weights[rows], sin_theta[rows])
+        lo = rows.stop
+        del block, density  # freed before the next block is evaluated
+    return [(f, _c1_from_sum(total)) for f, total in zip(fields, totals)]
 
 
 MC_MIN_SAMPLES = 10_000

@@ -117,6 +117,13 @@ def chart(theta, phi):
     return st * np.cos(phi), st * np.sin(phi), np.cos(theta)
 
 
+def whole_grid(blocks, derivatives=False) -> np.ndarray:
+    """The whole-grid table of a grid evaluation's blocks of polar nodes:
+    the blocks joined along the polar axis, which follows the leading axis
+    of three when `derivatives` is set."""
+    return np.concatenate(list(blocks), axis=1 if derivatives else 0)
+
+
 def section(theta, phi):
     """The points sigma(theta, phi) = (cos(theta/2), e^(i phi) sin(theta/2))
     of S^3 over x(theta, phi), broadcast to one shape."""

@@ -34,7 +34,7 @@ from bundle_forge.exact_ring import (
 from bundle_forge.bundles import projector_from_ket, real_form
 from bundle_forge.kets import monopole_ket, tilde_ket2
 
-from conftest import chart, random_xpoly, section, random_zpoly
+from conftest import chart, random_xpoly, section, random_zpoly, whole_grid
 
 
 class TestGaussianRational:
@@ -682,7 +682,9 @@ class TestEvaluatePolys:
         # on a grid of angles: the values, d/dtheta and d/dphi in closed form
         theta, phi = np.array([[0.3], [1.2]]), np.array([[0.0, 2.0, 4.0]])
         st, ct, sf, cf = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-        grid = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+        grid = whole_grid(
+            polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True), True
+        )
         assert grid.shape == (3, 2, 3, 3)
         want = [
             # x1 x2 + x3 = sin^2 t cos f sin f + cos t
@@ -694,7 +696,7 @@ class TestEvaluatePolys:
         for col, derivatives in enumerate(want):
             for k, w in enumerate(derivatives):
                 assert np.allclose(grid[k, ..., col], w, rtol=0, atol=1e-15)
-        values = polys[0].evaluate(angles=(theta, phi))
+        values = whole_grid(polys[0].evaluate(angles=(theta, phi)))
         assert values.shape == (2, 3)
         assert np.allclose(values, grid[0, ..., 0], rtol=0, atol=1e-15)
         with pytest.raises(ValueError):
@@ -725,7 +727,9 @@ class TestEvaluatePolys:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0.0, math.pi, (polar, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, azimuthal))
-        got = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+        got = whole_grid(
+            polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True), True
+        )
         assert got.shape == (3, polar, azimuthal, len(polys))
         # the sum of |re| + |im| of every term bounds the rounding of each path
         bounds = [XPoly({m: abs(c.re) + abs(c.im) for m, c in p.terms.items()}) for p in polys]
@@ -759,7 +763,9 @@ class TestEvaluatePolys:
         rng = np.random.default_rng(seed)
         theta = rng.uniform(0.0, math.pi, (polar, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, azimuthal))
-        got = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+        got = whole_grid(
+            polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True), True
+        )
         assert got.shape == (3, polar, azimuthal, len(polys))
         assert got.dtype == np.complex128
         bounds = [ZPoly({m: abs(c.re) + abs(c.im) for m, c in p.terms.items()}) for p in polys]
@@ -774,6 +780,55 @@ class TestEvaluatePolys:
             behind = evaluate_polys(polys, section(theta - step[0], phi - step[1]))
             fd = (ahead - behind) / (2.0 * h)
             assert np.all(np.abs(got[k] - fd) <= 1e-7 * scale)
+
+    @pytest.mark.parametrize("derivatives", [False, True, "finite-difference"])
+    def test_grid_blocks(self, derivatives, monkeypatch):
+        """evaluate_grid yields, in order, blocks of the most polar nodes
+        whose table fits GRID_BLOCK_BYTES, at least one node each; joined,
+        they are the one-block table bit for bit.  Each call builds the
+        coefficient matrix and the phi-factor tables once, at any block
+        count: one phi-table, or three (f and f +- h) with finite
+        differences."""
+        from bundle_forge import exact_ring
+
+        polys = _monopole_entries(3)
+        rng = np.random.default_rng(8)
+        theta = rng.uniform(0.0, math.pi, (20, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 5))
+        calls = {"coefficients": 0, "phi": 0}
+
+        def counted(key, function):
+            def wrapper(*args):
+                calls[key] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(exact_ring, "_coefficient_matrix",
+                            counted("coefficients", exact_ring._coefficient_matrix))
+        monkeypatch.setattr(XPoly, "_grid_factors",
+                            staticmethod(counted("phi", XPoly._grid_factors)))
+
+        def blocks(budget):
+            monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", budget)
+            calls.update(coefficients=0, phi=0)
+            got = list(exact_ring.evaluate_grid(polys, theta, phi, derivatives))
+            phi_tables = 3 if derivatives == "finite-difference" else 1
+            assert calls == {"coefficients": 1, "phi": phi_tables}
+            return got
+
+        (whole,) = blocks(1 << 62)
+        assert whole.shape == ((3, 20, 5, 16) if derivatives else (20, 5, 16))
+        node_bytes = whole.nbytes // 20
+        axis = 1 if derivatives else 0
+        for budget, lengths in (
+            (1, [1] * 20),
+            (node_bytes, [1] * 20),
+            (8 * node_bytes - 1, [7, 7, 6]),
+            (20 * node_bytes, [20]),
+        ):
+            got = blocks(budget)
+            assert [b.shape[axis] for b in got] == lengths, budget
+            assert np.array_equal(np.concatenate(got, axis=axis), whole), budget
 
     def test_zpoly_evaluate_takes_two_points_or_angles(self):
         z = (0.6 + 0.0j, 0.8j)
@@ -832,10 +887,12 @@ class TestEvaluationDtype:
         assert len(entries) == 36 and not any(e.im for e in entries)
         theta = np.linspace(0.01, math.pi - 0.01, 64)[:, None]
         phi = np.linspace(0.0, 2.0 * math.pi, 128, endpoint=False)[None, :]
-        grid = entries[0].evaluate(also=entries[1:], angles=(theta, phi), derivatives=True)
+        grid = whole_grid(
+            entries[0].evaluate(also=entries[1:], angles=(theta, phi), derivatives=True), True
+        )
         assert grid.dtype == np.float64
-        mixed = entries[0].evaluate(also=entries[1:] + [X1 * GR_I], angles=(theta, phi),
-                                    derivatives=True)
+        mixed = whole_grid(entries[0].evaluate(also=entries[1:] + [X1 * GR_I],
+                                               angles=(theta, phi), derivatives=True), True)
         assert mixed.dtype == np.complex128
         assert np.array_equal(grid, mixed[..., :36].real)
         rng = np.random.default_rng(13)
@@ -847,14 +904,16 @@ class TestEvaluationDtype:
         assert np.array_equal(scattered, mixed[..., :36].real)
         # one polynomial, a scalar point, constants
         assert (X1 * X2 - X3).evaluate(0.5, -0.5, 0.25).dtype == np.float64
-        assert XPoly.one().evaluate(angles=(theta, phi)).dtype == np.float64
+        assert whole_grid(XPoly.one().evaluate(angles=(theta, phi))).dtype == np.float64
 
     def test_imaginary_parts_and_zpolys_give_complex(self):
         theta, phi = np.array([[0.3], [1.2]]), np.array([[0.0, 2.0, 4.0]])
         x = chart(theta, phi)
         for polys in ([X1 * GR_I], [X1, X2 + X3 * GR_I], [XPoly.constant(GR_I)]):
             assert evaluate_polys(polys, x).dtype == np.complex128
-            got = polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True)
+            got = whole_grid(
+                polys[0].evaluate(also=polys[1:], angles=(theta, phi), derivatives=True), True
+            )
             assert got.dtype == np.complex128
         # real coefficients at a complex point
         assert X1.evaluate(0.5 + 0.0j, 0.5, 0.5).dtype == np.complex128

@@ -19,8 +19,9 @@ from bundle_forge.bundles import (
     real_form,
     tangent_projector,
     transpose,
+    unit_ket,
 )
-from bundle_forge import quadbench
+from bundle_forge import exact_ring, quadbench
 from bundle_forge.cli import MAX_CHARGE
 from bundle_forge.exact_ring import (
     FD_STEP,
@@ -73,7 +74,7 @@ from bundle_forge.quadbench import (
     tangent_frame_check,
 )
 
-from conftest import chart, su2_move, tensor_ket, type_zero_ket
+from conftest import chart, su2_move, tensor_ket, type_zero_ket, whole_grid
 
 KAHLER = DZ0.wedge(DZB0) + DZ1.wedge(DZB1)
 
@@ -144,7 +145,7 @@ class TestChernQuad:
         # ((1, x1), (0, 0)) is idempotent but not hermitian
         p = WeightedProjector((1, 1), ((XPoly.one(), X1), (XPoly.zero(), XPoly.zero())))
         # a real field: the check runs on the float64 path
-        assert p.evaluate_grid(*SphereGrid.build(8, 8).axes()).dtype == np.float64
+        assert whole_grid(p.evaluate_grid(*SphereGrid.build(8, 8).axes())).dtype == np.float64
         for derivative in ("analytic", "finite-difference"):
             with pytest.raises(QuadratureError, match="hermiticity"):
                 chern_number_quad(p, SphereGrid.build(8, 8), derivative)
@@ -174,7 +175,7 @@ class TestRealFields:
     @pytest.mark.parametrize("name", sorted(REAL_FIELDS))
     def test_float64_field_and_zero_charge(self, name):
         p = REAL_FIELDS[name]()
-        fields = p.evaluate_grid(*SphereGrid.build(8, 8).axes(), derivatives=True)
+        fields = whole_grid(p.evaluate_grid(*SphereGrid.build(8, 8).axes(), derivatives=True), True)
         assert fields.dtype == np.float64
         for derivative in DERIVATIVE_MODES:
             assert chern_number_quad(p, derivative=derivative) == 0.0, derivative
@@ -198,7 +199,7 @@ class TestAnalyticDerivatives:
     def test_match_central_differences(self, charge, thetas, phis):
         p = _projector(charge)
         theta, phi = np.array(thetas)[:, None], np.array(phis)[None, :]
-        P, Pt, Pf = p.evaluate_grid(theta, phi, derivatives=True)
+        P, Pt, Pf = whole_grid(p.evaluate_grid(theta, phi, derivatives=True), True)
         assert P.shape == (len(thetas), len(phis), p.dim, p.dim)
         h = 1e-5
 
@@ -261,14 +262,14 @@ class TestRankOneRoute:
         rng = np.random.default_rng(5)
         theta = rng.uniform(0.05, math.pi - 0.05, (6, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
-        w, w_t, w_f = _hopf_ket(p.ket, theta, phi, derivatives=True)
+        w, w_t, w_f = whole_grid(_hopf_ket(p.ket, theta, phi, derivatives=True), True)
         assert w.shape == (6, 7, p.dim)
-        assert np.array_equal(w, _hopf_ket(p.ket, theta, phi))
+        assert np.array_equal(w, whole_grid(_hopf_ket(p.ket, theta, phi)))
 
         def outer(a, b):
             return np.einsum("...j,...k->...jk", a, np.conj(b))
 
-        P, Pt, Pf = p.evaluate_grid(theta, phi, derivatives=True)
+        P, Pt, Pf = whole_grid(p.evaluate_grid(theta, phi, derivatives=True), True)
         assert np.max(np.abs(outer(w, w) - P)) < 1e-13
         assert np.max(np.abs(outer(w_t, w) + outer(w, w_t) - Pt)) < 1e-12
         assert np.max(np.abs(outer(w_f, w) + outer(w, w_f) - Pf)) < 1e-12
@@ -298,8 +299,8 @@ class TestRankOneRoute:
         scaled = EquivariantKet(tuple(w * scale for w in k.weights), k.polys)
         theta, phi = SphereGrid.build(8, 8).axes()
         for values in (
-            lambda k: _hopf_ket(k, theta, phi, derivatives=True),
-            lambda k: _hopf_ket(k, theta, phi, derivatives="finite-difference"),
+            lambda k: whole_grid(_hopf_ket(k, theta, phi, derivatives=True), True),
+            lambda k: whole_grid(_hopf_ket(k, theta, phi, derivatives="finite-difference"), True),
         ):
             with pytest.raises(QuadratureError, match="norm defect"):
                 _rank_one_density(*values(scaled))((1.0, 1.0))
@@ -360,7 +361,7 @@ def _density_over_sin(k: EquivariantKet, grid: SphereGrid) -> np.ndarray:
     """Im tr(P [dP/dtheta, dP/dphi]) / sin(theta) of the Hopf-section
     field of k on the grid: -2 pi times the c1 density per unit area."""
     theta, phi = grid.axes()
-    values = _hopf_ket(k, theta, phi, derivatives=True)
+    values = whole_grid(_hopf_ket(k, theta, phi, derivatives=True), True)
     return _rank_one_density(*values)((1.0, 1.0)).imag / np.sin(theta)
 
 
@@ -414,12 +415,22 @@ def _five_point_fd(evaluator, theta, phi) -> tuple:
     )
 
 
+def _joined(evaluator: Callable) -> Callable:
+    """The grid evaluator `evaluator` returning whole-grid tables: its
+    blocks of polar nodes joined."""
+
+    def joined(theta, phi, derivatives=False):
+        return whole_grid(evaluator(theta, phi, derivatives=derivatives), derivatives)
+
+    return joined
+
+
 def _gauged_kets(field: KetField) -> Callable:
-    """The evaluator of the field's kets u = w g^t, from the table w of its
-    evaluator and its gauge g."""
+    """The evaluator of the field's kets u = w g^t on the whole grid, from
+    the table w of its evaluator and its gauge g."""
 
     def evaluator(theta, phi, derivatives=False):
-        return field.evaluator(theta, phi, derivatives=derivatives) @ field.gauge.T
+        return _joined(field.evaluator)(theta, phi, derivatives) @ field.gauge.T
 
     return evaluator
 
@@ -434,11 +445,14 @@ def _gauged_ket_evaluator():
 # float64 one, a unit ket and a gauge field
 FD_FIELDS = {
     "projector": (
-        lambda: projector_from_ket(monopole_ket("minus", 2)).evaluate_grid,
+        lambda: _joined(projector_from_ket(monopole_ket("minus", 2)).evaluate_grid),
         np.complex128, (3, 3),
     ),
-    "real": (lambda: REAL_FIELDS["realform"]().evaluate_grid, np.float64, (6, 6)),
-    "ket": (lambda: functools.partial(_hopf_ket, monopole_ket("plus", 2)), np.complex128, (3,)),
+    "real": (lambda: _joined(REAL_FIELDS["realform"]().evaluate_grid), np.float64, (6, 6)),
+    "ket": (
+        lambda: _joined(functools.partial(_hopf_ket, monopole_ket("plus", 2))),
+        np.complex128, (3,),
+    ),
     "gauge": (_gauged_ket_evaluator, np.complex128, (3,)),
 }
 
@@ -504,7 +518,8 @@ def _per_trial_reference_c1(k: EquivariantKet, g: np.ndarray, grid: SphereGrid,
     factor = np.sqrt([float(w) for w in k.weights])[:, None] * (g / sigma[0]).T
     first, *rest = (q.conj() for q in k.polys)
     theta, phi = grid.axes()
-    values = first.evaluate(also=rest, angles=(theta, phi), derivatives=DERIVATIVE_MODES[derivative])
+    values = whole_grid(first.evaluate(also=rest, angles=(theta, phi),
+                                       derivatives=DERIVATIVE_MODES[derivative]), True)
     density = _rank_one_density(*(values @ factor))(((sigma[-1] / sigma[0]) ** 2, 1.0))
     c1 = np.sum(grid.dvol_weights() * density / np.sin(theta)) / (-2.0j * math.pi)
     assert abs(c1.imag) < 1e-8
@@ -601,7 +616,7 @@ class TestGaugeField:
         reference = _einsum_gauge(k, g)
         want = _matrix_density(*_five_point_fd(reference, theta, phi))
         field = gauge_field(k, g)
-        values = field.evaluator(theta, phi, derivatives=True)
+        values = whole_grid(field.evaluator(theta, phi, derivatives=True), True)
         got = _rank_one_density(*values)(field.norm_bounds, field.gauge)
         assert got.shape == want.shape == (6, 8)
         assert np.max(np.abs(got - want)) < 1e-7
@@ -681,6 +696,164 @@ class TestGaugeField:
         z0, z1 = k.polys
         gauged = EquivariantKet(k.weights, (z0 * a + z1 * b, z1 * a - z0 * b.conj()))
         assert connection_form(gauged) == connection_form(k)
+
+
+# a budget that holds every grid's table in one block
+WHOLE_GRID_BYTES = 1 << 62
+
+
+def _whole_grid_c1(p, grid: SphereGrid, derivative: str, monkeypatch) -> tuple:
+    """The whole-grid pipeline, as the reference for the streamed one: the
+    field and both derivatives at every node in one table, the route's
+    pointwise checks and contraction on it, then one weighted sum.  Returns
+    c1 and the bytes of the table per polar node."""
+    values = DERIVATIVE_MODES[derivative]
+    with monkeypatch.context() as m:
+        m.setattr(exact_ring, "GRID_BLOCK_BYTES", WHOLE_GRID_BYTES)
+        if (ket := unit_ket(p)) is not None:
+            (table,) = _hopf_ket(ket, *grid.axes(), derivatives=values)
+            density = _rank_one_density(*table)((1.0, 1.0))
+        else:
+            (table,) = p.evaluate_grid(*grid.axes(), derivatives=values)
+            density = _matrix_density(*table)
+    c1 = np.sum(grid.dvol_weights() * density / np.sin(grid.axes()[0])) / (-2.0j * math.pi)
+    assert np.isfinite(c1) and abs(c1.imag) <= 1e-8
+    return float(c1.real) + 0.0, table[:, 0].nbytes
+
+
+def _block_lengths(monkeypatch) -> list:
+    """The polar node counts of the blocks `exact_ring.evaluate_grid` yields
+    from now on, in order."""
+    lengths = []
+    evaluate_grid = exact_ring.evaluate_grid
+
+    def recorded(polys, theta, phi, derivatives=False):
+        for block in evaluate_grid(polys, theta, phi, derivatives):
+            lengths.append(block.shape[1 if derivatives else 0])
+            yield block
+
+    monkeypatch.setattr(exact_ring, "evaluate_grid", recorded)
+    return lengths
+
+
+# the fields of the block-boundary tests: ket projectors take the rank-one
+# route, the real cores and the core-only copies (dim <= 5 and 17) the
+# matrix route
+BLOCK_FIELDS = {
+    **{f"monopole{c:+d}": functools.partial(_projector, c) for c in (1, -1, 16, -16)},
+    "tilde": functools.partial(_projector, 0),
+    **REAL_FIELDS,
+    **{f"core{c:+d}": (lambda c=c: _matrix_route(_projector(c))) for c in (1, -1, -4, 16, -16)},
+    "core tilde": lambda: _matrix_route(_projector(0)),
+}
+
+
+class TestPolarBlocks:
+    """The quadrature evaluates, checks and contracts one block of polar
+    nodes at a time; c1 is the whole-grid pipeline's, bit for bit, at every
+    block size, and every block is checked."""
+
+    @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
+    @pytest.mark.parametrize("shape", [(25, 49), (26, 50), (64, 128)], ids="{0[0]}x{0[1]}".format)
+    @pytest.mark.parametrize("name", list(BLOCK_FIELDS))
+    def test_blocks_match_the_whole_grid(self, name, shape, derivative, monkeypatch):
+        """Blocks of one node, of seven (the polar count is no multiple of
+        seven) and one whole-grid block give the reference's c1 exactly."""
+        p = BLOCK_FIELDS[name]()
+        grid = SphereGrid.build(*shape)
+        want, node_bytes = _whole_grid_c1(p, grid, derivative, monkeypatch)
+        assert chern_number_quad(p, grid, derivative) == want
+        lengths = _block_lengths(monkeypatch)
+        polar = grid.polar
+        for budget, blocks in (
+            (1, [1] * polar),
+            (7 * node_bytes, [7] * (polar // 7) + [polar % 7]),
+            (WHOLE_GRID_BYTES, [polar]),
+        ):
+            monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", budget)
+            lengths.clear()
+            assert chern_number_quad(p, grid, derivative) == want, budget
+            assert lengths == blocks, budget
+
+    def test_one_coefficient_matrix_per_quadrature(self, monkeypatch):
+        """Many blocks share the setup: one coefficient matrix per
+        quadrature on both routes, in both modes."""
+        calls = []
+        coefficient_matrix = exact_ring._coefficient_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return coefficient_matrix(*args)
+
+        monkeypatch.setattr(exact_ring, "_coefficient_matrix", counted)
+        monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", 1)
+        lengths = _block_lengths(monkeypatch)
+        grid = SphereGrid.build(16, 32)
+        for p in (_projector(-2), _matrix_route(_projector(-2)), tangent_projector()):
+            for derivative in DERIVATIVE_MODES:
+                calls.clear()
+                lengths.clear()
+                chern_number_quad(p, grid, derivative)
+                assert len(calls) == 1 and lengths == [1] * 16, (p.label, derivative)
+
+    @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
+    def test_defect_in_the_last_block_raises(self, derivative, monkeypatch):
+        """A pointwise defect placed in the last of many blocks only: the
+        idempotency and hermiticity checks of the matrix route, on a complex
+        and a float64 field, and the norm check of the rank-one route, in
+        `chern_number_quad` and in `gauge_chern_numbers`."""
+        monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", 1)
+        grid = SphereGrid.build(16, 32)
+
+        def in_last_block(evaluator, defect):
+            def spoiled(*args, **kwargs):
+                *blocks, last = evaluator(*args, **kwargs)
+                assert blocks
+                defect(last)
+                return iter([*blocks, last])
+            return spoiled
+
+        def scaled(block):
+            block *= 1 + 1e-8
+
+        def skewed(block):
+            block[0, ..., 0, 1] += 1e-11
+
+        evaluate_grid = WeightedProjector.evaluate_grid
+        for p in (_matrix_route(_projector(-1)), tangent_projector()):
+            for defect, message in ((scaled, "idempotency"), (skewed, "hermiticity")):
+                with monkeypatch.context() as m:
+                    spoiled = in_last_block(evaluate_grid, defect)
+                    m.setattr(WeightedProjector, "evaluate_grid", spoiled)
+                    with pytest.raises(QuadratureError, match=message):
+                        chern_number_quad(p, grid, derivative)
+            assert chern_number_quad(p, grid, derivative) == pytest.approx(-1 if p.dim == 2 else 0)
+
+        k = monopole_ket("minus", 1)
+        field = KetField(in_last_block(functools.partial(_hopf_ket, k), scaled))
+        with pytest.raises(QuadratureError, match="norm defect"):
+            chern_number_quad(field, grid, derivative)
+        monkeypatch.setattr(quadbench, "_hopf_ket", in_last_block(_hopf_ket, scaled))
+        with pytest.raises(QuadratureError, match="norm defect"):
+            gauge_chern_numbers(k, [np.eye(2), np.eye(2)], grid, derivative)
+
+    @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
+    def test_core_only_charge_sixteen_memory(self, derivative):
+        """The core-only charge-16 quadrature on 64x128 holds one block of
+        its (3, P, A, 289) complex table at a time: 6.2 MiB of tracemalloc
+        peak, against 193 MiB with the whole table (Python 3.11, numpy
+        2.4)."""
+        p = _matrix_route(_projector(16))
+        p.core  # noqa: B018 -- the core is built on its first read
+        grid = SphereGrid.build(64, 128)
+        tracemalloc.start()
+        try:
+            c1 = chern_number_quad(p, grid, derivative)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(c1 - 16) < 1e-6
+        assert peak < 40 * 2**20
 
 
 def _full_array_monte_carlo(samples: int, seed: int) -> Callable:
