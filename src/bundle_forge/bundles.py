@@ -174,19 +174,19 @@ class WeightedProjector:
 
     def _field(self, *points, **grid):
         """All entries in one `XPoly.evaluate` pass, as n x n matrices,
-        each M_jk scaled in place to sqrt(w_j w_k) M_jk: one array at
-        points, an iterator over its blocks on a grid."""
+        each M_jk scaled to sqrt(w_j w_k) M_jk: one array at points, scaled
+        in place; an iterator over its blocks on a grid, whose scale enters
+        the coefficient matrix once (`exact_ring.evaluate_grid`)."""
         n = self.dim
         first, *rest = (e for row in self.core for e in row)
-        values = first.evaluate(*points, also=rest, **grid)
         roots = np.sqrt([float(w) for w in self.weights])
         scale = np.outer(roots, roots).reshape(-1)
-
-        def dense(v: np.ndarray) -> np.ndarray:
-            v *= scale
-            return v.reshape(v.shape[:-1] + (n, n))
-
-        return dense(values) if points else map(dense, values)
+        if not points:
+            values = first.evaluate(also=rest, scale=scale, **grid)
+            return map(lambda v: v.reshape(v.shape[:-1] + (n, n)), values)
+        values = first.evaluate(*points, also=rest)
+        values *= scale
+        return values.reshape(values.shape[:-1] + (n, n))
 
 
 def dense_equal(p: WeightedProjector, q: WeightedProjector) -> bool:
@@ -460,19 +460,23 @@ def _as_gaussian_matrix(s) -> tuple:
 
 
 def _signed_permutation(s) -> list | None:
-    """Decode s as a signed permutation: perm[j], sign[j] with
-    s[j][perm[j]] = sign[j] in {+1, -1}; None if s is not of this shape."""
+    """Decode s, rows of ints, Fractions or GaussianRationals, as a signed
+    permutation: perm[j], sign[j] with s[j][perm[j]] = sign[j] in {+1, -1};
+    None if s is not of this shape or holds an entry of another type."""
     n = len(s)
     perm, signs = [], []
     for row in s:
+        if not all(isinstance(e, (int, Fraction, GaussianRational)) for e in row):
+            return None
         hits = [(k, e) for k, e in enumerate(row) if e]
         if len(hits) != 1:
             return None
         k, e = hits[0]
-        if e.im != 0 or abs(e.re) != 1:
+        re, im = (e.re, e.im) if isinstance(e, GaussianRational) else (e, 0)
+        if im != 0 or abs(re) != 1:
             return None
         perm.append(k)
-        signs.append(1 if e.re > 0 else -1)
+        signs.append(1 if re > 0 else -1)
     if sorted(perm) != list(range(n)):
         return None
     return [perm, signs]
@@ -584,11 +588,11 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
     Returns (p_s, v) with v a PartialIsometry satisfying v v+ = p^s and
     v+ v = p (verify with isometry projector products).
     """
-    s = _as_gaussian_matrix(s)
+    s = [tuple(row) for row in s]
     n = p.dim
-    if len(s) != n or any(len(row) != n for row in s):
-        raise UnsupportedGaugeError("gauge matrix dimension mismatch")
-    decoded = _signed_permutation(s)
+    square = len(s) == n and all(len(row) == n for row in s)
+    # a signed permutation is decoded from the entries as given
+    decoded = _signed_permutation(s) if square else None
     if decoded is not None:
         perm, signs = decoded
 
@@ -615,6 +619,9 @@ def exact_gauge(p: WeightedProjector, s) -> tuple:
         )
         p_s = WeightedProjector(weights, core, f"{p.label}^s", ket)
         return p_s, PartialIsometry(weights, v_core, p.weights)
+    s = _as_gaussian_matrix(s)
+    if not square:
+        raise UnsupportedGaugeError("gauge matrix dimension mismatch")
     if len(set(p.weights)) != 1:
         raise UnsupportedGaugeError(
             "non-permutation gauges require uniform projector weights"

@@ -262,19 +262,19 @@ class _BasePoly:
         """Values of the ring variables from the arguments of `evaluate`."""
         return coords
 
-    def _evaluate(self, coords: tuple, also, angles=None, derivatives=False):
+    def _evaluate(self, coords: tuple, also, angles=None, derivatives=False, scale=None):
         """The body of the rings' `evaluate`.  The benchmark's tracer times
         numeric evaluation by wrapping `XPoly.evaluate` and `ZPoly.evaluate`,
         so every caller in the package evaluates through them."""
         polys = (self, *(also or ()))
         if angles is None:
-            if derivatives:
-                raise ValueError("derivatives are taken on a grid of angles only")
+            if derivatives or scale is not None:
+                raise ValueError("derivatives and scale are taken on a grid of angles only")
             values = evaluate_polys(polys, coords)
             return values if also is not None else values[..., 0]
         if coords:
             raise TypeError("give points or angles, not both")
-        blocks = evaluate_grid(polys, *angles, derivatives)
+        blocks = evaluate_grid(polys, *angles, derivatives, scale)
         return blocks if also is not None else map(operator.itemgetter((..., 0)), blocks)
 
     @classmethod
@@ -502,7 +502,7 @@ class XPoly(_BasePoly):
     def conj(self) -> "XPoly":
         return XPoly._from_integers(self.den, self.re, {k: -v for k, v in self.im.items()})
 
-    def evaluate(self, *points, also=None, angles=None, derivatives=False):
+    def evaluate(self, *points, also=None, angles=None, derivatives=False, scale=None):
         """Values at the points (x1, x2, x3), scalars or arrays broadcasting
         to one shape S: an array of shape S.  Given `also` (more polynomials
         of the ring, possibly none), all of them in one pass instead, with a
@@ -513,22 +513,24 @@ class XPoly(_BasePoly):
         the chart x = (sin t cos f, sin t sin f, cos t), as an iterator over
         blocks of polar nodes, each of shape (nodes, A); with `derivatives`
         (True, or "finite-difference" for central differences), a leading
-        axis of three holds the values, d/dtheta and d/dphi:
+        axis of three holds the values, d/dtheta and d/dphi; with `scale`,
+        one float per polynomial, each polynomial's values times its factor:
         `evaluate_grid`.
 
         The values are float64 when every coefficient and every point is
         real (angles always are), complex otherwise."""
         if angles is None and len(points) != 3:
             raise TypeError(f"XPoly.evaluate takes the points x1, x2, x3, got {len(points)}")
-        return self._evaluate(points, also, angles, derivatives)
+        return self._evaluate(points, also, angles, derivatives, scale)
 
     @staticmethod
-    def _grid_factors(exponents: np.ndarray, phi: np.ndarray) -> tuple:
+    def _grid_factors(exponents: np.ndarray, phi: np.ndarray, derivative: bool) -> tuple:
         """x1^a x2^b x3^c on the chart is cos^c t sin^(a+b) t times
-        cos^a f sin^b f: ((c, a + b, 1), the phi-factor and its derivative)
-        in the form `evaluate_grid` takes."""
+        cos^a f sin^b f: ((c, a + b, 1), the phi-factor and, if
+        `derivative`, its derivative, else None) in the form `evaluate_grid`
+        takes."""
         a, b, c = exponents.T
-        return (c, a + b, 1.0), _cos_sin_powers(phi, a, b)
+        return (c, a + b, 1.0), _cos_sin_powers(phi, a, b, 1.0, derivative)
 
 
 class ZPoly(_BasePoly):
@@ -568,28 +570,28 @@ class ZPoly(_BasePoly):
     def _variables(z0, z1) -> tuple:
         return z0, z1, np.conjugate(z0), np.conjugate(z1)
 
-    def evaluate(self, *points, also=None, angles=None, derivatives=False):
+    def evaluate(self, *points, also=None, angles=None, derivatives=False, scale=None):
         """Values at the points (z0, z1), as `XPoly.evaluate`.  Given
         `angles` = (theta, phi), the values on the Hopf section
         sigma(t, f) = (cos(t/2), e^(if) sin(t/2)) over the chart point
         x(t, f) of `z_to_x`'s convention, block by block as
         `XPoly.evaluate`, or with `derivatives` the values, d/dtheta and
-        d/dphi along sigma.  Always complex: the variables include zbar0
-        and zbar1."""
+        d/dphi along sigma, times `scale` as there.  Always complex: the
+        variables include zbar0 and zbar1."""
         if angles is None and len(points) != 2:
             raise TypeError(f"ZPoly.evaluate takes the points z0, z1, got {len(points)}")
-        return self._evaluate(points, also, angles, derivatives)
+        return self._evaluate(points, also, angles, derivatives, scale)
 
     @staticmethod
-    def _grid_factors(exponents: np.ndarray, phi: np.ndarray) -> tuple:
+    def _grid_factors(exponents: np.ndarray, phi: np.ndarray, derivative: bool) -> tuple:
         """z0^e0 z1^e1 zb0^f0 zb1^f1 on sigma is cos^(e0+f0)(t/2)
         sin^(e1+f1)(t/2) times e^(ik f), k = e1 - f1: ((e0 + f0, e1 + f1,
-        1/2), the phi-factor and its derivative) in the form `evaluate_grid`
-        takes."""
+        1/2), the phi-factor and, if `derivative`, its derivative, else
+        None) in the form `evaluate_grid` takes."""
         e0, e1, f0, f1 = exponents.T
         k = e1 - f1
         phase = np.exp(1j * np.multiply.outer(phi, k))
-        return (e0 + f0, e1 + f1, 0.5), (phase, phase * (1j * k))
+        return (e0 + f0, e1 + f1, 0.5), (phase, phase * (1j * k) if derivative else None)
 
 
 # Points per block of `evaluate_polys`.  A block holds about ten float arrays
@@ -631,17 +633,22 @@ def _power_table(x: np.ndarray, top: int) -> np.ndarray:
     return table
 
 
-def _cos_sin_powers(x: np.ndarray, p: np.ndarray, q: np.ndarray, s: float = 1.0) -> tuple:
+def _cos_sin_powers(
+    x: np.ndarray, p: np.ndarray, q: np.ndarray, s: float, derivative: bool
+) -> tuple:
     """cos^p(s x) sin^q(s x) for the exponent arrays p and q, and its
-    derivative in x, s (q cos^(p+1) sin^(q-1) - p cos^(p-1) sin^(q+1)),
-    each of shape (len(x), len(p)), from power tables of cos(s x) and
-    sin(s x)."""
-    cos = _power_table(np.cos(s * x), int(p.max(initial=0)) + 1)
-    sin = _power_table(np.sin(s * x), int(q.max(initial=0)) + 1)
-    derivative = q[:, None] * cos[p + 1] * sin[np.maximum(q - 1, 0)]
-    derivative -= p[:, None] * cos[np.maximum(p - 1, 0)] * sin[q + 1]
-    derivative *= s
-    return (cos[p] * sin[q]).T, derivative.T
+    derivative in x, s (q cos^(p+1) sin^(q-1) - p cos^(p-1) sin^(q+1)), or
+    None without `derivative`, each of shape (len(x), len(p)), from power
+    tables of cos(s x) and sin(s x)."""
+    cos = _power_table(np.cos(s * x), int(p.max(initial=0)) + derivative)
+    sin = _power_table(np.sin(s * x), int(q.max(initial=0)) + derivative)
+    values = (cos[p] * sin[q]).T
+    if not derivative:
+        return values, None
+    d = q[:, None] * cos[p + 1] * sin[np.maximum(q - 1, 0)]
+    d -= p[:, None] * cos[np.maximum(p - 1, 0)] * sin[q + 1]
+    d *= s
+    return values, d.T
 
 
 def evaluate_polys(polys: Sequence[_BasePoly], coords: tuple) -> np.ndarray:
@@ -710,7 +717,7 @@ GRID_BLOCK_BYTES = 2 << 20
 
 
 def evaluate_grid(
-    polys: Sequence[_BasePoly], theta, phi, derivatives: bool | str = False
+    polys: Sequence[_BasePoly], theta, phi, derivatives: bool | str = False, scale=None
 ) -> Iterator[np.ndarray]:
     """Numeric values of polynomials of one ring on the product grid of
     polar angles theta, shape (P, 1), and azimuths phi, shape (1, A): XPolys
@@ -727,6 +734,8 @@ def evaluate_grid(
     variable of a generator expression or a for loop keeps the last one.
     `derivatives` is False, True (analytic derivatives) or
     "finite-difference"; it and the angles are checked before this returns.
+    `scale`, None or one float per polynomial, multiplies each polynomial's
+    values and derivatives by its factor.
 
     Sum factorization: the ring's `_grid_factors` splits each monomial
     into a theta-factor cos^p(s t) sin^q(s t) and a phi-factor.  With C the
@@ -735,13 +744,14 @@ def evaluate_grid(
     derivatives, the values are Phi . (Theta * C), d/dtheta is
     Phi . (Theta' * C) and d/dphi is Phi' . (Theta * C): each one batched
     GEMM over the polar nodes of a block of an (A, monomials) table with a
-    (nodes, monomials, polys) table.  C, Phi and Phi' are built once, here;
+    (nodes, monomials, polys) table.  C, Phi and Phi' are built once, here,
+    and `scale` multiplies the columns of C once, so no block is rescaled;
     each block builds its Theta, Theta' and GEMMs as it is drawn.  With
     "finite-difference", Theta' and Phi' are central differences, step
-    FD_STEP, of the factor tables at t +- h and f +- h: by linearity the
-    same GEMMs give the central differences of the values, and no
-    derivative formula is read.  Callers in the package reach it through
-    the rings' `evaluate` with `angles`.
+    FD_STEP, of the factor tables at t +- h and f +- h, built as values
+    only: by linearity the same GEMMs give the central differences of the
+    values, and no derivative formula is read.  Callers in the package
+    reach it through the rings' `evaluate` with `angles`.
     """
     if derivatives not in (False, True, "finite-difference"):
         raise ValueError(f"unknown derivatives {derivatives!r}")
@@ -750,19 +760,21 @@ def evaluate_grid(
         raise ValueError("grid angles must be theta of shape (P, 1) and phi of shape (1, A)")
     ring = type(polys[0])
     exponents, coeffs = _coefficient_matrix(polys, ring.NVARS)
-    (p, q, s), (phi_factor, d_phi) = ring._grid_factors(exponents, phi[0])
-    fd = derivatives == "finite-difference"
+    if scale is not None:
+        coeffs *= scale  # C is this call's own
+    analytic, fd = derivatives is True, derivatives == "finite-difference"
+    (p, q, s), (phi_factor, d_phi) = ring._grid_factors(exponents, phi[0], analytic)
     if fd:
-        d_phi = _central_difference(lambda f: ring._grid_factors(exponents, f)[1][0], phi[0])
+        d_phi = _central_difference(lambda f: ring._grid_factors(exponents, f, False)[1][0], phi[0])
     dtype = np.result_type(phi_factor, coeffs)
     planes = 3 if derivatives else 1
     node_bytes = planes * phi.shape[1] * len(polys) * dtype.itemsize
     nodes = max(1, GRID_BLOCK_BYTES // node_bytes)
 
     def block(t: np.ndarray) -> np.ndarray:
-        theta_factor, d_theta = _cos_sin_powers(t, p, q, s)
+        theta_factor, d_theta = _cos_sin_powers(t, p, q, s, analytic)
         if fd:
-            d_theta = _central_difference(lambda x: _cos_sin_powers(x, p, q, s)[0], t)
+            d_theta = _central_difference(lambda x: _cos_sin_powers(x, p, q, s, False)[0], t)
         table = theta_factor[:, :, None] * coeffs
         out = np.empty((planes, len(t), phi.shape[1], len(polys)), dtype=dtype)
         np.matmul(phi_factor, table, out=out[0])

@@ -90,13 +90,13 @@ class KetField:
     """The projector field u u+ / <u|u> of kets u = w g^t on S^2:
     `evaluator(theta, phi, derivatives=False)` maps theta (P, 1), phi
     (1, A) to an iterator over consecutive blocks of the polar nodes, in
-    order, as `exact_ring.evaluate_grid` yields them: w on a block, shape
-    (nodes, A, n), or with derivatives=True or "finite-difference" w,
-    dw/dtheta and dw/dphi on a leading axis of three.  It checks its
-    arguments when called, and each block is computed as it is drawn.
-    `gauge` is the n x n matrix g, None for u = w; (lo, hi) =
-    `norm_bounds` bound <u|u>; `condition` is that of the gauge matrix
-    applied."""
+    order, as `exact_ring.evaluate_grid` yields them with sqrt(weight) as
+    its `scale`: w on a block, shape (nodes, A, n), or with
+    derivatives=True or "finite-difference" w, dw/dtheta and dw/dphi on a
+    leading axis of three.  It checks its arguments when called, and each
+    block is computed as it is drawn.  `gauge` is the n x n matrix g, None
+    for u = w; (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of
+    the gauge matrix applied."""
 
     evaluator: Callable
     norm_bounds: tuple = (1.0, 1.0)
@@ -127,8 +127,11 @@ def _check_pointwise_axioms(P: np.ndarray, scratch: np.ndarray) -> None:
         raise QuadratureError(
             f"pointwise idempotency defect {worst:.3e} >= {IDEMPOTENCY_TOL:g}"
         )
-    herm = np.conjugate(np.swapaxes(P, -1, -2), out=scratch)
-    np.subtract(P, herm, out=herm)
+    # a float64 P is its own conjugate: P - P^t needs no transposed copy
+    transpose = np.swapaxes(P, -1, -2)
+    if P.dtype != np.float64:
+        transpose = np.conjugate(transpose, out=scratch)
+    herm = np.subtract(P, transpose, out=scratch)
     if (worst := _max_abs(herm)) >= 1e-12:
         raise QuadratureError(f"pointwise hermiticity defect {worst:.3e} >= 1e-12")
 
@@ -139,13 +142,13 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool | str = False):
     point x(theta, phi) of `z_to_x`'s convention, block by block (see
     `KetField`): shape (nodes, A, n), or with `derivatives` (True, or
     "finite-difference") (3, nodes, A, n) holding w, dw/dtheta and
-    dw/dphi, from one `ZPoly.evaluate` of the conjugate components.  Then
-    w w+ is the dense field of projector_from_ket(ket), whose core is
+    dw/dphi, from one `ZPoly.evaluate` of the conjugate components whose
+    `scale` sqrt(weight_j) enters the coefficient matrix once.  Then w w+
+    is the dense field of projector_from_ket(ket), whose core is
     M_jk = conj(psi_j) psi_k."""
     first, *rest = (q.conj() for q in ket.polys)
-    blocks = first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives)
     roots = np.sqrt([float(w) for w in ket.weights])
-    return map(lambda b: np.multiply(b, roots, out=b), blocks)
+    return first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives, scale=roots)
 
 
 def _rank_one_density(w, w_t, w_f) -> Callable:

@@ -423,6 +423,31 @@ class TestExactGauge:
         with pytest.raises(UnsupportedGaugeError):
             exact_gauge(charge_one_projector(), ((1, 0, 0), (0, 1, 0)))
 
+    def test_signed_permutation_decoded_from_plain_entries(self, monkeypatch):
+        """A signed permutation of ints and Fractions is decoded without
+        building a GaussianRational and gives the gauge of its
+        GaussianRational form; +-i, a non-unitary 1/2 and entries that are
+        not exact rationals take the conversion as before."""
+        p = projector_from_ket(monopole_ket("minus", 2))
+        s = ((0, 0, -1), (Fraction(1), 0, 0), (0, 1, 0))
+        want_p, want_v = exact_gauge(p, tuple(tuple(map(GaussianRational, row)) for row in s))
+        converted = []
+        as_gaussian_matrix = bundles._as_gaussian_matrix
+        monkeypatch.setattr(bundles, "_as_gaussian_matrix",
+                            lambda s: converted.append(s) or as_gaussian_matrix(s))
+        got_p, got_v = exact_gauge(p, s)
+        assert not converted
+        assert (got_p.weights, got_p.core, got_p.ket) == (want_p.weights, want_p.core, want_p.ket)
+        assert got_v.core == want_v.core
+        q = charge_one_projector()
+        swap_i = exact_gauge(q, ((0, GR_I), (GR_I, 0)))[0]  # unitary, no signed permutation
+        assert len(converted) == 1 and chern_number_exact(swap_i) == 1
+        with pytest.raises(UnsupportedGaugeError, match="not exact-unitary"):
+            exact_gauge(q, ((HALF, 0), (0, 1)))
+        for bad in (float("nan"), 1.0, 1j):
+            with pytest.raises(TypeError, match="exact rational"):
+                exact_gauge(q, ((bad, 0), (0, 1)))
+
 
 def _signed_permutation_matrix(perm, signs) -> list:
     s = [[0] * len(perm) for _ in perm]

@@ -830,6 +830,45 @@ class TestEvaluatePolys:
             assert [b.shape[axis] for b in got] == lengths, budget
             assert np.array_equal(np.concatenate(got, axis=axis), whole), budget
 
+    @pytest.mark.parametrize("derivatives", [False, True, "finite-difference"])
+    def test_scale_multiplies_each_polynomial(self, derivatives, monkeypatch):
+        """Blocks with a scale of one factor per polynomial are the unscaled
+        blocks times the factors: bit for bit for powers of two, and for
+        square roots of weights to 1e-15 of the polynomial's scaled
+        coefficient sum times one plus its degree, which bounds its terms
+        in every plane.  Complex and real XPolys and ZPolys, on blocks of
+        five nodes."""
+        from bundle_forge import exact_ring
+
+        rng = np.random.default_rng(31)
+        theta = rng.uniform(0.0, math.pi, (12, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 7))
+        for polys in (
+            _monopole_entries(9),
+            [e for row in real_form(projector_from_ket(tilde_ket2())).core for e in row],
+            list(monopole_ket("plus", 16).polys),
+        ):
+            def blocks(scale=None):
+                return list(polys[0].evaluate(also=polys[1:], angles=(theta, phi),
+                                              derivatives=derivatives, scale=scale))
+
+            node_bytes = blocks()[0][..., 0, :, :].nbytes
+            monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", 5 * node_bytes)
+            plain = blocks()
+            assert [b.shape[-3] for b in plain] == [5, 5, 2]
+            powers = 2.0 ** rng.integers(-3, 4, len(polys))
+            for got, want in zip(blocks(powers), plain):
+                assert np.array_equal(got, want * powers)
+            roots = np.sqrt(rng.integers(1, 20, len(polys)))
+            size = roots * [
+                sum(abs(complex(c)) for c in p.terms.values())
+                * (1 + max(map(sum, p.terms), default=0))
+                for p in polys
+            ]
+            for got, want in zip(blocks(roots), plain):
+                assert got.dtype == want.dtype
+                assert np.all(np.abs(got - want * roots) <= 1e-15 * size)
+
     def test_zpoly_evaluate_takes_two_points_or_angles(self):
         z = (0.6 + 0.0j, 0.8j)
         theta, phi = np.array([[0.3], [1.2]]), np.array([[0.0, 2.0, 4.0]])
@@ -841,6 +880,8 @@ class TestEvaluatePolys:
             Z0.evaluate(*z, angles=(theta, phi))
         with pytest.raises(ValueError):
             Z0.evaluate(*z, derivatives=True)
+        with pytest.raises(ValueError):
+            Z0.evaluate(*z, scale=[2.0])
         with pytest.raises(TypeError):
             Z0.evaluate(also=[X1], angles=(theta, phi))
 

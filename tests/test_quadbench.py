@@ -63,6 +63,7 @@ from bundle_forge.quadbench import (
     KetField,
     SphereGrid,
     chern_number_quad,
+    _check_pointwise_axioms,
     _hopf_ket,
     _matrix_density,
     _rank_one_density,
@@ -149,6 +150,19 @@ class TestChernQuad:
         for derivative in ("analytic", "finite-difference"):
             with pytest.raises(QuadratureError, match="hermiticity"):
                 chern_number_quad(p, SphereGrid.build(8, 8), derivative)
+
+    def test_float64_hermiticity_defect_is_the_complex_one(self):
+        """A float64 field forms P - P^t without a conjugated copy; the
+        defect it reports is that of the same field in complex."""
+        P = np.zeros((4, 3, 2, 2))
+        P[..., 0, 0] = 1.0
+        P[..., 0, 1] = np.random.default_rng(5).uniform(1e-12, 1e-9, (4, 3))  # idempotent
+        messages = []
+        for field in (P, P.astype(complex)):
+            with pytest.raises(QuadratureError, match="hermiticity") as info:
+                _check_pointwise_axioms(field, np.empty_like(field))
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
     def test_unknown_modes_rejected(self):
         p = projector_from_ket(monopole_ket("minus", 1))
@@ -727,9 +741,9 @@ def _block_lengths(monkeypatch) -> list:
     lengths = []
     evaluate_grid = exact_ring.evaluate_grid
 
-    def recorded(polys, theta, phi, derivatives=False):
-        for block in evaluate_grid(polys, theta, phi, derivatives):
-            lengths.append(block.shape[1 if derivatives else 0])
+    def recorded(*args, **kwargs):
+        for block in evaluate_grid(*args, **kwargs):
+            lengths.append(block.shape[-3])  # (nodes, A, polys), or 3 planes of it
             yield block
 
     monkeypatch.setattr(exact_ring, "evaluate_grid", recorded)
@@ -854,6 +868,85 @@ class TestPolarBlocks:
             tracemalloc.stop()
         assert abs(c1 - 16) < 1e-6
         assert peak < 40 * 2**20
+
+
+def _scale_after_evaluation(monkeypatch) -> None:
+    """From now on `exact_ring.evaluate_grid` evaluates without the scale
+    and multiplies each block by it after its GEMMs: the reference for the
+    scale in the coefficient matrix."""
+    evaluate_grid = exact_ring.evaluate_grid
+
+    def unfolded(polys, theta, phi, derivatives=False, scale=None):
+        for block in evaluate_grid(polys, theta, phi, derivatives):
+            if scale is not None:
+                block *= scale
+            yield block
+
+    monkeypatch.setattr(exact_ring, "evaluate_grid", unfolded)
+
+
+# every built-in field of the CLI: monopoles and tilde as built (rank-one
+# route) and core-only (matrix route), and the real fields
+BUILT_IN_FIELDS = {
+    **{f"monopole{c:+d}": functools.partial(_projector, c) for c in CHARGES},
+    "tilde": functools.partial(_projector, 0),
+    **REAL_FIELDS,
+}
+
+
+class TestScaleInTheCoefficientMatrix:
+    """Both routes pass their sqrt-weights to `evaluate_grid` as its scale,
+    which enters the coefficient matrix once instead of every block."""
+
+    @pytest.mark.parametrize("name", list(BUILT_IN_FIELDS))
+    def test_c1_matches_scaling_each_block(self, name, monkeypatch):
+        """c1 with and without the ket, in both modes, is within 1e-12 of
+        the c1 from blocks scaled after evaluation; the real fields' stays
+        exactly 0.0."""
+        p = BUILT_IN_FIELDS[name]()
+        grid = SphereGrid.build(26, 50)
+        for q in (p,) if p.ket is None else (p, _matrix_route(p)):
+            for derivative in DERIVATIVE_MODES:
+                folded = chern_number_quad(q, grid, derivative)
+                with monkeypatch.context() as m:
+                    _scale_after_evaluation(m)
+                    unfolded = chern_number_quad(q, grid, derivative)
+                assert abs(folded - unfolded) <= 1e-12, (q.ket is None, derivative)
+                if name in REAL_FIELDS:
+                    assert folded == unfolded == 0.0, derivative
+
+    @pytest.mark.parametrize("name", ["tilde", "realform", "core-5"])
+    def test_grid_field_matches_the_points_field(self, name, monkeypatch):
+        """`WeightedProjector.evaluate_grid`, scaled in the coefficient
+        matrix, against `WeightedProjector.evaluate`, scaled after
+        evaluation, at the chart points: the values in every mode to 1e-13
+        and the derivatives against central differences to 1e-7, on blocks
+        of one node."""
+        p = {
+            "tilde": lambda: _projector(0),
+            "realform": REAL_FIELDS["realform"],
+            "core-5": lambda: _matrix_route(_projector(-5)),
+        }[name]()
+        assert any(w != 1 for w in p.weights)  # a scale that is not all ones
+        rng = np.random.default_rng(17)
+        theta = rng.uniform(0.05, math.pi - 0.05, (5, 1))
+        phi = rng.uniform(0.0, 2.0 * math.pi, (1, 9))
+        h = 1e-5
+
+        def field(t, f):
+            return p.evaluate(*chart(t, f))
+
+        want = field(theta, phi)
+        fd_t = (field(theta + h, phi) - field(theta - h, phi)) / (2.0 * h)
+        fd_f = (field(theta, phi + h) - field(theta, phi - h)) / (2.0 * h)
+        monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", 1)
+        for derivatives in (False, True, "finite-difference"):
+            got = whole_grid(p.evaluate_grid(theta, phi, derivatives), bool(derivatives))
+            assert got.dtype == want.dtype
+            assert np.max(np.abs((got[0] if derivatives else got) - want)) < 1e-13
+            if derivatives:
+                assert np.max(np.abs(got[1] - fd_t)) < 1e-7
+                assert np.max(np.abs(got[2] - fd_f)) < 1e-7
 
 
 def _full_array_monte_carlo(samples: int, seed: int) -> Callable:
