@@ -390,9 +390,7 @@ def unit_ket(p: WeightedProjector) -> EquivariantKet | None:
     """The ket psi of p = |psi><psi| when <psi|psi> = 1, else None: the
     projectors that the rank-one routes (the Hopf route here, the ket
     quadrature in `quadbench`) serve."""
-    if p.ket is not None and pairing(p.ket, p.ket) == ZPoly.one():
-        return p.ket
-    return None
+    return p.ket if p.ket is not None and p.ket.is_unit else None
 
 
 def chern_number_exact(p: WeightedProjector) -> int:

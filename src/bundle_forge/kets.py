@@ -9,6 +9,7 @@ tangent/normal story are partial isometries in `bundles`.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -42,6 +43,11 @@ class EquivariantKet:
 
     def __len__(self) -> int:
         return len(self.polys)
+
+    @functools.cached_property
+    def is_unit(self) -> bool:
+        """<psi|psi> = 1 in the ring, decided by `pairing` on the first read."""
+        return pairing(self, self) == ZPoly.one()
 
 
 def monopole_ket(sign: str, n: int) -> EquivariantKet:

@@ -28,9 +28,9 @@ from typing import Callable
 import numpy as np
 
 from .bundles import WeightedProjector, unit_ket
-from .exact_ring import XPoly, ZPoly
+from .exact_ring import XPoly
 from .forms import S2_FRAME, S3_FRAME, XForm, ZForm
-from .kets import EquivariantKet, pairing
+from .kets import EquivariantKet
 
 
 class QuadratureError(RuntimeError):
@@ -151,6 +151,20 @@ def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool | str = False):
     return first.evaluate(also=rest, angles=(theta, phi), derivatives=derivatives, scale=roots)
 
 
+def _check_norms(norm: np.ndarray, bounds) -> None:
+    """Column f of `norm`, one field's <u|u>, within (lo, hi) = bounds[f]; a
+    defect names the first failing field with its own range and bounds."""
+    lo, hi = np.transpose(bounds)
+    ok = (lo * (1 - IDEMPOTENCY_TOL) < norm) & (norm < hi * (1 + IDEMPOTENCY_TOL))
+    if not np.all(ok):
+        f = int(np.argmin(ok.all(axis=0)))
+        field = f" of field {f} of {len(lo)}" if len(lo) > 1 else ""
+        raise QuadratureError(
+            f"pointwise norm defect{field}: <u|u> in [{np.min(norm[:, f]):.12g}, "
+            f"{np.max(norm[:, f]):.12g}], bounds [{lo[f]:.12g}, {hi[f]:.12g}] "
+            f"to within {IDEMPOTENCY_TOL:g}")
+
+
 def _rank_one_density(w, w_t, w_f) -> Callable:
     """density(norm_bounds, gauge=None): tr(P [dP/dtheta, dP/dphi]) on the
     product grid for P = u u+ / N, N = <u|u>, from a table of kets w and
@@ -162,11 +176,8 @@ def _rank_one_density(w, w_t, w_f) -> Callable:
     N^2), whose second term is real for a unit ket, as on the exact Hopf
     route; it does not change under u -> c u, so it is the matrix route's
     density.  It is purely imaginary: the imaginary-part check of
-    `chern_number_quad` reads 0 here.
-
-    The kets enter only through <u_a|u_b> = <w_a|G w_b>, G = g+ g: conj(w)
-    and conj(w_t) are formed once for the table, and each g costs the
-    products G w and G w_f."""
+    `chern_number_quad` reads 0 here.  A gauge enters through
+    <u_a|u_b> = <w_a|G w_b>, G = g+ g, as the products G w and G w_f."""
     dot = functools.partial(np.einsum, "...j,...j->...")
     w_conj, t_conj = np.conj(w), np.conj(w_t)
 
@@ -178,15 +189,27 @@ def _rank_one_density(w, w_t, w_f) -> Callable:
             # a leading axis of P takes about twice as long at n = 2
             gw, gw_f = ((a.reshape(-1, a.shape[-1]) @ metric_t).reshape(a.shape) for a in (w, w_f))
         norm = dot(w_conj, gw).real
-        lo, hi = norm_bounds
-        if not np.all((lo * (1 - IDEMPOTENCY_TOL) < norm) & (norm < hi * (1 + IDEMPOTENCY_TOL))):
-            raise QuadratureError(
-                f"pointwise norm defect: <u|u> in [{np.min(norm):.12g}, {np.max(norm):.12g}], "
-                f"bounds [{lo:.12g}, {hi:.12g}] to within {IDEMPOTENCY_TOL:g}"
-            )
+        _check_norms(norm.reshape(-1, 1), [norm_bounds])
         return 2j * np.imag(dot(t_conj, gw_f) / norm - dot(t_conj, gw) * dot(w_conj, gw_f) / norm**2)
 
     return density
+
+
+# Nodes per chunk of `gauge_chern_numbers`: `verify --suite gauge` peaks at
+# 41.0 MB RSS with 512, 42.7 MB with 1024 and 54.2 MB with whole 8192-node
+# blocks, in about the same time (numpy 2.4, one BLAS thread, 2-vCPU VM).
+GAUGE_CHUNK = 512
+
+
+def _bilinear_forms(w, w_t, w_f, metrics: np.ndarray) -> list:
+    """The (nodes, F) tables <a|G_f b> = sum_jk (G_f)_jk conj(a_j) b_k of
+    (a, b) = (w, w), (w_t, w_f), (w_t, w), (w, w_f), for the (F, n, n) stack
+    `metrics` of G_f: per form one GEMM, the (nodes, n^2) table
+    conj(a_j) b_k by the (n^2, F) stack of G_f."""
+    F, n, _ = metrics.shape
+    stack = metrics.reshape(F, n * n).T
+    return [(np.conj(a)[:, :, None] * b[:, None, :]).reshape(len(a), n * n) @ stack
+            for a, b in ((w, w), (w_t, w_f), (w_t, w), (w, w_f))]
 
 
 def _matrix_density(P, Pt, Pf) -> np.ndarray:
@@ -214,14 +237,6 @@ def _dvol_and_sin(grid: SphereGrid) -> tuple:
     weight is the same at every azimuth, and `grid.dvol_weights()` holds
     these values."""
     return grid.gl_weights[:, None] * (2.0 * math.pi / grid.azimuthal), np.sin(grid.axes()[0])
-
-
-def _weighted_sum(density: np.ndarray, weights: np.ndarray, sin_theta: np.ndarray):
-    """The sum of (weights * density) / sin(theta) over the rows of
-    `density`, formed in place: `density` is a scratch array."""
-    density *= weights
-    density /= sin_theta
-    return np.sum(density)
 
 
 def _c1_from_sum(value: complex) -> float:
@@ -276,7 +291,9 @@ def chern_number_quad(
             density = np.empty((grid.polar, grid.azimuthal), dtype=rows.dtype)
         density[lo:lo + len(rows)] = rows
         lo += len(rows)
-    return _c1_from_sum(_weighted_sum(density, weights, sin_theta))
+    density *= weights  # in place: a scratch array
+    density /= sin_theta
+    return _c1_from_sum(np.sum(density))
 
 
 def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
@@ -295,8 +312,8 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     cond = float(sigma[0] / sigma[-1]) if sigma[-1] > 0 else math.inf
     if cond > 1e12:
         raise ValueError("gauge matrix is singular or near-singular")
-    # the norm bounds of the result hold for a unit ket only
-    if pairing(k, k) != ZPoly.one():
+    # the norm bounds of the result hold for a unit ket only (one pairing per ket)
+    if not k.is_unit:
         raise ValueError("the ket must satisfy <psi|psi> = 1")
     return KetField(
         functools.partial(_hopf_ket, k), (float(sigma[-1] / sigma[0]) ** 2, 1.0), cond,
@@ -308,41 +325,42 @@ def gauge_chern_numbers(
     k: EquivariantKet, gs: list, grid: SphereGrid, derivative: str
 ) -> list:
     """[(gauge_field(k, g), c1)] for each g of `gs`, c1 as `chern_number_quad`
-    gives it.  Every field's kets are u = w g^t for the one Hopf-section
-    ket w of k, so one call of the first field's evaluator serves all of
-    them; each field's g, and its pointwise norm check, enter in its own
-    contraction.  Per block of polar nodes, every field's density is
-    contracted and its weighted sum added to that field's total, so no
-    field keeps a (polar, azimuthal) density; on a grid of one block this
-    is `chern_number_quad`'s sum."""
+    gives it, to rounding.  Every field's kets are u = w g^t for the one
+    Hopf-section ket w of k, so one call of the first field's evaluator
+    serves all of them.  Per chunk of GAUGE_CHUNK nodes `_bilinear_forms`
+    gives all fields' forms, whose norms are all checked, and one product
+    with weights / sin(theta) adds all fields' density rows."""
     fields = [gauge_field(k, g) for g in gs]
     if not fields:
         return []
-    weights, sin_theta = _dvol_and_sin(grid)
-    totals, lo = [0.0] * len(fields), 0
+    metrics = np.stack([np.conj(f.gauge.T) @ f.gauge for f in fields])  # the G_f = g+ g
+    node_weights = np.repeat(np.divide(*_dvol_and_sin(grid)), grid.azimuthal)  # row-major
+    totals = np.zeros(len(fields))
     for block in _grid_blocks(fields[0].evaluator, grid, derivative):
-        density = _rank_one_density(*block)
-        rows = slice(lo, lo + block.shape[1])
-        for i, f in enumerate(fields):
-            rows_density = density(f.norm_bounds, f.gauge)
-            totals[i] += _weighted_sum(rows_density, weights[rows], sin_theta[rows])
-        lo = rows.stop
-        del block, density  # freed before the next block is evaluated
-    return [(f, _c1_from_sum(total)) for f, total in zip(fields, totals)]
+        tables = block.reshape(3, -1, len(k))
+        for start in range(0, tables.shape[1], GAUGE_CHUNK):
+            w, w_t, w_f = tables[:, start:start + GAUGE_CHUNK]
+            norm, tf, tw, wf = _bilinear_forms(w, w_t, w_f, metrics)
+            norm = norm.real
+            _check_norms(norm, [f.norm_bounds for f in fields])
+            density = (tf.imag * norm - (tw * wf).imag) / (norm * norm)
+            totals += node_weights[:len(w)] @ density
+            node_weights = node_weights[len(w):]
+        del block, tables  # freed before the next block is evaluated
+    return [(f, _c1_from_sum(2j * total)) for f, total in zip(fields, totals)]
 
 
 MC_MIN_SAMPLES = 10_000
 # Largest sample count: it keeps a mistyped count from allocating without
 # bound.  Measured with Python 3.11 and numpy 2.4 on a 2-vCPU Linux VM,
 # `bundle-forge integrate --monomial 2,2,4 --mc-samples 10000000` peaks at
-# 117 MB RSS (10^6 samples: 48 MB): the values are one float64 array of the
-# sample count, the draws and coordinates one block.
+# 116 MB RSS (10^6 samples: 47 MB): the values are one float64 array of the
+# sample count, the draws and coordinates one reused (5, MC_BLOCK) buffer.
 MC_MAX_SAMPLES = 10**7
 # Points per block of draws, coordinates and values in `monte_carlo_stderr`.
-# On the same VM a 10^6-sample integral of x1^4 x2^2 x3^2 takes about 40 ms
-# (medians of 25 calls) with blocks of 2^14 to 2^16 points, 47 ms with 2^12,
-# 44-50 ms with 2^17, 53-61 ms with 2^18 and 65-69 ms with 2^20: 2^16 is the
-# largest block on that floor, so the fewest evaluator calls.
+# On the same VM a 10^6-sample integral of x1^4 x2^2 x3^2 takes 10.8-11.7 ms
+# (medians of 25 calls) with blocks of 2^15 to 2^19 points, 11.7-12.1 ms with
+# 2^14, 15-16 ms with 2^12 and 13.6-13.8 ms with 2^20: 2^16 is on that floor.
 MC_BLOCK = 1 << 16
 
 
@@ -358,8 +376,8 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     r = sqrt(1 - u^2)/(1 + t^2).  The points are those of sin and cos of
     the same draws, to rounding; numpy 2.4 evaluates float64 tan in SIMD,
     and sin and cos one element at a time.  Draws, coordinates and values
-    are built MC_BLOCK points at a time, the phi from a second stream
-    jumped ahead past all of u."""
+    are built MC_BLOCK points at a time, in place in one reused buffer, the
+    phi from a second stream jumped ahead past all of u."""
     if f.im:
         raise ValueError("the Monte-Carlo oracle integrates real XPolys; f has an imaginary part")
     if samples < MC_MIN_SAMPLES:
@@ -370,14 +388,17 @@ def monte_carlo_stderr(f: XPoly, samples: int, seed: int) -> tuple:
     # one float64 uniform per 64-bit output: advanced past all of u, this
     # stream yields the phi that follow u in `rng`
     phi_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)).advance(samples))
-    vals = np.empty(samples)
+    vals, buffer = np.empty(samples), np.empty((5, MC_BLOCK))
     for lo in range(0, samples, MC_BLOCK):
-        n = min(MC_BLOCK, samples - lo)
-        x3 = rng.uniform(-1.0, 1.0, n)
-        t = np.tan(0.5 * phi_rng.uniform(0.0, 2.0 * math.pi, n))
-        t2 = t * t
-        r = np.sqrt(1.0 - x3 * x3) / (1.0 + t2)
-        vals[lo:lo + n] = f.evaluate(r * (1.0 - t2), 2.0 * r * t, x3)
+        x1, x2, x3, t, r = buffer[:, :min(MC_BLOCK, samples - lo)]
+        # bit for bit: 2u - 1 is uniform(-1, 1), pi u half of uniform(0, 2 pi)
+        np.subtract(np.multiply(rng.random(out=x3), 2.0, out=x3), 1.0, out=x3)
+        np.tan(np.multiply(phi_rng.random(out=t), math.pi, out=t), out=t)
+        np.sqrt(np.subtract(1.0, np.multiply(x3, x3, out=r), out=r), out=r)
+        r /= np.add(1.0, np.multiply(t, t, out=x1), out=x2)  # x1 = t^2
+        np.multiply(np.subtract(1.0, x1, out=x1), r, out=x1)
+        np.multiply(np.multiply(2.0, r, out=x2), t, out=x2)
+        vals[lo:lo + len(r)] = f.evaluate(x1, x2, x3)
     # np.mean and np.std(ddof=1), the deviations squared in vals itself
     mean = np.sum(vals) / samples
     vals -= mean

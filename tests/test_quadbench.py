@@ -21,7 +21,7 @@ from bundle_forge.bundles import (
     transpose,
     unit_ket,
 )
-from bundle_forge import exact_ring, quadbench
+from bundle_forge import exact_ring, kets, quadbench
 from bundle_forge.cli import MAX_CHARGE
 from bundle_forge.exact_ring import (
     FD_STEP,
@@ -56,6 +56,7 @@ from bundle_forge.kets import (
 )
 from bundle_forge.quadbench import (
     DERIVATIVE_MODES,
+    GAUGE_CHUNK,
     MAX_GRID_AXIS,
     MC_BLOCK,
     MC_MIN_SAMPLES,
@@ -63,6 +64,7 @@ from bundle_forge.quadbench import (
     KetField,
     SphereGrid,
     chern_number_quad,
+    _bilinear_forms,
     _check_pointwise_axioms,
     _hopf_ket,
     _matrix_density,
@@ -710,6 +712,107 @@ class TestGaugeField:
         z0, z1 = k.polys
         gauged = EquivariantKet(k.weights, (z0 * a + z1 * b, z1 * a - z0 * b.conj()))
         assert connection_form(gauged) == connection_form(k)
+
+
+def _suite_gauges(seed: int) -> list:
+    """The 20 random g of `verify --suite gauge`: complex normal 2 x 2
+    matrices of condition below 10."""
+    rng, gs = np.random.default_rng(seed), []
+    while len(gs) < 20:
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        if np.linalg.cond(g) < 10:
+            gs.append(g)
+    return gs
+
+
+class TestBatchedContraction:
+    """`gauge_chern_numbers` contracts all F fields at once per chunk of
+    GAUGE_CHUNK nodes: the (nodes, n^2) table conj(a_j) b_k times the
+    (n^2, F) stack of metrics."""
+
+    @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
+    @pytest.mark.parametrize("n", [2, 3, 17])
+    @pytest.mark.parametrize("fields", [1, 3, 20])
+    def test_matches_the_per_trial_reference(self, fields, n, derivative):
+        """c1 of every field within 1e-12 of its own evaluation and
+        contraction, on 25x49: 1225 nodes, so the last chunk is partial."""
+        assert EXACT_GRID.polar * EXACT_GRID.azimuthal % GAUGE_CHUNK != 0
+        rng = np.random.default_rng(100 * n + fields)
+        k = monopole_ket("minus", n - 1)
+        gs = [np.eye(n) + 0.4 * rng.normal(size=(n, n)) + 0.4j * rng.normal(size=(n, n))
+              for _ in range(fields)]
+        got = gauge_chern_numbers(k, gs, EXACT_GRID, derivative)
+        assert len(got) == fields
+        for g, (_, c1) in zip(gs, got):
+            assert abs(c1 - _per_trial_reference_c1(k, g, EXACT_GRID, derivative)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_forms_match_the_einsum_reference(self, n):
+        """For F in {1, n, 2n} every form is sum_jk (G_f)_jk conj(a_j) b_k,
+        for hermitian G_f that are not symmetric; one field at a time gives
+        the same forms."""
+        rng = np.random.default_rng(n)
+        w, w_t, w_f = rng.normal(size=(3, 40, n)) + 1j * rng.normal(size=(3, 40, n))
+        for fields in (1, n, 2 * n):
+            g = rng.normal(size=(fields, n, n)) + 1j * rng.normal(size=(fields, n, n))
+            metrics = np.conj(np.swapaxes(g, 1, 2)) @ g
+            got = _bilinear_forms(w, w_t, w_f, metrics)
+            for form, (a, b) in zip(got, ((w, w), (w_t, w_f), (w_t, w), (w, w_f))):
+                want = np.einsum("ij,fjk,ik->if", np.conj(a), metrics, b)
+                assert form.shape == (40, fields)
+                assert np.max(np.abs(form - want)) < 1e-12 * np.max(np.abs(want))
+            for f in range(fields):
+                alone = _bilinear_forms(w, w_t, w_f, metrics[f:f + 1])
+                for form, single in zip(got, alone):
+                    assert np.max(np.abs(form[:, f:f + 1] - single)) < 1e-12 * np.max(np.abs(single))
+
+    @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
+    def test_norm_defect_at_the_last_node_raises(self, derivative, monkeypatch):
+        """w scaled by 1 + 1e-8 at the last node of the grid, the last node
+        of the last partial chunk: only the identity gauge's <u|u>, 1 to
+        within 1e-10 everywhere else, leaves its bounds there."""
+        k = monopole_ket("minus", 1)
+        gs = _suite_gauges(4)[:5] + [np.eye(2)]
+        assert len(gauge_chern_numbers(k, gs, EXACT_GRID, derivative)) == 6
+
+        def spoiled(*args, **kwargs):
+            *blocks, last = _hopf_ket(*args, **kwargs)
+            last[0, -1, -1] *= 1 + 1e-8
+            return iter([*blocks, last])
+
+        monkeypatch.setattr(quadbench, "_hopf_ket", spoiled)
+        assert len(gauge_chern_numbers(k, gs[:5], EXACT_GRID, derivative)) == 5
+        with pytest.raises(QuadratureError, match=r"norm defect of field 5 of 6: .* bounds \[1, 1\]"):
+            gauge_chern_numbers(k, gs, EXACT_GRID, derivative)
+
+    def test_checks_the_unit_ket_once(self, monkeypatch):
+        """<psi|psi> = 1 is decided by one exact pairing for all 20 g."""
+        calls = []
+        pairing = kets.pairing
+
+        def counted(a, b):
+            calls.append(1)
+            return pairing(a, b)
+
+        monkeypatch.setattr(kets, "pairing", counted)
+        got = gauge_chern_numbers(monopole_ket("minus", 1), _suite_gauges(1), EXACT_GRID, "analytic")
+        assert len(got) == 20 and len(calls) == 1
+
+    def test_suite_quadratures_memory(self):
+        """The 20 quadratures of `verify --suite gauge` on 64x128 peak at
+        2.20 MiB of tracemalloc (Python 3.11, numpy 2.4, chunks of 512
+        nodes; 2.59 MiB with one contraction per g, 3.56 MiB with chunks of
+        1024 nodes, 14.6 MiB with whole-block GEMMs).  The bound is that
+        peak times 1.1."""
+        k, gs, grid = monopole_ket("minus", 1), _suite_gauges(0), SphereGrid.build(64, 128)
+        tracemalloc.start()
+        try:
+            got = gauge_chern_numbers(k, gs, grid, "analytic")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(abs(c1 - 1.0) < 1e-4 for _, c1 in got)
+        assert peak < 1.1 * 2.20 * 2**20
 
 
 # a budget that holds every grid's table in one block
