@@ -34,7 +34,7 @@ from .exact_ring import (
     z_to_x,
 )
 from .forms import S2_FRAME, S3_FRAME, integrate_s2
-from .kets import EquivariantKet, curvature_scalar, equivariance_type, pairing
+from .kets import EquivariantKet, curvature_scalar, equivariance_type
 
 
 class ChernConsistencyError(ArithmeticError):
@@ -110,11 +110,14 @@ class WeightedProjector:
         return acc
 
     def is_hermitian(self) -> bool:
-        n = self.dim
+        """M_jk = conj(M_kj), compared on the stored forms (a conjugate keeps
+        den and re and negates im), so no conjugate is built."""
+        n, core = self.dim, self.core
+        pairs = ((core[j][k], core[k][j]) for j in range(n) for k in range(j, n))
         return all(
-            self.core[j][k] == self.core[k][j].conj()
-            for j in range(n)
-            for k in range(j, n)
+            a.den == b.den and a.re == b.re and len(a.im) == len(b.im)
+            and all(b.im.get(key) == -v for key, v in a.im.items())
+            for a, b in pairs
         )
 
     def idempotency_defect(self):
@@ -271,7 +274,7 @@ def verify_axioms(p: WeightedProjector) -> AxiomReport:
         idempotent = p.is_idempotent()
         hermitian = p.is_hermitian()
     else:
-        s = pairing(p.ket, p.ket)
+        s = p.ket.norm
         tr = z_to_x(s)
         idempotent = s == ZPoly.one() or s.is_zero()
         hermitian = True
@@ -315,16 +318,6 @@ def real_form(p: WeightedProjector) -> WeightedProjector:
     )
 
 
-def _cross_x(v: tuple) -> tuple:
-    """The components of x cross v for a vector v of three XPolys; for
-    v = grad a they are the rotation derivatives L_i a."""
-    x = (X1, X2, X3)
-    return tuple(
-        XPoly.sum_of_products(((1, x[i - 2], v[i - 1]), (-1, x[i - 1], v[i - 2])))
-        for i in range(3)
-    )
-
-
 def curvature_trace_form(p: WeightedProjector) -> XPoly:
     """The coefficient g of tr(p (dp)^2) = g dvol on S^2, in the factored
     representation tr(M W dM W dM W).
@@ -346,7 +339,7 @@ def curvature_trace_form(p: WeightedProjector) -> XPoly:
     for j in range(n):
         for k in range(j, n):
             grad = grads[j, k] = tuple(core[j][k].diff(i) for i in range(3))
-            rotated[j, k] = _cross_x(grad)
+            rotated[j, k] = core[j][k].rotations()
             if j < k:
                 grads[k, j], rotated[k, j] = (
                     tuple(e.conj() for e in v) for v in (grad, rotated[j, k])

@@ -198,7 +198,7 @@ class _BasePoly:
     monomials are canonical (each ring's `_reduce_integers` rewrites a
     numerator dict, possibly in place) and gcd(den, numerators) = 1, so
     equal polynomials store equal forms.  The dicts are never changed after
-    construction.  `terms` is a view derived from the stored form.
+    construction, so polynomials may share them; `terms` is a derived view.
     """
 
     NVARS = 0
@@ -218,9 +218,12 @@ class _BasePoly:
 
     def _store(self, den: int, re: dict, im: dict):
         """Store sum_key (re[key] + i im[key]) / den times the canonical monomial
-        packed in key: zeros dropped, gcd(den, numerators) divided out."""
-        re = {k: v for k, v in re.items() if v}
-        im = {k: v for k, v in im.items() if v}
+        packed in key: zeros dropped, gcd(den, numerators) divided out.  It may
+        keep the dicts it is handed, which the caller must not write again."""
+        if 0 in re.values():
+            re = {k: v for k, v in re.items() if v}
+        if 0 in im.values():
+            im = {k: v for k, v in im.items() if v}
         g = math.gcd(den, *re.values(), *im.values())
         if g > 1:
             re = {k: v // g for k, v in re.items()}
@@ -231,6 +234,13 @@ class _BasePoly:
     @classmethod
     def _from_integers(cls, den: int, re: dict, im: dict):
         return object.__new__(cls)._store(den, re, im)
+
+    def _with_signs(self, re: dict, im: dict):
+        """The polynomial (re + i im) / self.den for numerators that are
+        those of self negated or conjugated, so canonical: no `_store` pass."""
+        poly = object.__new__(type(self))
+        poly.den, poly.re, poly.im = self.den, re, im
+        return poly
 
     @classmethod
     def _pack(cls, mono) -> int:
@@ -335,9 +345,8 @@ class _BasePoly:
         return self._coerce_poly(other)._combine(self, -1)
 
     def __neg__(self):
-        return self._from_integers(
-            self.den, {k: -v for k, v in self.re.items()}, {k: -v for k, v in self.im.items()}
-        )
+        re, im = ({k: -v for k, v in part.items()} for part in (self.re, self.im))
+        return self._with_signs(re, im)
 
     @classmethod
     def sum_of_products(cls, terms):
@@ -370,7 +379,7 @@ class _BasePoly:
                 _convolve(im, a.im, b.re, s)
         total = cls._from_integers(den, cls._reduce_integers(re), cls._reduce_integers(im))
         # a key of degree below _FIELD is its degree modulo _FIELD = 2^_WIDTH - 1
-        if any(key % _FIELD > MAX_DEGREE for key in itertools.chain(total.re, total.im)):
+        if max(map(_FIELD.__rmod__, itertools.chain(total.re, total.im)), default=0) > MAX_DEGREE:
             raise DegreeBoundError(f"product has degree above {MAX_DEGREE}")
         return total
 
@@ -485,22 +494,42 @@ class XPoly(_BasePoly):
 
     @classmethod
     def _reduce_integers(cls, numerators):
-        """x3^2 -> 1 - x1^2 - x2^2, one pass by x3-degree from the top down:
-        a term of x3-degree c >= 2 moves to degree c - 2, which the pass
-        reaches later."""
-        top = max((key & _FIELD for key in numerators), default=0)
-        # key offsets of x3^-2, x1^2 x3^-2 and x2^2 x3^-2
-        steps = (-2, (2 << 2 * _WIDTH) - 2, (2 << _WIDTH) - 2)
+        """x3^2 -> 1 - x1^2 - x2^2 in rounds, each rewriting every term of x3-degree
+        c >= 2 as terms of degree c - 2 (the normal form is the same in any order):
+        none for a dict without x3^2, one for a product of canonical forms."""
+        high = [key for key in numerators if key & _FIELD > 1]
         get = numerators.get
-        for level in range(top, 1, -1):
-            for key in [key for key in numerators if key & _FIELD == level]:
-                v = numerators.pop(key)
-                for step, s in zip(steps, (v, -v, -v)):
-                    numerators[key + step] = get(key + step, 0) + s
+        x1sq, x2sq = 2 << 2 * _WIDTH, 2 << _WIDTH    # key offsets of x1^2 and x2^2
+        while high:
+            for key in high:
+                v, low = numerators.pop(key), key - 2
+                numerators[low] = get(low, 0) + v
+                numerators[low + x1sq] = get(low + x1sq, 0) - v
+                numerators[low + x2sq] = get(low + x2sq, 0) - v
+            # only a term of x3-degree 4 or more leaves terms of degree 2 or more
+            deep = max(map(_FIELD.__and__, high)) > 3
+            high = [key for key in numerators if key & _FIELD > 1] if deep else ()
         return numerators
 
+    def rotations(self) -> tuple:
+        """(L_1 a, L_2 a, L_3 a) for L = x cross grad, L_1 = x2 d3 - x3 d2
+        and cyclically: tangent to S^2, so defined on the quotient.  One
+        pass over the keys forms all three, then each is reduced once."""
+        x1, x2 = 1 << 2 * _WIDTH, 1 << _WIDTH    # key offsets of x1 and x2
+        out = tuple(({}, {}) for _ in range(3))
+        for part, numerators in enumerate((self.re, self.im)):
+            l1, l2, l3 = (o[part] for o in out)
+            for key, v in numerators.items():
+                a, b, c = key >> 2 * _WIDTH, key >> _WIDTH & _FIELD, key & _FIELD
+                for acc, e, k in ((l1, c, key + x2 - 1), (l1, -b, key - x2 + 1),
+                                  (l2, a, key - x1 + 1), (l2, -c, key + x1 - 1),
+                                  (l3, b, key + x1 - x2), (l3, -a, key - x1 + x2)):
+                    if e:
+                        acc[k] = acc.get(k, 0) + e * v
+        return tuple(XPoly._from_integers(self.den, *map(XPoly._reduce_integers, o)) for o in out)
+
     def conj(self) -> "XPoly":
-        return XPoly._from_integers(self.den, self.re, {k: -v for k, v in self.im.items()})
+        return self._with_signs(self.re, {k: -v for k, v in self.im.items()})
 
     def evaluate(self, *points, also=None, angles=None, derivatives=False, scale=None):
         """Values at the points (x1, x2, x3), scalars or arrays broadcasting
@@ -564,7 +593,7 @@ class ZPoly(_BasePoly):
         half, low = 2 * _WIDTH, (1 << 2 * _WIDTH) - 1
         re = {(k & low) << half | k >> half: v for k, v in self.re.items()}
         im = {(k & low) << half | k >> half: -v for k, v in self.im.items()}
-        return ZPoly._from_integers(self.den, re, im)
+        return self._with_signs(re, im)
 
     @staticmethod
     def _variables(z0, z1) -> tuple:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact_ring import ZPoly, rational_sqrt
+from .exact_ring import ZPoly, _unpack, rational_sqrt
 from .forms import ZForm
 
 
@@ -45,9 +45,14 @@ class EquivariantKet:
         return len(self.polys)
 
     @functools.cached_property
+    def norm(self) -> ZPoly:
+        """<psi|psi>, by `pairing` on the first read."""
+        return pairing(self, self)
+
+    @property
     def is_unit(self) -> bool:
-        """<psi|psi> = 1 in the ring, decided by `pairing` on the first read."""
-        return pairing(self, self) == ZPoly.one()
+        """<psi|psi> = 1 in the ring."""
+        return self.norm == ZPoly.one()
 
 
 def monopole_ket(sign: str, n: int) -> EquivariantKet:
@@ -118,7 +123,7 @@ def poly_equivariance_type(p: ZPoly) -> int:
     """The uniform (holomorphic - antiholomorphic) degree of a ZPoly."""
     if p.is_zero():
         return 0
-    types = {(m[0] + m[1]) - (m[2] + m[3]) for m in p.terms}
+    types = {e0 + e1 - f0 - f1 for e0, e1, f0, f1 in (_unpack(k, 4) for k in {*p.re, *p.im})}
     if len(types) > 1:
         raise ValueError(f"mixed equivariance types {sorted(types)}")
     return types.pop()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bundle_forge import bundles
+from bundle_forge import bundles, kets
 from bundle_forge.bundles import (
     CROSS_CHECK_MAX_DIM,
     ChernConsistencyError,
@@ -148,7 +148,7 @@ class TestAxioms:
         assert not rep.idempotent
         assert not rep.all_pass
 
-    def test_negative_control_ket_norm(self):
+    def test_negative_control_ket_norm(self, monkeypatch):
         # p = 2|psi><psi| from doubled weights: <psi|psi> = 2, so p^2 = 2p
         k = monopole_ket("minus", 1)
         p = projector_from_ket(EquivariantKet(tuple(w * 2 for w in k.weights), k.polys))
@@ -156,9 +156,29 @@ class TestAxioms:
         assert not rep.idempotent and rep.hermitian
         assert rep.trace == "2"
         assert not rep.all_pass
+        assert p.ket.norm == ZPoly.constant(2) and not p.ket.is_unit
         # without <psi|psi> = 1 the Hopf lift does not apply: the x-route
         # integrates tr(p (dp)^2) = 8 tr(q (dq)^2) for the charge-1 q
+        monkeypatch.setattr(bundles, "_hopf_c1", lambda k: pytest.fail("Hopf route taken"))
+        x_route, x_route_c1 = [], bundles._x_route_c1
+        monkeypatch.setattr(bundles, "_x_route_c1", lambda q: x_route.append(q) or x_route_c1(q))
         assert chern_number_exact(p) == 8
+        assert x_route == [p]
+
+    def test_hermitian_check_matches_the_conjugate_reference(self):
+        # is_hermitian compares stored numerators; the reference builds conjugates
+        p = charge_one_projector()
+        (m00, m01), (m10, m11) = p.core
+        for core, hermitian in (
+            (p.core, True),
+            (((m00 + X3, m01), (m10, m11)), True),
+            (((m00, m01), (m01, m11)), False),  # im not negated
+            (((m00, m01), (m10 + X1 * X2 * GR_I, m11)), False),  # one more im term
+            (((m00, m01), (m10 * 2, m11)), False),
+            (((m00 + X3 * GR_I, m01), (m10, m11)), False),
+        ):
+            reference = all(core[j][k] == core[k][j].conj() for j in range(2) for k in range(2))
+            assert WeightedProjector(p.weights, core, "q").is_hermitian() == reference == hermitian
 
     def test_all_builtins(self):
         builtins = [projector_from_ket(monopole_ket(s, n)) for s in ("minus", "plus") for n in range(5)]
@@ -171,6 +191,22 @@ class TestAxioms:
         for p in builtins:
             rep = verify_axioms(p)
             assert rep.all_pass, (p.label, rep)
+
+
+class TestKetNorm:
+    def test_axioms_and_chern_number_pair_the_ket_once(self, monkeypatch):
+        calls = []
+        pairing = kets.pairing
+        counted = lambda a, b: calls.append((a, b)) or pairing(a, b)
+        monkeypatch.setattr(kets, "pairing", counted)
+        # bundles reads EquivariantKet.norm; count a `pairing` imported there too
+        monkeypatch.setattr(bundles, "pairing", counted, raising=False)
+        for k in (monopole_ket("minus", 2), monopole_ket("plus", 3), tilde_ket2()):
+            p = projector_from_ket(k)
+            assert verify_axioms(p).all_pass
+            chern_number_exact(p)
+            assert calls == [(k, k)]
+            del calls[:]
 
 
 class TestTransposeAndRealForm:

@@ -30,6 +30,8 @@ from bundle_forge.exact_ring import (
     weighted_matmul,
     x_to_z,
     z_to_x,
+    _FIELD,
+    _pair_power,
 )
 from bundle_forge.bundles import projector_from_ket, real_form
 from bundle_forge.kets import monopole_ket, tilde_ket2
@@ -187,6 +189,22 @@ class TestZToX:
         z_to_x(mono).terms.clear()
         assert z_to_x(mono) == z0zb1 * z0zb1 * z0zb1
         assert z_to_x(mono * Fraction(2, 3)) == z0zb1 * z0zb1 * z0zb1 * Fraction(2, 3)
+
+    def test_operations_leave_cached_powers_unchanged(self):
+        # results may share the dicts of their operands (a conjugate keeps
+        # re, `_store` adopts the dicts it is handed), so no operation may
+        # write into the stored form of a shared power
+        powers = [_pair_power(g, k) for g in range(4) for k in range(4)]
+        before = [_stored(q) for q in powers]
+        for q in powers:
+            c = q.conj()
+            _apply_every_operation(q, c)
+            _apply_every_operation(-c, XPoly._from_integers(q.den, q.re, {}))
+        for n in range(4):
+            for e0 in range(n + 1):
+                for f0 in range(n + 1):
+                    z_to_x(ZPoly.monomial((e0, n - e0, f0, n - f0)))
+        assert [_stored(q) for q in powers] == before
 
 
 class TestPartialDerivative:
@@ -594,6 +612,121 @@ class TestScalarFirstOperands:
                 GR_I * bad
             with pytest.raises(TypeError):
                 bad + GR_I
+
+
+def _stored(p) -> tuple:
+    """A copy of the stored form (den, re, im) of a polynomial."""
+    return p.den, dict(p.re), dict(p.im)
+
+
+def _apply_every_operation(p, q) -> list:
+    """The results of every ring operation on p and q: conj, negation,
+    the partial derivatives, the rotation derivatives of an XPoly,
+    `_combine` (sums and differences), products and `sum_of_products`."""
+    ring = type(p)
+    results = [p.conj(), -p, p + q, p - q, q - p, p - p, p * q, q * q.conj(),
+               ring.sum_of_products([(Fraction(-2, 3), p, q), (1, q, p.conj()), (5, p, p)])]
+    results += [r.diff(v) for r in (p, q) for v in range(ring.NVARS)]
+    if ring is XPoly:
+        results += [*p.rotations(), *q.conj().rotations()]
+    return results
+
+
+def _cross_x(v: tuple) -> tuple:
+    """Reference rotation derivatives: x cross v for a vector v of three
+    XPolys, each component one `sum_of_products`; for v = grad a its
+    components are L_i a."""
+    x = (X1, X2, X3)
+    return tuple(
+        XPoly.sum_of_products(((1, x[i - 2], v[i - 1]), (-1, x[i - 1], v[i - 2])))
+        for i in range(3)
+    )
+
+
+def _reduce_by_levels(numerators: dict) -> dict:
+    """Reference x3 reduction on a numerator dict of packed keys: one scan
+    per x3-degree from the top down, each key of that degree c rewritten
+    as keys of degree c - 2."""
+    top = max((key & _FIELD for key in numerators), default=0)
+    x1sq, x2sq = XPoly._pack((2, 0, 0)), XPoly._pack((0, 2, 0))
+    for level in range(top, 1, -1):
+        for key in [key for key in numerators if key & _FIELD == level]:
+            v = numerators.pop(key)
+            for step, s in ((-2, v), (x1sq - 2, -v), (x2sq - 2, -v)):
+                numerators[key + step] = numerators.get(key + step, 0) + s
+    return numerators
+
+
+_complex_xpoly = _kernel_xterms.map(XPoly)
+# integer numerator dicts of packed XPoly keys with x3 exponents up to 6
+_raw_numerators = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6)).map(XPoly._pack),
+    st.integers(-9, 9),
+    max_size=8,
+)
+
+
+class TestRotations:
+    @settings(max_examples=120, deadline=None)
+    @given(_complex_xpoly)
+    def test_one_pass_matches_x_cross_grad(self, a):
+        grad = tuple(a.diff(i) for i in range(3))
+        assert a.rotations() == _cross_x(grad)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_complex_xpoly, _complex_xpoly)
+    def test_ring_identities(self, a, b):
+        la, lb = a.rotations(), b.rotations()
+        # x . (x cross grad a) = 0: L is tangent to the sphere
+        assert XPoly.sum_of_products(zip((1, 1, 1), (X1, X2, X3), la)).is_zero()
+        # L_i is a derivation of the quotient ring
+        for i, l_ab in enumerate((a * b).rotations()):
+            assert l_ab == a * lb[i] + b * la[i]
+
+    def test_examples(self):
+        assert X3.rotations() == (X2, -X1, XPoly.zero())
+        assert (X1 * X1 + X2 * X2).rotations() == (X2 * X3 * -2, X1 * X3 * 2, XPoly.zero())
+        assert XPoly.constant(GR_I).rotations() == (XPoly.zero(),) * 3
+
+
+class TestReductionRounds:
+    @settings(max_examples=200, deadline=None)
+    @given(_raw_numerators)
+    def test_matches_the_reduction_by_levels(self, numerators):
+        got = XPoly._reduce_integers(dict(numerators))
+        want = _reduce_by_levels(dict(numerators))
+        assert {k: v for k, v in got.items() if v} == {k: v for k, v in want.items() if v}
+        assert all(key & _FIELD <= 1 for key in got)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_raw_numerators)
+    def test_canonical_dicts_returned_as_they_are(self, numerators):
+        canonical = {k: v for k, v in numerators.items() if k & _FIELD <= 1}
+        assert XPoly._reduce_integers(canonical) is canonical
+        assert canonical == {k: v for k, v in numerators.items() if k & _FIELD <= 1}
+
+
+class TestStoredForms:
+    @settings(max_examples=100, deadline=None)
+    @given(_kernel_terms)
+    def test_results_are_canonical(self, case):
+        ring, p_terms, q_terms = case
+        for result in _apply_every_operation(ring(p_terms), ring(q_terms)):
+            _assert_canonical_coefficients(result)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_kernel_terms)
+    def test_operands_keep_their_stored_form(self, case):
+        ring, p_terms, q_terms = case
+        p, q = ring(p_terms), ring(q_terms)
+        c = p.conj()
+        before = [_stored(x) for x in (p, q, c)]
+        for result in _apply_every_operation(p, q) + _apply_every_operation(c, -c):
+            # nor may operations on the results, which can share dicts with p
+            -result.conj(), result - c, result.diff(0)
+            if ring is XPoly:
+                result.rotations()
+        assert [_stored(x) for x in (p, q, c)] == before
 
 
 def _naive_evaluate(p, variables):
