@@ -39,7 +39,6 @@ from .quadbench import (
     SphereGrid,
     chern_number_quad,
     gauge_chern_numbers,
-    gauge_field,
     monte_carlo_stderr,
     tangent_frame_check,
 )
@@ -177,12 +176,11 @@ def _cmd_gauge(args) -> int:
         )
     import numpy as np
 
+    grid = _parse_grid(args.grid)
     try:
-        field = gauge_field(k, np.array(entries))
+        ((field, c1),) = gauge_chern_numbers(k, [np.array(entries)], grid, "analytic")
     except ValueError as exc:
         raise CliInputError(f"bad gauge matrix: {exc}") from exc
-    grid = _parse_grid(args.grid)
-    c1 = chern_number_quad(field, grid, "analytic")
     print(_charge_mapping_line(args.charge))
     print(f"condition(g) = {field.condition:.6g}")
     print(f"c1(quad, gauged) = {c1:.10f}")

@@ -1,20 +1,16 @@
 """Floating-point verification backend and exact tangent-frame checks.
 
 Chern numbers by Gauss-Legendre x trapezoid quadrature in the chart
-x = (sin(t)cos(f), sin(t)sin(f), cos(t)), by one of two routes chosen from
-the input: a field of kets u (a projector p = |psi><psi| with
-<psi|psi> = 1 on a Hopf section over the chart, or its gauge move by g,
-g times that) integrates the curvature of u u+ / <u|u> in O(n) per node;
-every other projector its n x n entries and their pointwise products.  Both
-routes evaluate on the grid through the rings' one product-grid evaluator,
-`exact_ring.evaluate_grid`, one block of polar nodes at a time: the ket
-components as ZPolys on the Hopf section, the matrix entries as XPolys in
-the chart.  Also
-a Monte-Carlo oracle for the exact monomial integrals, and exact checks of
-the identities that hold modulo the sphere ideal (r, dr): a form is
-contracted in the ring with polynomial vector fields that span every
-tangent space, the SU(2) frame iz, xi, J xi on S^3 and the rotation fields
-V_l = e_l x x on S^2.
+x = (sin(t)cos(f), sin(t)sin(f), cos(t)), one path per job: a projector
+p = |psi><psi| with <psi|psi> = 1 integrates the curvature of its ket w on
+a Hopf section over the chart in O(n) per node, every other projector its
+n x n entries, and the gauge moves of such a p, the kets g w, one batched
+contraction.  All evaluate through `exact_ring.evaluate_grid`, one block
+of polar nodes at a time.  Also a Monte-Carlo oracle for the exact
+monomial integrals, and exact checks of the identities that hold modulo
+the sphere ideal (r, dr): a form is contracted in the ring with polynomial
+vector fields that span every tangent space, the SU(2) frame iz, xi, J xi
+on S^3 and the rotation fields V_l = e_l x x on S^2.
 """
 
 from __future__ import annotations
@@ -87,21 +83,16 @@ class SphereGrid:
 
 @dataclass(frozen=True)
 class KetField:
-    """The projector field u u+ / <u|u> of kets u = w g^t on S^2:
-    `evaluator(theta, phi, derivatives=False)` maps theta (P, 1), phi
-    (1, A) to an iterator over consecutive blocks of the polar nodes, in
-    order, as `exact_ring.evaluate_grid` yields them with sqrt(weight) as
-    its `scale`: w on a block, shape (nodes, A, n), or with
-    derivatives=True or "finite-difference" w, dw/dtheta and dw/dphi on a
-    leading axis of three.  It checks its arguments when called, and each
-    block is computed as it is drawn.  `gauge` is the n x n matrix g, None
-    for u = w; (lo, hi) = `norm_bounds` bound <u|u>; `condition` is that of
-    the gauge matrix applied."""
+    """The gauge move of `gauge_field`, the field u u+ / <u|u> of kets
+    u = w g^t on S^2: `evaluator(theta, phi, derivatives=False)` is the
+    Hopf-section ket w, block by block as `_hopf_ket` yields it; (lo, hi) =
+    `norm_bounds` bound <u|u>; `condition` is that of the n x n matrix
+    `gauge` g."""
 
     evaluator: Callable
-    norm_bounds: tuple = (1.0, 1.0)
-    condition: float = 1.0
-    gauge: np.ndarray | None = None
+    norm_bounds: tuple
+    condition: float
+    gauge: np.ndarray
 
 
 # Largest pointwise defect accepted: |P^2 - P| on the matrix route, the
@@ -118,22 +109,14 @@ def _max_abs(a: np.ndarray) -> float:
 
 
 def _check_pointwise_axioms(P: np.ndarray, scratch: np.ndarray) -> None:
-    """|P^2 - P| < IDEMPOTENCY_TOL and |P - P+| < 1e-12 at every node, both
-    formed in `scratch`, an array of P's shape and dtype: the evaluated
-    fields dominate the memory."""
+    """|P^2 - P| < IDEMPOTENCY_TOL at every node, formed in `scratch`, an
+    array of P's shape and dtype: the evaluated fields dominate the memory."""
     defect = np.matmul(P, P, out=scratch)
     defect -= P
     if (worst := _max_abs(defect)) >= IDEMPOTENCY_TOL:
         raise QuadratureError(
             f"pointwise idempotency defect {worst:.3e} >= {IDEMPOTENCY_TOL:g}"
         )
-    # a float64 P is its own conjugate: P - P^t needs no transposed copy
-    transpose = np.swapaxes(P, -1, -2)
-    if P.dtype != np.float64:
-        transpose = np.conjugate(transpose, out=scratch)
-    herm = np.subtract(P, transpose, out=scratch)
-    if (worst := _max_abs(herm)) >= 1e-12:
-        raise QuadratureError(f"pointwise hermiticity defect {worst:.3e} >= 1e-12")
 
 
 def _hopf_ket(ket: EquivariantKet, theta, phi, derivatives: bool | str = False):
@@ -165,34 +148,21 @@ def _check_norms(norm: np.ndarray, bounds) -> None:
             f"to within {IDEMPOTENCY_TOL:g}")
 
 
-def _rank_one_density(w, w_t, w_f) -> Callable:
-    """density(norm_bounds, gauge=None): tr(P [dP/dtheta, dP/dphi]) on the
-    product grid for P = u u+ / N, N = <u|u>, from a table of kets w and
-    their derivatives, where u = w g^t for the n x n matrix `gauge` g
-    (u = w when it is None): O(n) per node, and O(n^2) with a gauge.  P is
-    hermitian and idempotent by construction, so the pointwise check is N
-    within `norm_bounds`.  The density is Berry's gauge-invariant
-    curvature of the unnormalised u, 2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> /
-    N^2), whose second term is real for a unit ket, as on the exact Hopf
-    route; it does not change under u -> c u, so it is the matrix route's
-    density.  It is purely imaginary: the imaginary-part check of
-    `chern_number_quad` reads 0 here.  A gauge enters through
-    <u_a|u_b> = <w_a|G w_b>, G = g+ g, as the products G w and G w_f."""
+def _rank_one_density(w, w_t, w_f) -> np.ndarray:
+    """tr(P [dP/dtheta, dP/dphi]) on the product grid for P = w w+ / N,
+    N = <w|w>, from a table of unit kets w and their derivatives, in O(n)
+    per node.  P is hermitian and idempotent by construction, so the
+    pointwise check is N = 1 to within IDEMPOTENCY_TOL.  The density is
+    Berry's gauge-invariant curvature of the unnormalised w,
+    2i Im(<w_t|w_f> / N - <w_t|w><w|w_f> / N^2), whose second term is real
+    for a unit ket, as on the exact Hopf route; it does not change under
+    w -> c w, so it is the matrix route's density.  It is purely imaginary:
+    the imaginary-part check of `chern_number_quad` reads 0 here."""
     dot = functools.partial(np.einsum, "...j,...j->...")
     w_conj, t_conj = np.conj(w), np.conj(w_t)
-
-    def density(norm_bounds: tuple, gauge=None) -> np.ndarray:
-        gw, gw_f = w, w_f
-        if gauge is not None:
-            metric_t = gauge.T @ np.conj(gauge)  # (g+ g)^t
-            # one (P*A, n) @ (n, n) product per table: matmul's loop over
-            # a leading axis of P takes about twice as long at n = 2
-            gw, gw_f = ((a.reshape(-1, a.shape[-1]) @ metric_t).reshape(a.shape) for a in (w, w_f))
-        norm = dot(w_conj, gw).real
-        _check_norms(norm.reshape(-1, 1), [norm_bounds])
-        return 2j * np.imag(dot(t_conj, gw_f) / norm - dot(t_conj, gw) * dot(w_conj, gw_f) / norm**2)
-
-    return density
+    norm = dot(w_conj, w).real
+    _check_norms(norm.reshape(-1, 1), [(1.0, 1.0)])
+    return 2j * np.imag(dot(t_conj, w_f) / norm - dot(t_conj, w) * dot(w_conj, w_f) / norm**2)
 
 
 # Nodes per chunk of `gauge_chern_numbers`: `verify --suite gauge` peaks at
@@ -214,8 +184,8 @@ def _bilinear_forms(w, w_t, w_f, metrics: np.ndarray) -> list:
 
 def _matrix_density(P, Pt, Pf) -> np.ndarray:
     """tr(P [Pt, Pf]) on the grid from the dense field and its derivatives,
-    after the pointwise axiom checks of P.  The checks and Pf . Pt share one
-    scratch array of P's shape."""
+    after the pointwise idempotency check of P.  The check and Pf . Pt
+    share one scratch array of P's shape."""
     scratch = np.empty_like(P)
     _check_pointwise_axioms(P, scratch)
     comm = Pt @ Pf
@@ -251,39 +221,42 @@ def _c1_from_sum(value: complex) -> float:
 
 
 def chern_number_quad(
-    p, grid: SphereGrid | None = None, derivative: str = "analytic"
+    p: WeightedProjector, grid: SphereGrid | None = None, derivative: str = "analytic"
 ) -> float:
     """-(1/2*pi*i) * sum of weights * tr(P [dP/dtheta, dP/dphi]) / sin(theta).
 
-    `p` is a KetField or a WeightedProjector.  A KetField, and a projector
-    p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) as the KetField
-    of its Hopf-section ket, take the rank-one route, `_rank_one_density`;
-    every other projector takes the matrix route on the n x n field.  Three
-    stages: the field's evaluator, then one evaluator call, analytic or by
-    central differences of the factor tables (`exact_ring.evaluate_grid`),
-    which builds the coefficient matrix and the phi-factor tables and
-    returns the blocks of polar nodes, then per block the values and both
-    derivatives, the route's pointwise checks and its contraction.  Each
-    block's density rows are written into one (polar, azimuthal) array,
-    which is summed once, so c1 does not depend on the block size.
+    `p` is a WeightedProjector (anything else raises TypeError; the gauge
+    moves of `gauge_field` integrate by `gauge_chern_numbers`).  A
+    projector p = |psi><psi| with <psi|psi> = 1 (`bundles.unit_ket`) takes
+    the rank-one route on its Hopf-section ket, `_rank_one_density`; every
+    other projector takes the matrix route on the n x n field, once its
+    core has passed `WeightedProjector.is_hermitian`, an exact comparison
+    in the ring, before anything is evaluated.  Three stages: one evaluator
+    call, analytic or by central differences of the factor tables
+    (`exact_ring.evaluate_grid`), which builds the coefficient matrix and
+    the phi-factor tables and returns the blocks of polar nodes, then per
+    block the values and both derivatives, the route's pointwise check and
+    its contraction.  Each block's density rows are written into one
+    (polar, azimuthal) array, which is summed once, so c1 does not depend
+    on the block size.
 
     A projector whose core has no imaginary part (the real form, normal,
     tangent) evaluates to a float64 field, so its density is real and c1's
     real part is exactly 0: the rounding lands in c1.imag, which is checked
-    against 1e-8 as for every field, after both pointwise checks.
+    against 1e-8 as for every field, after the pointwise check.
     """
+    if not isinstance(p, WeightedProjector):
+        raise TypeError(f"unsupported projector type {type(p).__name__}")
     if grid is None:
         grid = SphereGrid.build()
-    if isinstance(p, WeightedProjector) and (ket := unit_ket(p)) is not None:
-        p = KetField(functools.partial(_hopf_ket, ket))
-    if isinstance(p, KetField):
-        blocks = _grid_blocks(p.evaluator, grid, derivative)
-        densities = map(lambda block: _rank_one_density(*block)(p.norm_bounds, p.gauge), blocks)
-    elif isinstance(p, WeightedProjector):
+    if (ket := unit_ket(p)) is not None:
+        blocks = _grid_blocks(functools.partial(_hopf_ket, ket), grid, derivative)
+        densities = itertools.starmap(_rank_one_density, blocks)
+    elif p.is_hermitian():
         blocks = _grid_blocks(p.evaluate_grid, grid, derivative)
         densities = itertools.starmap(_matrix_density, blocks)
     else:
-        raise TypeError(f"unsupported projector type {type(p).__name__}")
+        raise QuadratureError(f"{p.label}: the core fails hermiticity, M_kj != conj(M_jk)")
     weights, sin_theta = _dvol_and_sin(grid)
     density, lo = None, 0
     for rows in densities:
@@ -321,32 +294,41 @@ def gauge_field(k: EquivariantKet, g: np.ndarray) -> KetField:
     )
 
 
+def _gauge_densities(fields: list, blocks):
+    """Im tr(P_f [dP_f/dtheta, dP_f/dphi]) / 2 of the gauge moves
+    `fields`, whose kets are u = w g_f^t, from the blocks of their one
+    Hopf-section ket w: one (nodes, F) array per chunk of GAUGE_CHUNK nodes,
+    in the grid's row-major node order, from `_bilinear_forms`' forms of
+    all fields, whose norms are all checked."""
+    metrics = np.stack([np.conj(f.gauge.T) @ f.gauge for f in fields])  # the G_f = g+ g
+    bounds = [f.norm_bounds for f in fields]
+    for block in blocks:
+        tables = block.reshape(3, -1, block.shape[-1])
+        for start in range(0, tables.shape[1], GAUGE_CHUNK):
+            norm, tf, tw, wf = _bilinear_forms(*tables[:, start:start + GAUGE_CHUNK], metrics)
+            norm = norm.real
+            _check_norms(norm, bounds)
+            yield (tf.imag * norm - (tw * wf).imag) / (norm * norm)
+        del block, tables  # freed before the next block is evaluated
+
+
 def gauge_chern_numbers(
     k: EquivariantKet, gs: list, grid: SphereGrid, derivative: str
 ) -> list:
-    """[(gauge_field(k, g), c1)] for each g of `gs`, c1 as `chern_number_quad`
-    gives it, to rounding.  Every field's kets are u = w g^t for the one
-    Hopf-section ket w of k, so one call of the first field's evaluator
-    serves all of them.  Per chunk of GAUGE_CHUNK nodes `_bilinear_forms`
-    gives all fields' forms, whose norms are all checked, and one product
-    with weights / sin(theta) adds all fields' density rows."""
+    """[(gauge_field(k, g), c1)] for each g of `gs`: the one path of every
+    gauge move, c1 by `chern_number_quad`'s quadrature of u u+ / <u|u>.
+    Every field's kets are u = w g^t for the one Hopf-section ket w of k,
+    so one call of the first field's evaluator serves all of them, and one
+    product with weights / sin(theta) adds all fields' density rows of a
+    chunk of `_gauge_densities`."""
     fields = [gauge_field(k, g) for g in gs]
     if not fields:
         return []
-    metrics = np.stack([np.conj(f.gauge.T) @ f.gauge for f in fields])  # the G_f = g+ g
     node_weights = np.repeat(np.divide(*_dvol_and_sin(grid)), grid.azimuthal)  # row-major
     totals = np.zeros(len(fields))
-    for block in _grid_blocks(fields[0].evaluator, grid, derivative):
-        tables = block.reshape(3, -1, len(k))
-        for start in range(0, tables.shape[1], GAUGE_CHUNK):
-            w, w_t, w_f = tables[:, start:start + GAUGE_CHUNK]
-            norm, tf, tw, wf = _bilinear_forms(w, w_t, w_f, metrics)
-            norm = norm.real
-            _check_norms(norm, [f.norm_bounds for f in fields])
-            density = (tf.imag * norm - (tw * wf).imag) / (norm * norm)
-            totals += node_weights[:len(w)] @ density
-            node_weights = node_weights[len(w):]
-        del block, tables  # freed before the next block is evaluated
+    for density in _gauge_densities(fields, _grid_blocks(fields[0].evaluator, grid, derivative)):
+        totals += node_weights[:len(density)] @ density
+        node_weights = node_weights[len(density):]
     return [(f, _c1_from_sum(2j * total)) for f, total in zip(fields, totals)]
 
 

@@ -5,14 +5,24 @@ the ring kernel that keeps the arithmetic right keeps these outputs
 byte-identical.  The digests are the sha256 of the CLI's stdout, taken
 before the kernel's bookkeeping was cut (store, conjugation, negation,
 x3 reduction, rotation derivatives, one norm per ket).  The gauge suite
-is left out: its floats may differ between numpy builds.
+is left out: its floats may differ between numpy builds.  No printed
+output reads the x-route density of a charged bundle, so that density,
+`curvature_trace_form`, is pinned by the sha256 of its JSON, taken before
+the gauge moves of the quadrature were reduced to one path.
 """
 
 import hashlib
+import json
+from fractions import Fraction
 
 import pytest
 
+from bundle_forge.bundles import curvature_trace_form, projector_from_ket
 from bundle_forge.cli import run
+from bundle_forge.exact_ring import GaussianRational
+from bundle_forge.kets import monopole_ket, tilde_ket2
+
+from conftest import su2_move, tensor_ket, type_zero_ket
 
 BUILD_JSON_SHA256 = {
     ("monopole", None): "eef3937927f7534803cc2a3e4907f0ee075f2d4120e85aa3c6825a3ed73a522c",
@@ -46,6 +56,33 @@ VERIFY_SHA256 = {
 }
 
 
+# the densities of monopoles of charge +-1..+-4 (constant multiples of the
+# area form), of tilde, and of psi1 (x) a moved by the SU(2) element
+# (3/5, 4i/5), whose density depends on phi
+DENSITY_KETS = {
+    **{c: (lambda c=c: monopole_ket("minus" if c > 0 else "plus", abs(c)))
+       for c in (1, -1, 2, -2, 3, -3, 4, -4)},
+    "tilde": tilde_ket2,
+    "moved psi1 a": lambda: su2_move(
+        tensor_ket(monopole_ket("minus", 1), type_zero_ket()),
+        GaussianRational(Fraction(3, 5)), GaussianRational(0, Fraction(4, 5)),
+    ),
+}
+
+DENSITY_SHA256 = {
+    1: "d82375edb8c2cff9431f1e9c123365c7d6f98374f083a5f230dc9c278e76324d",
+    -1: "b90d8ac86c061ed577c1f57d6db8b975b90cbbfef38a15a67ad8f76c8c21aac8",
+    2: "9b0834c257f745e90999a70271f7e912617f9ad5b5fbbec2566c8ac19badcd7e",
+    -2: "0ca41f1812ade93c1176a28a6b8ca15f80aff19358d685acef4296aa65b56536",
+    3: "bf323fc1bf815fc7dc80db0e5741570f36244f15e3a8b8e87565505c31b63598",
+    -3: "474d27ca56571c8430426d202d8a8d839508475bd0d5db0d945c6394639ab729",
+    4: "b9e6f4665a2b9fb69beca20c6c5620bcefa63b35256d1428e3514acb56a084ba",
+    -4: "95155606c28ff0edc3ed34b9660ea0d76130597f28cc641bcfc014f19706a7e0",
+    "tilde": "9b0834c257f745e90999a70271f7e912617f9ad5b5fbbec2566c8ac19badcd7e",
+    "moved psi1 a": "f799ddda9fbf54f07bb9e0977b6408bf5bc47d44a94ff8570846690804ecd58d",
+}
+
+
 def _stdout_sha256(capsys, *argv) -> str:
     assert run(list(argv)) == 0
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
@@ -63,3 +100,10 @@ def test_build_json_is_byte_identical(capsys, family, charge):
 def test_exact_suite_output_is_byte_identical(capsys, suite):
     digest = _stdout_sha256(capsys, "verify", "--suite", suite, "--max-charge", "5")
     assert digest == VERIFY_SHA256[suite]
+
+
+@pytest.mark.parametrize("name", list(DENSITY_SHA256), ids=str)
+def test_curvature_density_is_byte_identical(name):
+    density = curvature_trace_form(projector_from_ket(DENSITY_KETS[name]()))
+    digest = hashlib.sha256(json.dumps(density.to_json()).encode()).hexdigest()
+    assert digest == DENSITY_SHA256[name]

@@ -65,7 +65,8 @@ from bundle_forge.quadbench import (
     SphereGrid,
     chern_number_quad,
     _bilinear_forms,
-    _check_pointwise_axioms,
+    _check_norms,
+    _gauge_densities,
     _hopf_ket,
     _matrix_density,
     _rank_one_density,
@@ -153,28 +154,49 @@ class TestChernQuad:
             with pytest.raises(QuadratureError, match="hermiticity"):
                 chern_number_quad(p, SphereGrid.build(8, 8), derivative)
 
-    def test_float64_hermiticity_defect_is_the_complex_one(self):
-        """A float64 field forms P - P^t without a conjugated copy; the
-        defect it reports is that of the same field in complex."""
-        P = np.zeros((4, 3, 2, 2))
-        P[..., 0, 0] = 1.0
-        P[..., 0, 1] = np.random.default_rng(5).uniform(1e-12, 1e-9, (4, 3))  # idempotent
-        messages = []
-        for field in (P, P.astype(complex)):
-            with pytest.raises(QuadratureError, match="hermiticity") as info:
-                _check_pointwise_axioms(field, np.empty_like(field))
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]
+    def test_non_hermitian_pair_raises_before_evaluation(self, monkeypatch):
+        """One entry pair with M_10 = M_01, which differs from conj(M_01)
+        in the sign of its imaginary part, is decided in the ring:
+        QuadratureError before any grid evaluation, in both modes, while
+        the hermitian original evaluates once."""
+        calls = []
+        evaluate_grid = exact_ring.evaluate_grid
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_grid(*args, **kwargs)
+
+        monkeypatch.setattr(exact_ring, "evaluate_grid", counted)
+        p = _matrix_route(_projector(2))
+        core = [list(row) for row in p.core]
+        assert core[0][1].im
+        core[1][0] = core[0][1]  # M_01 itself, not its conjugate
+        skewed = WeightedProjector(p.weights, tuple(map(tuple, core)))
+        assert not skewed.is_hermitian()
+        for derivative in DERIVATIVE_MODES:
+            with pytest.raises(QuadratureError, match="hermiticity"):
+                chern_number_quad(skewed, SphereGrid.build(8, 8), derivative)
+        assert calls == []
+        chern_number_quad(p, SphereGrid.build(8, 8))
+        assert calls == [1]
 
     def test_unknown_modes_rejected(self):
         p = projector_from_ket(monopole_ket("minus", 1))
         with pytest.raises(ValueError):
             chern_number_quad(p, derivative="symbolic")
-        field = gauge_field(monopole_ket("minus", 1), np.eye(2))
+        k, grid = monopole_ket("minus", 1), SphereGrid.build()
         with pytest.raises(ValueError):
-            chern_number_quad(field, derivative="symbolic")
+            gauge_chern_numbers(k, [np.eye(2)], grid, "symbolic")
         # analytic derivatives serve gauge fields as well
-        assert abs(chern_number_quad(field, derivative="analytic") - 1.0) < 1e-9
+        ((_, c1),) = gauge_chern_numbers(k, [np.eye(2)], grid, "analytic")
+        assert abs(c1 - 1.0) < 1e-9
+
+    def test_projectors_only(self):
+        """A gauge move integrates by `gauge_chern_numbers` alone."""
+        field = gauge_field(monopole_ket("minus", 1), np.eye(2))
+        for p in (field, monopole_ket("minus", 1), np.eye(2)):
+            with pytest.raises(TypeError, match="unsupported projector type"):
+                chern_number_quad(p, SphereGrid.build(8, 8))
 
 
 REAL_FIELDS = {
@@ -302,12 +324,17 @@ class TestRankOneRoute:
                 return _original(self, *args, **kwargs)
             monkeypatch.setattr(ring, "evaluate", counted)
         p = _projector(-4)
-        gauged = gauge_field(p.ket, np.eye(p.dim) + 0.25j * np.ones((p.dim, p.dim)))
-        for field, ring in ((p, ZPoly), (_matrix_route(p), XPoly), (gauged, ZPoly)):
+        grid = SphereGrid.build(8, 8)
+        g = np.eye(p.dim) + 0.25j * np.ones((p.dim, p.dim))
+        for quadrature, ring in (
+            (lambda mode: chern_number_quad(p, grid, mode), ZPoly),
+            (lambda mode: chern_number_quad(_matrix_route(p), grid, mode), XPoly),
+            (lambda mode: gauge_chern_numbers(p.ket, [g], grid, mode), ZPoly),
+        ):
             for derivative in DERIVATIVE_MODES:
                 calls.update({XPoly: 0, ZPoly: 0})
-                chern_number_quad(field, SphereGrid.build(8, 8), derivative)
-                assert calls == {XPoly: 0, ZPoly: 0, ring: 1}, (field, derivative)
+                quadrature(derivative)
+                assert calls == {XPoly: 0, ZPoly: 0, ring: 1}, (ring, derivative)
 
     def test_norm_defect_raises(self):
         k = monopole_ket("minus", 3)
@@ -319,8 +346,8 @@ class TestRankOneRoute:
             lambda k: whole_grid(_hopf_ket(k, theta, phi, derivatives="finite-difference"), True),
         ):
             with pytest.raises(QuadratureError, match="norm defect"):
-                _rank_one_density(*values(scaled))((1.0, 1.0))
-            assert np.all(np.isfinite(_rank_one_density(*values(k))((1.0, 1.0))))
+                _rank_one_density(*values(scaled))
+            assert np.all(np.isfinite(_rank_one_density(*values(k))))
 
     def test_ket_with_other_pairing_takes_the_matrix_route(self):
         # <psi|psi> = 1 + 1e-9: the matrix route's idempotency check fires
@@ -378,7 +405,7 @@ def _density_over_sin(k: EquivariantKet, grid: SphereGrid) -> np.ndarray:
     field of k on the grid: -2 pi times the c1 density per unit area."""
     theta, phi = grid.axes()
     values = whole_grid(_hopf_ket(k, theta, phi, derivatives=True), True)
-    return _rank_one_density(*values)((1.0, 1.0)).imag / np.sin(theta)
+    return _rank_one_density(*values).imag / np.sin(theta)
 
 
 class TestSU2Moves:
@@ -523,11 +550,24 @@ def _einsum_gauge(k: EquivariantKet, g: np.ndarray):
     return evaluator
 
 
+def _gauged_density(u, u_t, u_f, norm_bounds: tuple) -> np.ndarray:
+    """tr(P [dP/dtheta, dP/dphi]) of P = u u+ / N, N = <u|u>, for kets u of
+    any norm within `norm_bounds`: Berry's curvature of the unnormalised u,
+    2i Im(<u_t|u_f> / N - <u_t|u><u|u_f> / N^2), O(n) per node once u is
+    formed.  The reference for the batched contraction of the gauge moves,
+    which forms <u_a|u_b> = <w_a|G w_b> with G = g+ g instead of u = w g^t."""
+    dot = functools.partial(np.einsum, "...j,...j->...")
+    u_conj, t_conj = np.conj(u), np.conj(u_t)
+    norm = dot(u_conj, u).real
+    _check_norms(norm.reshape(-1, 1), [norm_bounds])
+    return 2j * np.imag(dot(t_conj, u_f) / norm - dot(t_conj, u) * dot(u_conj, u_f) / norm**2)
+
+
 def _per_trial_reference_c1(k: EquivariantKet, g: np.ndarray, grid: SphereGrid,
                             derivative: str) -> float:
     """c1 of gauge_field(k, g) from its own evaluation, one g at a time:
     conj(psi) and its derivatives evaluated, times diag(sqrt(weight)) g^t
-    with g divided by its largest singular value, then the unit-ket
+    with g divided by its largest singular value, then the gauged
     contraction within bounds (sigma_min / sigma_max)^2 and 1, and the
     weighted sum."""
     sigma = np.linalg.svd(g, compute_uv=False)
@@ -536,7 +576,7 @@ def _per_trial_reference_c1(k: EquivariantKet, g: np.ndarray, grid: SphereGrid,
     theta, phi = grid.axes()
     values = whole_grid(first.evaluate(also=rest, angles=(theta, phi),
                                        derivatives=DERIVATIVE_MODES[derivative]), True)
-    density = _rank_one_density(*(values @ factor))(((sigma[-1] / sigma[0]) ** 2, 1.0))
+    density = _gauged_density(*(values @ factor), ((sigma[-1] / sigma[0]) ** 2, 1.0))
     c1 = np.sum(grid.dvol_weights() * density / np.sin(theta)) / (-2.0j * math.pi)
     assert abs(c1.imag) < 1e-8
     return float(c1.real)
@@ -555,8 +595,9 @@ class TestGaugeField:
     @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
     @pytest.mark.parametrize("n", [2, 3, 5, 17])
     def test_shared_table_matches_the_per_trial_reference(self, n, derivative):
-        """c1 from one shared ket table, by gauge_chern_numbers and by
-        chern_number_quad of each field, against the per-trial reference."""
+        """c1 from one shared ket table, by gauge_chern_numbers of all g and
+        of each g alone (the `gauge` command's call), against the per-trial
+        reference."""
         k = monopole_ket("minus", n - 1)
         gs = _test_gauges(np.random.default_rng(30 + n), n)
         assert np.linalg.cond(gs[1]) == pytest.approx(10.0, rel=1e-9)
@@ -566,7 +607,8 @@ class TestGaugeField:
             assert field.condition == gauge_field(k, g).condition
             want = _per_trial_reference_c1(k, g, EXACT_GRID, derivative)
             assert abs(c1 - want) < 1e-12
-            assert abs(chern_number_quad(field, EXACT_GRID, derivative) - want) < 1e-12
+            ((_, alone),) = gauge_chern_numbers(k, [g], EXACT_GRID, derivative)
+            assert abs(alone - want) < 1e-12
 
     def test_each_trial_checks_its_own_norm(self, monkeypatch):
         """Only the third field's <u|u> leaves its bounds, whose upper end is
@@ -620,22 +662,26 @@ class TestGaugeField:
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_rank_one_density_matches_the_matrix_density(self, n):
-        """On a grid off the nodes the gauged ket's density against the
-        matrix route's on the einsum reference field, whose derivatives
-        are central differences: within their error, FD_STEP^2 times a
-        third derivative, plus the rounding magnified by 1/FD_STEP."""
+        """On a grid off the nodes the batched contraction's densities, with
+        analytic derivatives, against the matrix route's on the einsum
+        reference field, whose derivatives are central differences: within
+        their error, FD_STEP^2 times a third derivative, plus the rounding
+        magnified by 1/FD_STEP.  Per node, so a wrong metric shows here
+        although it leaves the integer c1 unchanged."""
         rng = np.random.default_rng(20 + n)
         k = monopole_ket("minus", n - 1)
         g = np.eye(n) + 0.4 * rng.normal(size=(n, n)) + 0.4j * rng.normal(size=(n, n))
         theta = rng.uniform(0.1, math.pi - 0.1, (6, 1))
         phi = rng.uniform(0.0, 2.0 * math.pi, (1, 8))
-        reference = _einsum_gauge(k, g)
-        want = _matrix_density(*_five_point_fd(reference, theta, phi))
-        field = gauge_field(k, g)
-        values = whole_grid(field.evaluator(theta, phi, derivatives=True), True)
-        got = _rank_one_density(*values)(field.norm_bounds, field.gauge)
-        assert got.shape == want.shape == (6, 8)
-        assert np.max(np.abs(got - want)) < 1e-7
+        # two more columns of the batch: g times a phase, and a real g
+        gs = [g, 1j * g, np.eye(n) + 0.4 * rng.normal(size=(n, n))]
+        fields = [gauge_field(k, g) for g in gs]
+        rows = _gauge_densities(fields, fields[0].evaluator(theta, phi, derivatives=True))
+        got = 2j * np.concatenate(list(rows)).reshape(6, 8, len(gs))
+        for f, g in enumerate(gs):
+            want = _matrix_density(*_five_point_fd(_einsum_gauge(k, g), theta, phi))
+            assert want.shape == (6, 8)
+            assert np.max(np.abs(got[..., f] - want)) < 1e-7
 
     @pytest.mark.parametrize("charge", [1, 3, 8, 16])
     def test_random_gauges_keep_the_charge(self, charge):
@@ -647,9 +693,8 @@ class TestGaugeField:
         grid = SphereGrid.build()
         for _ in range(2):
             g = np.eye(n) + 0.3 * rng.normal(size=(n, n)) + 0.3j * rng.normal(size=(n, n))
-            field = gauge_field(k, g)
-            analytic = chern_number_quad(field, grid, "analytic")
-            fd = chern_number_quad(field, grid, "finite-difference")
+            ((_, analytic),) = gauge_chern_numbers(k, [g], grid, "analytic")
+            ((_, fd),) = gauge_chern_numbers(k, [g], grid, "finite-difference")
             assert abs(analytic - fd) < 1e-6
             assert abs(analytic - charge) < 1e-6 and abs(fd - charge) < 1e-6
 
@@ -667,9 +712,8 @@ class TestGaugeField:
         np.testing.assert_allclose(field.norm_bounds, want.norm_bounds, rtol=1e-12)
         assert field.norm_bounds[1] == 1.0
         assert field.condition == pytest.approx(want.condition, rel=1e-12)
-        grid = SphereGrid.build()
-        got = chern_number_quad(field, grid, "analytic")
-        assert abs(got - chern_number_quad(want, grid, "analytic")) < 1e-10
+        (_, got), (_, unscaled) = gauge_chern_numbers(k, [g * scale, g], SphereGrid.build(), "analytic")
+        assert abs(got - unscaled) < 1e-10
         assert abs(got - 16) < 1e-4
 
     def test_non_unit_ket_rejected(self):
@@ -681,17 +725,15 @@ class TestGaugeField:
             gauge_field(scaled, np.eye(4))
 
     def test_diagonal_gauge_keeps_charge(self):
-        field = gauge_field(monopole_ket("minus", 1), np.diag([2.0, 1.0]))
-        got = chern_number_quad(field, derivative="finite-difference")
+        k, g = monopole_ket("minus", 1), np.diag([2.0, 1.0])
+        ((_, got),) = gauge_chern_numbers(k, [g], SphereGrid.build(), "finite-difference")
         assert abs(got - 1.0) < 1e-4
 
     def test_convergence_on_refinement(self):
-        field = gauge_field(monopole_ket("minus", 1), np.diag([2.0, 1.0]))
-        coarse = abs(
-            chern_number_quad(field, SphereGrid.build(8, 8), "finite-difference") - 1.0
-        )
-        fine = abs(
-            chern_number_quad(field, SphereGrid.build(16, 16), "finite-difference") - 1.0
+        k, g = monopole_ket("minus", 1), np.diag([2.0, 1.0])
+        coarse, fine = (
+            abs(gauge_chern_numbers(k, [g], SphereGrid.build(*shape), "finite-difference")[0][1] - 1.0)
+            for shape in ((8, 8), (16, 16))
         )
         assert fine < coarse
         assert fine < 1e-9
@@ -829,7 +871,7 @@ def _whole_grid_c1(p, grid: SphereGrid, derivative: str, monkeypatch) -> tuple:
         m.setattr(exact_ring, "GRID_BLOCK_BYTES", WHOLE_GRID_BYTES)
         if (ket := unit_ket(p)) is not None:
             (table,) = _hopf_ket(ket, *grid.axes(), derivatives=values)
-            density = _rank_one_density(*table)((1.0, 1.0))
+            density = _rank_one_density(*table)
         else:
             (table,) = p.evaluate_grid(*grid.axes(), derivatives=values)
             density = _matrix_density(*table)
@@ -916,8 +958,8 @@ class TestPolarBlocks:
     @pytest.mark.parametrize("derivative", sorted(DERIVATIVE_MODES))
     def test_defect_in_the_last_block_raises(self, derivative, monkeypatch):
         """A pointwise defect placed in the last of many blocks only: the
-        idempotency and hermiticity checks of the matrix route, on a complex
-        and a float64 field, and the norm check of the rank-one route, in
+        idempotency check of the matrix route, on a complex and a float64
+        field, and the norm check of the rank-one route, in
         `chern_number_quad` and in `gauge_chern_numbers`."""
         monkeypatch.setattr(exact_ring, "GRID_BLOCK_BYTES", 1)
         grid = SphereGrid.build(16, 32)
@@ -933,24 +975,18 @@ class TestPolarBlocks:
         def scaled(block):
             block *= 1 + 1e-8
 
-        def skewed(block):
-            block[0, ..., 0, 1] += 1e-11
-
         evaluate_grid = WeightedProjector.evaluate_grid
         for p in (_matrix_route(_projector(-1)), tangent_projector()):
-            for defect, message in ((scaled, "idempotency"), (skewed, "hermiticity")):
-                with monkeypatch.context() as m:
-                    spoiled = in_last_block(evaluate_grid, defect)
-                    m.setattr(WeightedProjector, "evaluate_grid", spoiled)
-                    with pytest.raises(QuadratureError, match=message):
-                        chern_number_quad(p, grid, derivative)
+            with monkeypatch.context() as m:
+                m.setattr(WeightedProjector, "evaluate_grid", in_last_block(evaluate_grid, scaled))
+                with pytest.raises(QuadratureError, match="idempotency"):
+                    chern_number_quad(p, grid, derivative)
             assert chern_number_quad(p, grid, derivative) == pytest.approx(-1 if p.dim == 2 else 0)
 
         k = monopole_ket("minus", 1)
-        field = KetField(in_last_block(functools.partial(_hopf_ket, k), scaled))
-        with pytest.raises(QuadratureError, match="norm defect"):
-            chern_number_quad(field, grid, derivative)
         monkeypatch.setattr(quadbench, "_hopf_ket", in_last_block(_hopf_ket, scaled))
+        with pytest.raises(QuadratureError, match="norm defect"):
+            chern_number_quad(projector_from_ket(k), grid, derivative)
         with pytest.raises(QuadratureError, match="norm defect"):
             gauge_chern_numbers(k, [np.eye(2), np.eye(2)], grid, derivative)
 
@@ -1050,6 +1086,22 @@ class TestScaleInTheCoefficientMatrix:
             if derivatives:
                 assert np.max(np.abs(got[1] - fd_t)) < 1e-7
                 assert np.max(np.abs(got[2] - fd_f)) < 1e-7
+
+
+class TestExactHermiticity:
+    """The matrix route decides hermiticity once, on the core in the ring,
+    and no longer compares P with P+ at every node: every built-in field
+    and every core-only copy evaluates to a hermitian field, the property
+    that pointwise check guarded, here checked over the known inputs."""
+
+    @pytest.mark.parametrize("name", list(BUILT_IN_FIELDS))
+    def test_built_in_fields_are_hermitian(self, name):
+        p = BUILT_IN_FIELDS[name]()
+        for q in (p,) if p.ket is None else (p, _matrix_route(p)):
+            assert q.is_hermitian()
+            for derivative in DERIVATIVE_MODES.values():
+                P = whole_grid(q.evaluate_grid(*EXACT_GRID.axes(), derivative), True)[0]
+                assert np.max(np.abs(P - np.conj(np.swapaxes(P, -1, -2)))) < 1e-12, derivative
 
 
 def _full_array_monte_carlo(samples: int, seed: int) -> Callable:
@@ -1219,10 +1271,10 @@ class TestEvaluationEntersThroughRings:
         p = projector_from_ket(monopole_ket("minus", 1))
         tangent = tangent_projector()
         grid = SphereGrid.build(8, 8)
-        # a gauge field is a ket field: the rank-one route as well
-        field = gauge_field(monopole_ket("minus", 1), np.eye(2))
+        # a gauge move evaluates the Hopf-section ket as well
+        k = monopole_ket("minus", 1)
         for derivative in DERIVATIVE_MODES:
             assert count(ZPoly, lambda: chern_number_quad(p, grid, derivative)) > 0
             assert count(XPoly, lambda: chern_number_quad(tangent, grid, derivative)) > 0
-            assert count(ZPoly, lambda: chern_number_quad(field, grid, derivative)) > 0
+            assert count(ZPoly, lambda: gauge_chern_numbers(k, [np.eye(2)], grid, derivative)) > 0
         assert count(XPoly, lambda: monte_carlo_stderr(XPoly.one(), 10_000, 0)) > 0
